@@ -28,6 +28,15 @@
 //! — `Event<EngineEvent>` is `Copy` — so the steady-state event loop
 //! does no string cloning, no tree walking and no per-event heap
 //! allocation.
+//!
+//! Task graphs enter the engine as [`CompiledGraph`]s: capability, work
+//! and indegree per task in id order, plus one flat successor list of
+//! local indices. Both the closed-loop graph of [`Engine::new`] and every
+//! workflow admitted mid-run with [`Engine::admit_graph_into`] are
+//! appended onto the same task arena and successor list, so dispatch,
+//! pool pumping, preemption resubmits and completion read a dense index
+//! and never a `BTreeMap`. Task names are kept only while spans are
+//! recorded.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -103,6 +112,93 @@ enum CompiledRoute {
         latency_s: f64,
         cost_per_call_usd: f64,
     },
+}
+
+/// One task of a [`CompiledGraph`].
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledTask {
+    /// Required capability.
+    pub capability: Capability,
+    /// Work the task carries.
+    pub work: Work,
+    /// Number of direct predecessors.
+    pub indegree: u32,
+    /// `start..end` of the task's successors in the graph's flat
+    /// successor list.
+    succ: (u32, u32),
+}
+
+/// A [`TaskGraph`] compiled to the form the engine executes: one entry
+/// per task in task-id order plus one flat list of successor indices
+/// (local to the graph, ascending per task). Built once per workflow;
+/// the engine appends it onto its task arena without touching names,
+/// stages or the graph's maps.
+#[derive(Debug, Clone)]
+pub struct CompiledGraph {
+    tasks: Vec<CompiledTask>,
+    succ: Vec<u32>,
+}
+
+/// `n` as a `u32` index or offset, or a typed error naming what
+/// outgrew the engine's `u32` task indexing.
+fn index_u32(n: usize, what: &str) -> Result<u32, SimError> {
+    u32::try_from(n)
+        .map_err(|_| SimError::InvalidState(format!("{what} ({n}) exceeds u32 indexing")))
+}
+
+impl CompiledGraph {
+    /// Compiles `graph`. Local index `i` is the graph's `i`-th task in id
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] if the task count or the edge
+    /// count does not fit the `u32` indices and offsets.
+    pub fn from_graph(graph: &TaskGraph) -> Result<Self, SimError> {
+        let ids: Vec<TaskId> = graph.tasks().map(|n| n.id).collect();
+        index_u32(ids.len(), "compiled graph task count")?;
+        let local = |id: TaskId| ids.binary_search(&id).expect("edge endpoint is a task") as u32;
+        let mut tasks = Vec::with_capacity(ids.len());
+        let mut succ = Vec::new();
+        let mut start = 0;
+        for node in graph.tasks() {
+            succ.extend(graph.successors(node.id).map(local));
+            let end = index_u32(succ.len(), "compiled graph edge count")?;
+            tasks.push(CompiledTask {
+                capability: node.capability,
+                work: node.work,
+                indegree: graph.predecessors(node.id).count() as u32,
+                succ: (start, end),
+            });
+            start = end;
+        }
+        Ok(CompiledGraph { tasks, succ })
+    }
+
+    /// Number of tasks.
+    pub fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// True if the graph has no tasks.
+    pub fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
+
+    /// All tasks in local-index order.
+    pub fn tasks(&self) -> &[CompiledTask] {
+        &self.tasks
+    }
+
+    /// Local indices of task `i`'s direct successors, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn successors(&self, i: usize) -> &[u32] {
+        let (start, end) = self.tasks[i].succ;
+        &self.succ[start as usize..end as usize]
+    }
 }
 
 /// Engine-level options.
@@ -289,35 +385,23 @@ impl EndpointHandle {
 #[derive(Debug, Clone, Copy)]
 struct TaskState {
     capability: Capability,
+    work: Work,
     /// Remaining-predecessor count; hits zero exactly when the task
     /// becomes schedulable (incremental ready tracking: dispatch is
     /// O(newly ready), not O(graph) — fleet graphs grow to thousands of
     /// tasks).
     indegree: u32,
+    /// `start..end` of the task's successors in [`Engine::succ`].
+    succ: (u32, u32),
     scheduled: bool,
     completed: bool,
     started_at: Option<SimTime>,
-}
-
-impl Default for TaskState {
-    fn default() -> Self {
-        TaskState {
-            // Placeholder — every arena slot is overwritten from its
-            // graph node before use.
-            capability: Capability::FrameExtraction,
-            indegree: 0,
-            scheduled: false,
-            completed: false,
-            started_at: None,
-        }
-    }
 }
 
 /// The execution engine (one run per instance).
 #[derive(Debug)]
 pub struct Engine {
     cluster: ClusterManager,
-    graph: TaskGraph,
     /// Per-capability compiled routes — the event loop's only routing
     /// structure.
     route_table: [Option<CompiledRoute>; N_CAPS],
@@ -330,6 +414,13 @@ pub struct Engine {
     queue: EventQueue<EngineEvent>,
     /// Dense per-task arena indexed by `TaskId::raw()`.
     tasks: Vec<TaskState>,
+    /// Successors of every task as engine-local task indices, one
+    /// contiguous range per task.
+    succ: Vec<u32>,
+    /// Task names by arena index, kept only while spans are recorded
+    /// (the closed-loop graph's names; admitted tasks fall back to
+    /// their [`TaskId`]).
+    names: Vec<String>,
     completed_count: usize,
     /// Tasks whose last predecessor completed, awaiting dispatch.
     ready_pending: Vec<TaskId>,
@@ -370,6 +461,15 @@ pub struct Engine {
 pub fn target_hourly_usd(target: &HardwareTarget, gpu: &murakkab_hardware::GpuSku) -> f64 {
     let core = catalog::epyc_7v12().hourly_usd_per_core;
     target.gpu_units() * gpu.hourly_usd + f64::from(target.cpu_cores_used()) * core
+}
+
+/// Prompt and output tokens of an endpoint task's work — checked to be
+/// token work when the task was admitted.
+fn token_work(work: Work) -> (u32, u32) {
+    match work {
+        Work::Tokens { prompt, output } => (prompt, output),
+        other => unreachable!("endpoint task admitted with non-token work {other}"),
+    }
 }
 
 /// Records `(created, target)` for `alloc` in the dense metadata arena.
@@ -550,37 +650,26 @@ impl Engine {
             });
         }
 
-        let mut tasks = vec![TaskState::default(); graph.len()];
-        let mut ready_pending = Vec::new();
-        let mut upcoming = [0usize; N_CAPS];
-        for node in graph.tasks() {
-            let preds = graph.predecessors(node.id).count() as u32;
-            tasks[node.id.raw() as usize] = TaskState {
-                capability: node.capability,
-                indegree: preds,
-                scheduled: false,
-                completed: false,
-                started_at: None,
-            };
-            if preds == 0 {
-                ready_pending.push(node.id);
-            }
-            upcoming[node.capability as usize] += 1;
-        }
-
-        Ok(Engine {
+        let compiled = CompiledGraph::from_graph(&graph)?;
+        let names = if options.record_spans {
+            graph.tasks().map(|n| n.name.clone()).collect()
+        } else {
+            Vec::new()
+        };
+        let mut engine = Engine {
             cluster,
-            graph,
             route_table,
             pools,
             endpoints,
             options,
             queue: EventQueue::new(),
-            tasks,
+            tasks: Vec::with_capacity(compiled.len()),
+            succ: Vec::with_capacity(compiled.succ.len()),
+            names,
             completed_count: 0,
-            ready_pending,
+            ready_pending: Vec::new(),
             ready_scratch: Vec::new(),
-            upcoming,
+            upcoming: [0; N_CAPS],
             alloc_meta,
             llm_metrics: Vec::new(),
             completions_log: Vec::new(),
@@ -593,7 +682,10 @@ impl Engine {
             orch_end: start,
             pool_scale_ups: 0,
             pool_scale_downs: 0,
-        })
+        };
+        engine.check_admissible(&compiled)?;
+        engine.append(&compiled)?;
+        Ok(engine)
     }
 
     /// Runs the graph to completion.
@@ -766,18 +858,16 @@ impl Engine {
     /// incomplete with no pending events) — a routing/scheduling bug.
     pub fn finish(mut self, start: SimTime) -> Result<EngineOutcome, SimError> {
         let orch_end = self.orch_end;
-        if self.completed_count != self.graph.len() {
-            let stuck: Vec<String> = self
-                .graph
-                .tasks()
-                .filter(|t| !self.tasks[t.id.raw() as usize].completed)
+        if self.completed_count != self.tasks.len() {
+            let stuck: Vec<String> = (0..self.tasks.len())
+                .filter(|&i| !self.tasks[i].completed)
                 .take(5)
-                .map(|t| t.name.clone())
+                .map(|i| self.task_name(i))
                 .collect();
             return Err(SimError::InvalidState(format!(
                 "engine deadlock: {}/{} tasks done; stuck: {stuck:?}",
                 self.completed_count,
-                self.graph.len()
+                self.tasks.len()
             )));
         }
 
@@ -864,9 +954,9 @@ impl Engine {
         self.events_processed
     }
 
-    /// Total tasks in the (possibly growing) graph.
+    /// Total tasks in the (possibly growing) task arena.
     pub fn task_count(&self) -> usize {
-        self.graph.len()
+        self.tasks.len()
     }
 
     /// Not-yet-completed task counts per capability (the DAG lookahead the
@@ -956,61 +1046,32 @@ impl Engine {
         out
     }
 
-    /// Admits a workflow's task graph mid-run (open-loop serving): merges
-    /// it under `prefix`, re-provisions any tool pools that were released
-    /// while idle and are needed again, and dispatches newly ready tasks
-    /// at `now`. Returns the old-id → new-id mapping so the caller can
-    /// track the job's completion.
+    /// Admits a compiled workflow mid-run (open-loop serving): appends
+    /// it onto the task arena, re-provisions any tool pools that were
+    /// released while idle and are needed again, and dispatches newly
+    /// ready tasks at `now`. The admitted tasks take consecutive
+    /// engine-local ids in `sub`'s task order, starting at the returned
+    /// id.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidInput`] if a capability in `sub` has no
-    /// route, and [`SimError::ResourceExhausted`] if a required released
-    /// pool cannot get any worker back.
-    pub fn admit_graph(
-        &mut self,
-        now: SimTime,
-        sub: &TaskGraph,
-        prefix: &str,
-    ) -> Result<BTreeMap<TaskId, TaskId>, SimError> {
-        let mut ids = Vec::with_capacity(sub.len());
-        self.admit_graph_into(now, sub, prefix, &mut ids)?;
-        Ok(sub.tasks().map(|n| n.id).zip(ids).collect())
-    }
-
-    /// [`admit_graph`](Self::admit_graph) without the per-admission map
-    /// allocation: the engine-local ids of the admitted tasks are
-    /// appended to `out` in `sub`'s node order. The fleet serve loop
-    /// reuses one buffer (and one prefix `String`) across every
-    /// admission, so steady-state admission allocates only the graph's
-    /// own node storage.
-    ///
-    /// # Errors
-    ///
-    /// As [`admit_graph`](Self::admit_graph).
+    /// route or an endpoint-routed task carries non-token work (nothing
+    /// is admitted then), [`SimError::ResourceExhausted`] if a required
+    /// released pool cannot get any worker back, and
+    /// [`SimError::InvalidState`] if the arena outgrows `u32` indexing.
     pub fn admit_graph_into(
         &mut self,
         now: SimTime,
-        sub: &TaskGraph,
-        prefix: &str,
-        out: &mut Vec<TaskId>,
-    ) -> Result<(), SimError> {
-        let mut caps_needed: BTreeSet<Capability> = BTreeSet::new();
-        for node in sub.tasks() {
-            if self.route_table[node.capability as usize].is_none() {
-                return Err(SimError::InvalidInput(format!(
-                    "no route for capability {:?} (task {})",
-                    node.capability, node.name
-                )));
-            }
-            caps_needed.insert(node.capability);
-        }
+        sub: &CompiledGraph,
+    ) -> Result<TaskId, SimError> {
+        let caps_needed = self.check_admissible(sub)?;
 
         // Autoscale-up: bring back released pools the new job needs.
         for pi in 0..self.pools.len() {
             let needed = {
                 let pool = &self.pools[pi];
-                pool.released && pool.caps.iter().any(|c| caps_needed.contains(c))
+                pool.released && pool.caps.iter().any(|&c| caps_needed[c as usize])
             };
             if !needed {
                 continue;
@@ -1058,28 +1119,72 @@ impl Engine {
             self.pool_scale_ups += 1;
         }
 
-        let start = out.len();
-        self.graph.absorb_prefixed_into(sub, prefix, out);
-        if self.tasks.len() < self.graph.len() {
-            self.tasks.resize(self.graph.len(), TaskState::default());
+        let first = self.append(sub)?;
+        self.dispatch(now)?;
+        Ok(first)
+    }
+
+    /// Checks that every task of `sub` has a route and that every
+    /// endpoint-routed task carries token work; returns which
+    /// capabilities `sub` needs.
+    fn check_admissible(&self, sub: &CompiledGraph) -> Result<[bool; N_CAPS], SimError> {
+        let mut needed = [false; N_CAPS];
+        for (i, t) in sub.tasks.iter().enumerate() {
+            match self.route_table[t.capability as usize] {
+                None => {
+                    return Err(SimError::InvalidInput(format!(
+                        "no route for capability {:?} (task {i} of the graph)",
+                        t.capability
+                    )))
+                }
+                Some(CompiledRoute::Endpoint(_)) if !matches!(t.work, Work::Tokens { .. }) => {
+                    return Err(SimError::InvalidInput(format!(
+                        "endpoint task {i} of the graph ({:?}) carries non-token work {}",
+                        t.capability, t.work
+                    )))
+                }
+                Some(_) => {}
+            }
+            needed[t.capability as usize] = true;
         }
-        for &new_id in &out[start..] {
-            let preds = self.graph.predecessors(new_id).count() as u32;
-            let cap = self.graph.task(new_id)?.capability;
-            self.tasks[new_id.raw() as usize] = TaskState {
-                capability: cap,
-                indegree: preds,
+        Ok(needed)
+    }
+
+    /// Appends `sub` onto the task arena and the flat successor list,
+    /// queueing its source tasks as ready. Returns the engine-local id
+    /// of its first task.
+    fn append(&mut self, sub: &CompiledGraph) -> Result<TaskId, SimError> {
+        index_u32(self.tasks.len() + sub.tasks.len(), "engine task count")?;
+        index_u32(self.succ.len() + sub.succ.len(), "engine edge count")?;
+        // Both totals fit, so every index and offset below does too.
+        let (base, succ_base) = (self.tasks.len() as u32, self.succ.len() as u32);
+        self.succ.extend(sub.succ.iter().map(|&s| base + s));
+        for (i, t) in sub.tasks.iter().enumerate() {
+            self.tasks.push(TaskState {
+                capability: t.capability,
+                work: t.work,
+                indegree: t.indegree,
+                succ: (succ_base + t.succ.0, succ_base + t.succ.1),
                 scheduled: false,
                 completed: false,
                 started_at: None,
-            };
-            if preds == 0 {
-                self.ready_pending.push(new_id);
+            });
+            if t.indegree == 0 {
+                self.ready_pending
+                    .push(TaskId::from_raw(u64::from(base) + i as u64));
             }
-            self.upcoming[cap as usize] += 1;
+            self.upcoming[t.capability as usize] += 1;
         }
-        self.dispatch(now)?;
-        Ok(())
+        Ok(TaskId::from_raw(u64::from(base)))
+    }
+
+    /// A task's name for spans and diagnostics: its graph name when
+    /// names are kept, its engine-local id otherwise.
+    fn task_name(&self, i: usize) -> String {
+        self.names
+            .get(i)
+            .cloned()
+            .unwrap_or_else(|| TaskId::from_raw(i as u64).to_string())
     }
 
     /// Marks a task complete, records its span and advances the
@@ -1089,7 +1194,7 @@ impl Engine {
         let capability = self.tasks[ti].capability;
         if self.options.record_spans {
             let started = self.tasks[ti].started_at.unwrap_or(now);
-            let name = self.graph.task(task)?.name.clone();
+            let name = self.task_name(ti);
             self.trace
                 .record(capability.lane_name(), name, started, now);
         }
@@ -1104,19 +1209,20 @@ impl Engine {
         self.completions_log.push(task);
         let ci = capability as usize;
         self.upcoming[ci] = self.upcoming[ci].saturating_sub(1);
-        // Split borrow: walk the graph's successor list while mutating
-        // the task arena — no per-finish successor Vec.
+        // Split borrow: walk the flat successor list while mutating the
+        // task arena — no per-finish successor Vec.
+        let (start, end) = self.tasks[ti].succ;
         let Engine {
-            graph,
+            succ,
             tasks,
             ready_pending,
             ..
         } = self;
-        for s in graph.successors(task) {
-            let st = &mut tasks[s.raw() as usize];
+        for &s in &succ[start as usize..end as usize] {
+            let st = &mut tasks[s as usize];
             st.indegree -= 1;
             if st.indegree == 0 {
-                ready_pending.push(s);
+                ready_pending.push(TaskId::from_raw(u64::from(s)));
             }
         }
         Ok(())
@@ -1147,16 +1253,7 @@ impl Engine {
                         self.pools[pi as usize].queue.push_back(tid);
                     }
                     CompiledRoute::Endpoint(ei) => {
-                        let (prompt, output) = {
-                            let node = self.graph.task(tid)?;
-                            let Work::Tokens { prompt, output } = node.work else {
-                                return Err(SimError::InvalidInput(format!(
-                                    "endpoint task {} carries non-token work {}",
-                                    node.name, node.work
-                                )));
-                            };
-                            (prompt, output)
-                        };
+                        let (prompt, output) = token_work(self.tasks[ti].work);
                         let h = &mut self.endpoints[ei as usize];
                         let req = Request::new(h.claim_slot(tid), prompt, output.max(1));
                         let generation = h.generation;
@@ -1213,9 +1310,9 @@ impl Engine {
                 let (duration, gpu_util) = {
                     // The cost model lives on the pool's spec snapshot —
                     // no library lookup or spec clone per task start.
-                    let node = self.graph.task(tid)?;
+                    let work = self.tasks[tid.raw() as usize].work;
                     let spec = &self.pools[pi].spec;
-                    let mut d = spec.estimate_latency(&node.work, &target)?;
+                    let mut d = spec.estimate_latency(&work, &target)?;
                     // Newer GPU generations speed up pure-GPU tool work.
                     if matches!(target, HardwareTarget::Gpu { .. })
                         && self.options.gpu_speed_factor > 1.0
@@ -1385,13 +1482,7 @@ impl Engine {
             let mut lost: Vec<(TaskId, u64)> = old_pending.into_iter().flatten().collect();
             lost.sort_unstable_by_key(|&(_, seq)| seq);
             for (task, _) in lost {
-                let (prompt, output) = {
-                    let node = self.graph.task(task)?;
-                    let Work::Tokens { prompt, output } = node.work else {
-                        unreachable!("endpoint tasks carry token work");
-                    };
-                    (prompt, output)
-                };
+                let (prompt, output) = token_work(self.tasks[task.raw() as usize].work);
                 let h = &mut self.endpoints[ei];
                 let req = Request::new(h.claim_slot(task), prompt, output.max(1));
                 let generation = h.generation;
@@ -1732,22 +1823,169 @@ mod tests {
 
     #[test]
     fn deadlock_reports_stuck_tasks() {
-        // An endpoint task with non-token work can never dispatch.
-        let mut g = TaskGraph::new();
-        g.add_task("bad", "bad", Capability::Summarization, Work::Items(3));
+        // The only STT worker's node dies mid-task and the surviving node
+        // is full with the endpoint: the requeued task can never run.
+        let opts = EngineOptions {
+            preemptions: vec![(SimTime::from_secs_f64(1.0), 1)],
+            ..EngineOptions::default()
+        };
         let engine = Engine::new(
             ClusterManager::paper_testbed(),
             &stock_library(),
-            g,
+            tiny_graph(),
+            routes(),
+            opts,
+            SimTime::ZERO,
+        )
+        .expect("builds");
+        let err = engine.run(SimTime::ZERO).expect_err("no STT capacity left");
+        let msg = err.to_string();
+        assert!(msg.contains("deadlock"), "{msg}");
+        assert!(
+            msg.contains("stt/x/s0") && msg.contains("sum/x/s0"),
+            "{msg}"
+        );
+    }
+
+    /// An engine serving nothing yet, like a fleet cell's.
+    fn serve_engine(record_spans: bool) -> Engine {
+        let opts = EngineOptions {
+            record_spans,
+            ..EngineOptions::default()
+        };
+        let mut engine = Engine::new(
+            ClusterManager::paper_testbed(),
+            &stock_library(),
+            TaskGraph::new(),
+            routes(),
+            opts,
+            SimTime::ZERO,
+        )
+        .expect("builds");
+        engine.start(SimTime::ZERO).expect("starts");
+        engine
+    }
+
+    #[test]
+    fn non_token_endpoint_work_is_rejected_at_admission() {
+        let mut g = TaskGraph::new();
+        g.add_task("bad", "bad", Capability::Summarization, Work::Items(3));
+        let err = Engine::new(
+            ClusterManager::paper_testbed(),
+            &stock_library(),
+            g.clone(),
+            routes(),
+            EngineOptions::default(),
+            SimTime::ZERO,
+        )
+        .expect_err("cannot run items on an LLM");
+        assert!(matches!(err, SimError::InvalidInput(_)), "{err}");
+        assert!(err.to_string().contains("non-token work"), "{err}");
+
+        let mut engine = serve_engine(false);
+        let compiled = CompiledGraph::from_graph(&g).expect("compiles");
+        let err = engine
+            .admit_graph_into(SimTime::ZERO, &compiled)
+            .expect_err("rejected before dispatch");
+        assert!(matches!(err, SimError::InvalidInput(_)), "{err}");
+        assert_eq!(engine.task_count(), 0, "nothing was admitted");
+    }
+
+    /// Three STT chunks each feeding a summary, all feeding one final
+    /// summary.
+    fn fan_in_graph() -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let fin = g.add_task(
+            "final",
+            "final",
+            Capability::Summarization,
+            Work::Tokens {
+                prompt: 900,
+                output: 60,
+            },
+        );
+        for i in 0..3 {
+            let stt = g.add_task(
+                format!("stt/{i}"),
+                "stt",
+                Capability::SpeechToText,
+                Work::AudioSeconds(20.0 + 10.0 * f64::from(i)),
+            );
+            let sum = g.add_task(
+                format!("sum/{i}"),
+                "sum",
+                Capability::Summarization,
+                Work::Tokens {
+                    prompt: 400,
+                    output: 30,
+                },
+            );
+            g.add_edge(stt, sum).expect("acyclic");
+            g.add_edge(sum, fin).expect("acyclic");
+        }
+        g
+    }
+
+    #[test]
+    fn admission_at_zero_matches_construction() {
+        let drain = |engine: &mut Engine| {
+            while engine.step().expect("steps").is_some() {}
+            engine.completions().to_vec()
+        };
+        let mut built = Engine::new(
+            ClusterManager::paper_testbed(),
+            &stock_library(),
+            fan_in_graph(),
             routes(),
             EngineOptions::default(),
             SimTime::ZERO,
         )
         .expect("builds");
-        let err = engine
-            .run(SimTime::ZERO)
-            .expect_err("cannot run items on an LLM");
-        assert!(err.to_string().contains("non-token work"), "{err}");
+        built.start(SimTime::ZERO).expect("starts");
+        let built_order = drain(&mut built);
+
+        let mut admitted = serve_engine(true);
+        let compiled = CompiledGraph::from_graph(&fan_in_graph()).expect("compiles");
+        let first = admitted
+            .admit_graph_into(SimTime::ZERO, &compiled)
+            .expect("admits");
+        assert_eq!(first, TaskId::from_raw(0));
+        let admitted_order = drain(&mut admitted);
+
+        assert_eq!(built_order.len(), 7);
+        assert_eq!(built_order, admitted_order);
+        let (a, b) = (
+            built.finish(SimTime::ZERO).expect("settles"),
+            admitted.finish(SimTime::ZERO).expect("settles"),
+        );
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.tasks_completed, b.tasks_completed);
+    }
+
+    #[test]
+    fn closed_loop_trace_carries_task_names() {
+        let engine = Engine::new(
+            ClusterManager::paper_testbed(),
+            &stock_library(),
+            fan_in_graph(),
+            routes(),
+            EngineOptions::default(),
+            SimTime::ZERO,
+        )
+        .expect("builds");
+        let trace = engine.run(SimTime::ZERO).expect("runs").trace;
+        let chrome = trace.to_chrome_trace();
+        for name in ["stt/0", "stt/2", "sum/1", "final"] {
+            assert!(chrome.contains(&format!("\"{name}\"")), "{name} missing");
+        }
+    }
+
+    #[test]
+    fn u32_index_overflow_is_a_typed_error() {
+        assert_eq!(index_u32(7, "tasks").expect("fits"), 7);
+        let err = index_u32(u32::MAX as usize + 1, "engine task count").expect_err("too big");
+        assert!(matches!(err, SimError::InvalidState(_)), "{err}");
+        assert!(err.to_string().contains("engine task count"), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use murakkab_traffic::{
 use murakkab_workflow::{Constraint, Job, TaskGraph};
 
 use crate::capture::{RequestOutcome, RequestRecord, RunCapture, StealRecord};
-use crate::engine::{Engine, RouteSpec};
+use crate::engine::{CompiledGraph, Engine, RouteSpec};
 use crate::runtime::{RoutePlan, RunOptions, Runtime};
 use crate::workloads;
 
@@ -567,10 +567,12 @@ impl FleetReport {
     }
 }
 
-/// A planned (decomposed + expanded) request waiting to execute.
+/// A planned (decomposed + expanded) request waiting to execute. Only
+/// the compiled graph is kept: the expanded [`TaskGraph`] is dropped as
+/// soon as the admission estimate has read it.
 pub(crate) struct PlannedRequest {
     pub(crate) req: RequestSpec,
-    pub(crate) graph: TaskGraph,
+    pub(crate) graph: CompiledGraph,
     pub(crate) est_service_s: f64,
     /// Index into the interned per-class aggregation table (no
     /// per-task class-name clones on the hot path).
@@ -614,11 +616,6 @@ pub(crate) struct Cell {
     /// per-job remaining counter, WAN latency attribution and capture's
     /// first-token attribution). Same dense layout as `task_class`.
     task_job: Vec<u32>,
-    /// Reusable admission buffers: the engine-local ids of the last
-    /// admitted workflow and the `"r{id}/"` name prefix, reused across
-    /// admissions so steady-state injection does not allocate.
-    admit_ids: Vec<murakkab_workflow::TaskId>,
-    prefix_buf: String,
     /// The cell's epoch harvest, drained at every apply point. Living
     /// on the cell (instead of a fresh per-epoch allocation) keeps its
     /// capacity across epochs.
@@ -644,12 +641,28 @@ pub(crate) struct Cell {
 const TASK_SLOT_VACANT: u32 = u32::MAX;
 
 /// Writes `val` into the dense task slot, growing the arena on demand.
-fn task_slot_set(slots: &mut Vec<u32>, tid: murakkab_workflow::TaskId, val: usize) {
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidState`] if `val` does not fit below the
+/// `u32` vacant sentinel.
+fn task_slot_set(
+    slots: &mut Vec<u32>,
+    tid: murakkab_workflow::TaskId,
+    val: usize,
+) -> Result<(), SimError> {
+    let v = u32::try_from(val)
+        .ok()
+        .filter(|&v| v != TASK_SLOT_VACANT)
+        .ok_or_else(|| {
+            SimError::InvalidState(format!("per-fleet index {val} exceeds u32 indexing"))
+        })?;
     let i = tid.raw() as usize;
     if slots.len() <= i {
         slots.resize(i + 1, TASK_SLOT_VACANT);
     }
-    slots[i] = u32::try_from(val).expect("per-fleet index fits in u32");
+    slots[i] = v;
+    Ok(())
 }
 
 /// Reads the dense task slot without vacating it.
@@ -686,8 +699,6 @@ impl Cell {
             inflight: Vec::new(),
             task_class: Vec::new(),
             task_job: Vec::new(),
-            admit_ids: Vec::new(),
-            prefix_buf: String::new(),
             batch: CellBatch::default(),
             active: true,
             cost_scale: 1.0,
@@ -852,30 +863,17 @@ fn inject_ready(
     per_cell_inflight: usize,
     now: SimTime,
 ) -> Result<(), SimError> {
-    use std::fmt::Write as _;
     while cell.inflight.len() < per_cell_inflight {
         let Some((_, _, idx)) = cell.queue.pop() else {
             break;
         };
         let p = &planned[idx];
-        // Both admission buffers live on the cell and keep their
-        // capacity across admissions — steady-state injection allocates
-        // only the engine graph's own node storage.
-        let Cell {
-            engine,
-            admit_ids,
-            prefix_buf,
-            ..
-        } = &mut *cell;
-        prefix_buf.clear();
-        write!(prefix_buf, "r{}/", p.req.id).expect("write to String");
-        admit_ids.clear();
-        engine.admit_graph_into(now, &p.graph, prefix_buf, admit_ids)?;
-        let remaining = cell.admit_ids.len();
-        for i in 0..cell.admit_ids.len() {
-            let tid = cell.admit_ids[i];
-            task_slot_set(&mut cell.task_class, tid, p.class_idx);
-            task_slot_set(&mut cell.task_job, tid, idx);
+        let first = cell.engine.admit_graph_into(now, &p.graph)?.raw();
+        let remaining = p.graph.len();
+        for k in 0..remaining as u64 {
+            let tid = murakkab_workflow::TaskId::from_raw(first + k);
+            task_slot_set(&mut cell.task_class, tid, p.class_idx)?;
+            task_slot_set(&mut cell.task_job, tid, idx)?;
         }
         cell.inflight.push(InflightJob {
             planned_idx: idx,
@@ -1574,6 +1572,7 @@ impl Runtime {
             let (plan, _) = Planner.decompose(&job, self.library())?;
             let graph = expand(&plan, &inputs)?;
             let est_service_s = estimate_service_s(&graph, est_routes, self.library())?;
+            let graph = CompiledGraph::from_graph(&graph)?;
             let class_idx = match class_index.get(&req.class.name) {
                 Some(&i) => i,
                 None => {
@@ -2026,6 +2025,19 @@ pub(crate) fn estimate_service_s(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_slots_reject_indices_that_do_not_fit_below_the_sentinel() {
+        let mut slots = Vec::new();
+        let tid = murakkab_workflow::TaskId::from_raw(3);
+        task_slot_set(&mut slots, tid, 7).expect("fits");
+        assert_eq!(task_slot_get(&slots, tid), Some(7));
+        for bad in [TASK_SLOT_VACANT as usize, u32::MAX as usize + 1] {
+            let err = task_slot_set(&mut slots, tid, bad).expect_err("does not fit");
+            assert!(matches!(err, SimError::InvalidState(_)), "{err}");
+        }
+        assert_eq!(task_slot_get(&slots, tid), Some(7), "slot untouched");
+    }
 
     #[test]
     fn canonical_jobs_decompose_to_their_archetypes() {

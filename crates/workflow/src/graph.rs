@@ -287,23 +287,13 @@ impl TaskGraph {
     /// Merges `other` into `self` with `prefix` prepended to task and
     /// stage names (multi-tenant merges keep workflows distinguishable in
     /// traces and lookups).
-    pub fn absorb_prefixed(&mut self, other: &TaskGraph, prefix: &str) -> BTreeMap<TaskId, TaskId> {
-        let mut ids = Vec::with_capacity(other.nodes.len());
-        self.absorb_prefixed_into(other, prefix, &mut ids);
-        other.nodes.keys().copied().zip(ids).collect()
-    }
-
-    /// [`absorb_prefixed`](Self::absorb_prefixed) without the per-call
-    /// map allocation: the new ids are appended to `out` in `other`'s
-    /// node order (ascending old id). The serve loop's admission path
-    /// reuses one `out` buffer across every admitted workflow.
     ///
     /// # Panics
     ///
     /// Panics if an absorbed edge would create a cycle (impossible for
     /// a valid `other`).
-    pub fn absorb_prefixed_into(&mut self, other: &TaskGraph, prefix: &str, out: &mut Vec<TaskId>) {
-        let start = out.len();
+    pub fn absorb_prefixed(&mut self, other: &TaskGraph, prefix: &str) -> BTreeMap<TaskId, TaskId> {
+        let mut ids = Vec::with_capacity(other.nodes.len());
         // Sub-graphs built by the planner have dense ids 0..len (the
         // graph API only ever appends), so old-id → new-id lookup is
         // direct indexing; fall back to position search otherwise.
@@ -318,18 +308,18 @@ impl TaskGraph {
             if let Some(p) = &node.pinned {
                 self.pin(new, p.clone()).expect("freshly added");
             }
-            out.push(new);
+            ids.push(new);
         }
         let lookup = |old: TaskId| -> TaskId {
             if dense {
-                out[start + old.raw() as usize]
+                ids[old.raw() as usize]
             } else {
                 let pos = other
                     .nodes
                     .keys()
                     .position(|&k| k == old)
                     .expect("edge endpoint exists");
-                out[start + pos]
+                ids[pos]
             }
         };
         for (from, succs) in &other.succ {
@@ -338,6 +328,7 @@ impl TaskGraph {
                     .expect("absorbed edges cannot cycle");
             }
         }
+        other.nodes.keys().copied().zip(ids).collect()
     }
 }
 
