@@ -5,8 +5,8 @@
 //! Two workloads, both on one core so the number measures per-event
 //! cost and not parallelism:
 //!
-//! 1. the simspeed workload at `shards = 1, threads = 1` — the same
-//!    captured arrival log as `BENCH_simspeed.json`'s first row, so the
+//! 1. the simspeed workload at `shards = 1` — the same captured
+//!    arrival log as `BENCH_simspeed.json`'s first row, so the
 //!    digest golden is shared with that scoreboard;
 //! 2. the committed trace fixture `traces/overload_small.json`,
 //!    replayed via [`murakkab_trace::RunTrace::verify_replay`] — the
@@ -38,8 +38,8 @@ pub const HOTPATH_TRACE_FIXTURE: &str = concat!(
 );
 
 /// Pre-change golden digest of the full-horizon simspeed workload at
-/// `shards = 1` (any thread count — the digest is thread-invariant).
-/// Matches the committed `BENCH_simspeed.json` shards=1 rows.
+/// `shards = 1`. Matches the committed `BENCH_simspeed.json` shards=1
+/// row.
 pub const HOTPATH_GOLDEN_DIGEST_FULL: u64 = 0xea62_6496_fa46_806f;
 
 /// Pre-change golden digest of the quick-horizon (240 s) simspeed
@@ -147,7 +147,7 @@ pub fn engine_hotpath_main(seed: u64, quick: bool, alloc_count: Option<&dyn Fn()
 
     // Workload 1: the simspeed arrival log on one cell, one thread.
     let log = simspeed_log(seed, horizon_s);
-    let scenario = simspeed_scenario(seed, &log, 1, 1, horizon_s);
+    let scenario = simspeed_scenario(seed, &log, 1, horizon_s);
     let session = Session::new(&scenario).expect("session builds");
     let (events, wall, allocs, digest) = time_runs(HOTPATH_ITERS, alloc_count, || {
         let executed = session.execute(&scenario).expect("simspeed run");

@@ -1,17 +1,13 @@
-//! Simulation-speed scoreboard: wall-clock throughput of the fleet
-//! serve loop across a shards × threads grid.
+//! Simulation-speed scoreboard: wall-clock throughput of the
+//! single-region fleet serve loop across a shard sweep.
 //!
-//! Every grid point replays the same captured arrival log from the
-//! shard sweep, so the only thing that varies is how the work is
-//! partitioned (shards) and how many worker threads step cells between
-//! synchronization epochs (threads). The scoreboard's invariant is the
-//! determinism contract itself: for each shard count, every thread
-//! count must produce a bit-identical report digest
-//! (`murakkab::scenario::Report::digest`), and the
-//! driver asserts it before writing a single row. What the table then
-//! shows is pure wall-clock: events per wall-second and simulated
-//! seconds per wall-second, with the speedup over the single-threaded
-//! run of the same shard count.
+//! Every row replays the same captured arrival log from the shard
+//! sweep, so the only thing that varies is how the work is partitioned
+//! into cells. Cells always step inline (only federated regions fan out
+//! to worker threads), so each shard count runs once. Each row records
+//! its report digest (`murakkab::scenario::Report::digest`) next to
+//! events per wall-second and simulated seconds per wall-second; the
+//! `shards = 1` digest is the golden `engine_hotpath` asserts.
 
 use murakkab::fleet::CellPolicy;
 use murakkab::scenario::{Scenario, Session};
@@ -22,16 +18,13 @@ use serde::Serialize;
 
 use crate::{write_bench_json, FLEET_SHARD_NODES};
 
-/// Thread counts swept at every shard count.
-pub const SIMSPEED_THREADS: [usize; 3] = [1, 2, 4];
-
 /// Arrival horizon of the full scoreboard, seconds — long enough that
-/// per-epoch thread-dispatch overhead amortizes into the steady state.
+/// start-up cost amortizes into the steady state.
 pub const SIMSPEED_HORIZON_S: f64 = 1800.0;
 
 /// Offered rate of the scoreboard, requests per second — past the
 /// cluster knee with the front door open, so cells carry a deep
-/// standing backlog and every epoch has real work to parallelize.
+/// standing backlog and every epoch has real work.
 pub const SIMSPEED_RATE: f64 = 0.8;
 
 /// Fleet-wide in-flight budget of the scoreboard. Much wider than the
@@ -40,12 +33,12 @@ pub const SIMSPEED_RATE: f64 = 0.8;
 pub const SIMSPEED_MAX_INFLIGHT: usize = 64;
 
 /// Per-stage fan-out of the scoreboard's workflows. Wide stages mean
-/// more engine events per admitted workflow, which is what gives each
-/// synchronization epoch enough work to amortize thread dispatch.
+/// more engine events per admitted workflow, so the scoreboard times
+/// engine stepping rather than serve-loop bookkeeping.
 pub const SIMSPEED_PARALLELISM: u32 = 24;
 
 /// Captures the scoreboard's Poisson stream as an [`ArrivalLog`] — the
-/// same fork path `Runtime::serve` uses, so every grid point replays
+/// same fork path the open-loop serve loop uses, so every row replays
 /// byte-identical traffic.
 pub fn simspeed_log(seed: u64, horizon_s: f64) -> ArrivalLog {
     let process = ArrivalProcess::Poisson {
@@ -55,20 +48,11 @@ pub fn simspeed_log(seed: u64, horizon_s: f64) -> ArrivalLog {
     ArrivalLog::record(&process, &mut rng, SimDuration::from_secs_f64(horizon_s))
 }
 
-/// The scoreboard's scenario for one grid point: the captured log
+/// The scoreboard's scenario for one shard count: the captured log
 /// replayed with the front door wide open (no admission — shedding
 /// would starve the engines the scoreboard times) and wide workflows on
 /// the shard sweep's [`FLEET_SHARD_NODES`]-node cluster.
-pub fn simspeed_scenario(
-    seed: u64,
-    log: &ArrivalLog,
-    shards: usize,
-    threads: usize,
-    horizon_s: f64,
-) -> Scenario {
-    // The label deliberately omits the thread count: it is serialized
-    // into the report, and the report digest must be bit-identical
-    // across thread counts.
+pub fn simspeed_scenario(seed: u64, log: &ArrivalLog, shards: usize, horizon_s: f64) -> Scenario {
     Scenario::open_loop(
         &format!("shards={shards}"),
         ArrivalProcess::Replay { log: log.clone() },
@@ -84,16 +68,13 @@ pub fn simspeed_scenario(
     .max_inflight(SIMSPEED_MAX_INFLIGHT)
     .parallelism(SIMSPEED_PARALLELISM)
     .admission(AdmissionConfig::disabled())
-    .threads(threads)
 }
 
-/// One measured grid point of the scoreboard.
+/// One measured row of the scoreboard.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimSpeedRow {
     /// Engine cells the cluster was partitioned into.
     pub shards: usize,
-    /// Worker threads stepping cells between synchronization epochs.
-    pub threads: usize,
     /// Wall-clock time of the serve call, seconds.
     pub wall_s: f64,
     /// Simulated makespan, seconds.
@@ -104,124 +85,76 @@ pub struct SimSpeedRow {
     pub events_per_wall_s: f64,
     /// Simulated seconds per wall-second.
     pub sim_s_per_wall_s: f64,
-    /// Wall-clock speedup over the `threads = 1` run at this shard
-    /// count.
-    pub speedup: f64,
-    /// Report digest — identical across every thread count of a shard
-    /// row by construction (asserted before the row is recorded).
+    /// Report digest.
     pub digest: String,
 }
 
-/// Runs the scoreboard grid: for each shard count, every thread count
-/// replays the same log and the digests are asserted bit-identical
-/// before wall-clock rates are computed.
+/// Runs the scoreboard: every shard count replays the same log once.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-///
-/// # Panics
-///
-/// Panics if a thread count's digest diverges from the sequential run —
-/// a determinism break must not produce a scoreboard row.
 pub fn run_simspeed_grid(
     seed: u64,
     shard_counts: &[usize],
-    thread_counts: &[usize],
     horizon_s: f64,
 ) -> Result<Vec<SimSpeedRow>, murakkab_sim::SimError> {
     let log = simspeed_log(seed, horizon_s);
-    let probe = simspeed_scenario(seed, &log, 1, 1, horizon_s);
-    let session = Session::new(&probe)?;
+    let session = Session::new(&simspeed_scenario(seed, &log, 1, horizon_s))?;
     let mut rows = Vec::new();
     for &shards in shard_counts {
-        let mut baseline: Option<(u64, f64)> = None; // (digest, wall_s) at threads = 1
-        for &threads in thread_counts {
-            let scenario = simspeed_scenario(seed, &log, shards, threads, horizon_s);
-            let start = std::time::Instant::now();
-            let executed = session.execute(&scenario)?;
-            let wall_s = start.elapsed().as_secs_f64();
-            let digest = executed.digest();
-            let report: FleetReport = executed.into_open_loop()?;
-            let base = *baseline.get_or_insert((digest, wall_s));
-            assert_eq!(
-                digest, base.0,
-                "shards={shards} threads={threads} diverged from the sequential digest"
-            );
-            rows.push(SimSpeedRow {
-                shards,
-                threads,
-                wall_s,
-                sim_s: report.makespan_s,
-                events: report.events_processed,
-                events_per_wall_s: report.events_processed as f64 / wall_s.max(1e-9),
-                sim_s_per_wall_s: report.makespan_s / wall_s.max(1e-9),
-                speedup: base.1 / wall_s.max(1e-9),
-                digest: format!("{digest:#018x}"),
-            });
-        }
+        let scenario = simspeed_scenario(seed, &log, shards, horizon_s);
+        let start = std::time::Instant::now();
+        let executed = session.execute(&scenario)?;
+        let wall_s = start.elapsed().as_secs_f64();
+        let digest = executed.digest();
+        let report: FleetReport = executed.into_open_loop()?;
+        rows.push(SimSpeedRow {
+            shards,
+            wall_s,
+            sim_s: report.makespan_s,
+            events: report.events_processed,
+            events_per_wall_s: report.events_processed as f64 / wall_s.max(1e-9),
+            sim_s_per_wall_s: report.makespan_s / wall_s.max(1e-9),
+            digest: format!("{digest:#018x}"),
+        });
     }
     Ok(rows)
 }
 
-/// The simspeed bench driver: runs the shards × threads grid, prints
-/// the scoreboard and writes `BENCH_simspeed.json`. `quick` trims the
-/// grid (shards {1, 2} × threads {1, 2}, short horizon) so CI can
-/// exercise the full path — including the digest cross-check — on
+/// The simspeed bench entry point: runs the shard sweep, prints the
+/// scoreboard and writes `BENCH_simspeed.json`. `quick` trims it
+/// (shards {1, 2}, short horizon) so CI can exercise the full path on
 /// every push.
 ///
 /// # Panics
 ///
-/// Panics if a run, a digest cross-check, or the results file fails —
-/// bench binaries want loud failures.
+/// Panics if a run or the results file fails — bench binaries want
+/// loud failures.
 pub fn simspeed_main(seed: u64, quick: bool) {
-    let (shard_counts, thread_counts, horizon_s): (&[usize], &[usize], f64) = if quick {
-        (
-            &crate::FLEET_SHARD_SWEEP[..2],
-            &SIMSPEED_THREADS[..2],
-            240.0,
-        )
+    let (shard_counts, horizon_s): (&[usize], f64) = if quick {
+        (&crate::FLEET_SHARD_SWEEP[..2], 240.0)
     } else {
-        (
-            &crate::FLEET_SHARD_SWEEP,
-            &SIMSPEED_THREADS,
-            SIMSPEED_HORIZON_S,
-        )
+        (&crate::FLEET_SHARD_SWEEP, SIMSPEED_HORIZON_S)
     };
     println!(
-        "Sim-speed scoreboard (seed {seed}{}): shards {shard_counts:?} x threads \
-         {thread_counts:?}, {horizon_s}s horizon, {} nodes\n",
+        "Sim-speed scoreboard (seed {seed}{}): shards {shard_counts:?}, {horizon_s}s horizon, \
+         {} nodes\n",
         if quick { ", quick" } else { "" },
         FLEET_SHARD_NODES,
     );
 
-    let rows =
-        run_simspeed_grid(seed, shard_counts, thread_counts, horizon_s).expect("simspeed grid");
+    let rows = run_simspeed_grid(seed, shard_counts, horizon_s).expect("simspeed grid");
 
     println!(
-        "  {:>6} {:>7} | {:>8} {:>12} {:>13} | {:>7} | digest",
-        "shards", "threads", "wall s", "events/s", "sim-s/wall-s", "speedup"
+        "  {:>6} | {:>8} {:>12} {:>13} | digest",
+        "shards", "wall s", "events/s", "sim-s/wall-s"
     );
     for row in &rows {
         println!(
-            "  {:>6} {:>7} | {:>8.2} {:>12.0} {:>13.1} | {:>6.2}x | {}",
-            row.shards,
-            row.threads,
-            row.wall_s,
-            row.events_per_wall_s,
-            row.sim_s_per_wall_s,
-            row.speedup,
-            row.digest,
+            "  {:>6} | {:>8.2} {:>12.0} {:>13.1} | {}",
+            row.shards, row.wall_s, row.events_per_wall_s, row.sim_s_per_wall_s, row.digest,
         );
-    }
-
-    // Wall-clock speedup is bounded by the host: a single-core box can
-    // prove determinism (the digest column) but not parallelism, so the
-    // scoreboard records what it ran on.
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let undersized_host = host_cores < thread_counts.iter().copied().max().unwrap_or(1);
-    if undersized_host {
-        println!("\n  note: host has {host_cores} core(s); speedup is substrate-bound");
     }
 
     #[derive(Serialize)]
@@ -230,10 +163,6 @@ pub fn simspeed_main(seed: u64, quick: bool) {
         horizon_s: f64,
         nodes: usize,
         host_cores: usize,
-        /// Provenance caveat, present when the host had fewer cores
-        /// than the widest thread count: the speedup column then
-        /// measures substrate overhead, not parallel scaling.
-        note: Option<String>,
         rows: Vec<SimSpeedRow>,
     }
     let path = write_bench_json(
@@ -242,13 +171,7 @@ pub fn simspeed_main(seed: u64, quick: bool) {
             seed,
             horizon_s,
             nodes: FLEET_SHARD_NODES,
-            host_cores,
-            note: undersized_host.then(|| {
-                format!(
-                    "speedup rows were measured on a {host_cores}-core host; they bound \
-                     substrate overhead, not parallel scaling"
-                )
-            }),
+            host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             rows,
         },
     )

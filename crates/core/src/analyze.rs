@@ -9,8 +9,8 @@
 //!   numerics, empty workloads, mode/workload mismatches, unknown
 //!   catalog entries, jobs that fail to plan, constraint sets no agent
 //!   satisfies. [`Scenario::validate`], [`RunOptions::validate`] and
-//!   [`FleetOptions::validate`] are thin wrappers over the same rules,
-//!   so the execution path and the analyzer can never disagree.
+//!   the serve loop's own option check are thin wrappers over the same
+//!   rules, so the execution path and the analyzer can never disagree.
 //! - **warning** (`ANZ1xx`) — the scenario executes but is predicted to
 //!   misbehave: a deployment group no node can host, aggregate GPU
 //!   demand above cluster capacity, an SLO deadline below the
@@ -335,7 +335,7 @@ pub(crate) fn run_options_diags(opts: &RunOptions) -> Vec<Diagnostic> {
 
 /// Rules behind [`FleetOptions::validate`] (numeric knobs only; the
 /// admission, process and tenant rules are scenario-level because the
-/// legacy serve path validates them further downstream).
+/// serve loop validates them further downstream).
 pub(crate) fn fleet_options_diags(opts: &FleetOptions) -> Vec<Diagnostic> {
     let mut out = open_loop_numeric_diags(
         opts.horizon_s,
@@ -355,7 +355,7 @@ pub(crate) fn fleet_options_diags(opts: &FleetOptions) -> Vec<Diagnostic> {
         out.push(Diagnostic::error(
             codes::BAD_NUMERIC,
             "threads",
-            "threads must be at least 1 (1 steps cells inline)",
+            "threads must be at least 1 region worker (1 steps regions inline)",
         ));
     }
     out
@@ -374,7 +374,7 @@ pub(crate) fn open_loop_spec_diags(spec: &OpenLoopSpec, prefix: &str) -> Vec<Dia
         out.push(Diagnostic::error(
             codes::BAD_NUMERIC,
             &format!("{prefix}threads"),
-            "threads must be at least 1 (1 steps cells inline)",
+            "threads must be at least 1 region worker (1 steps regions inline)",
         ));
     }
     out
@@ -910,7 +910,7 @@ fn open_loop_deep(
     runtime: &Runtime,
     out: &mut Vec<Diagnostic>,
 ) {
-    // Mirror `serve_inner`: one route selection over every archetype the
+    // Mirror `serve_captured`: one route selection over every archetype the
     // tenant set can emit, against a single cell's capacity.
     let archetypes: Vec<Archetype> = Archetype::ALL
         .into_iter()

@@ -1,32 +1,37 @@
-//! Open-loop fleet serving: [`Runtime::serve`].
+//! Open-loop fleet serving: the execution layer behind
+//! [`ExecutionMode::OpenLoop`](crate::scenario::ExecutionMode).
 //!
-//! The closed-loop entry points ([`Runtime::run_job`],
-//! [`Runtime::run_concurrent`]) run a fixed set of workflows to
-//! completion and report a makespan. A production fleet lives in the
-//! open-loop regime instead: requests arrive on their own clock (the
-//! `murakkab_traffic` generators), an admission controller decides what
-//! gets in, admitted workflows are injected into long-running engines
-//! mid-flight, and the figure of merit is latency percentiles and SLO
-//! attainment under offered load — not makespan.
+//! Closed-loop scenarios run a fixed set of workflows to completion and
+//! report a makespan. A production fleet lives in the open-loop regime
+//! instead: requests arrive on their own clock (the `murakkab_traffic`
+//! generators), an admission controller decides what gets in, admitted
+//! workflows are injected into long-running engines mid-flight, and the
+//! figure of merit is latency percentiles and SLO attainment under
+//! offered load — not makespan.
 //!
-//! The fleet is **sharded**: the cluster is partitioned into
-//! [`FleetOptions::shards`] cells, each owning a slice of nodes and
-//! running its own incremental [`Engine`] (own LLM endpoints, own tool
-//! pools, own event queue). A fleet-level router ([`CellPolicy`])
-//! assigns each admitted workflow to a cell, and a periodic
-//! migration pass at the rebalancer cadence lets hot cells shed
-//! queued-but-unstarted workflows to cold ones (work stealing). One
-//! monolithic scheduler cannot grow past a single serving stack per
-//! model — cells scale the fleet out while the front door (admission)
-//! stays global.
+//! The fleet is **sharded**: the cluster is partitioned into `shards`
+//! cells, each owning a slice of nodes and running its own incremental
+//! [`Engine`] (own LLM endpoints, own tool pools, own event queue). A
+//! fleet-level router ([`CellPolicy`]) assigns each admitted workflow to
+//! a cell, and a periodic migration pass at the rebalancer cadence lets
+//! hot cells shed queued-but-unstarted workflows to cold ones (work
+//! stealing). One monolithic scheduler cannot grow past a single serving
+//! stack per model — cells scale the fleet out while the front door
+//! (admission) stays global.
 //!
-//! The serve loop interleaves deterministic event sources: every cell
-//! engine's own event queue and the arrival stream, merged by time with
-//! ties broken by cell index. Tool pools autoscale per cell (the engine
-//! releases them when the DAG lookahead shows no demand and
-//! re-provisions them on admission), long-lived LLM endpoints multiplex
-//! every tenant's token work, and the advisory [`Rebalancer`] is polled
-//! per cell on a fixed cadence against live backlog telemetry.
+//! A `Region` — cells, admission controller, class aggregates and an
+//! epoch's arrivals — is the unit both serve loops step: the
+//! single-region fleet drives one through `advance_region`, and the geo
+//! layer ([`mod@crate::geo`]) drives one per region through
+//! `advance_regions`, the only place worker threads fan out. Inside a
+//! region, arrivals interleave with every cell engine's own event queue
+//! by time (engine events beat simultaneous arrivals; ties across cells
+//! go to the lowest cell index) and cells step inline. Tool pools
+//! autoscale per cell (the engine releases them when the DAG lookahead
+//! shows no demand and re-provisions them on admission), long-lived LLM
+//! endpoints multiplex every tenant's token work, and the advisory
+//! [`Rebalancer`] is polled per cell on a fixed cadence against live
+//! backlog telemetry.
 
 use std::collections::BTreeMap;
 
@@ -79,7 +84,7 @@ impl CellPolicy {
 
 /// Options for one open-loop serving run.
 #[derive(Debug, Clone)]
-pub struct FleetOptions {
+pub(crate) struct FleetOptions {
     /// Report label.
     pub label: String,
     /// The arrival process.
@@ -95,11 +100,10 @@ pub struct FleetOptions {
     pub max_inflight: usize,
     /// Per-stage worker fan-out inside each workflow.
     pub parallelism: u32,
-    /// Worker threads stepping cells concurrently between
-    /// synchronization epochs (admission, routing, steal and telemetry
-    /// points). `1` steps cells inline; either way the epoch schedule
-    /// and the merge order are identical, so same-seed reports are
-    /// bit-identical at every thread count. Capped at the shard count.
+    /// Region workers stepping a federated run's regions concurrently
+    /// between sync epochs, capped at the region count. Cells always
+    /// step inline, so a single-region run ignores it; either way
+    /// same-seed reports are bit-identical at every thread count.
     pub threads: usize,
     /// The tenant set (weights, mixes, SLO classes).
     pub tenants: Vec<TenantProfile>,
@@ -131,27 +135,6 @@ pub struct FleetOptions {
 }
 
 impl FleetOptions {
-    /// Sensible defaults around a given arrival process.
-    pub fn open_loop(label: &str, process: ArrivalProcess, horizon_s: f64) -> Self {
-        FleetOptions {
-            label: label.into(),
-            process,
-            horizon_s,
-            admission: AdmissionConfig::default(),
-            max_inflight: 6,
-            parallelism: 8,
-            threads: 1,
-            tenants: default_tenants(),
-            rebalance_every_s: 30.0,
-            shards: 1,
-            router: CellPolicy::default(),
-            steal_margin: 2,
-            serving: ServingMode::Colocated,
-            constraints: Vec::new(),
-            workflow_aware: true,
-        }
-    }
-
     /// Validates the numeric fields, so bad parameters surface as a typed
     /// [`SimError::InvalidInput`] at the entry point instead of silent
     /// misbehavior downstream.
@@ -161,64 +144,8 @@ impl FleetOptions {
     /// [`SimError::InvalidInput`] on a non-finite or non-positive
     /// horizon or rebalance cadence, zero `parallelism`, zero
     /// `threads`, zero `max_inflight`, or a zero shard count.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         crate::analyze::first_error(&crate::analyze::fleet_options_diags(self))
-    }
-
-    /// Replaces the admission config.
-    #[must_use]
-    pub fn admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = cfg;
-        self
-    }
-
-    /// Replaces the tenant set.
-    #[must_use]
-    pub fn tenants(mut self, tenants: Vec<TenantProfile>) -> Self {
-        self.tenants = tenants;
-        self
-    }
-
-    /// Sets the cell count the cluster is partitioned into.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the cell-routing policy.
-    #[must_use]
-    pub fn router(mut self, policy: CellPolicy) -> Self {
-        self.router = policy;
-        self
-    }
-
-    /// Sets the worker-thread count for concurrent cell stepping.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Scales the fleet-wide in-flight budget.
-    #[must_use]
-    pub fn max_inflight(mut self, n: usize) -> Self {
-        self.max_inflight = n;
-        self
-    }
-
-    /// Sets the endpoint serving regime.
-    #[must_use]
-    pub fn serving(mut self, mode: ServingMode) -> Self {
-        self.serving = mode;
-        self
-    }
-
-    /// Appends an extra selection constraint (lowest priority).
-    #[must_use]
-    pub fn constraint(mut self, c: Constraint) -> Self {
-        self.constraints.push(c);
-        self
     }
 }
 
@@ -598,8 +525,7 @@ struct InflightJob {
 /// One engine cell: a node slice's engine plus its local queue (a
 /// [`PriorityFifo`] over planned-request indices, popping in exactly the
 /// admission queue's order) and running stats. All per-task lookup
-/// state is cell-local, so a worker thread can step a cell between
-/// epochs without touching shared maps.
+/// state is cell-local: a cell's region owns everything it writes.
 pub(crate) struct Cell {
     pub(crate) engine: Engine,
     pub(crate) routes: BTreeMap<Capability, RouteSpec>,
@@ -616,10 +542,6 @@ pub(crate) struct Cell {
     /// per-job remaining counter, WAN latency attribution and capture's
     /// first-token attribution). Same dense layout as `task_class`.
     task_job: Vec<u32>,
-    /// The cell's epoch harvest, drained at every apply point. Living
-    /// on the cell (instead of a fresh per-epoch allocation) keeps its
-    /// capacity across epochs.
-    batch: CellBatch,
     /// Whether the region/fleet router may assign new work here. Always
     /// `true` on the single-region path; the geo layer parks reclaimed
     /// spot cells by clearing it (the engine keeps draining in-flight
@@ -699,7 +621,6 @@ impl Cell {
             inflight: Vec::new(),
             task_class: Vec::new(),
             task_job: Vec::new(),
-            batch: CellBatch::default(),
             active: true,
             cost_scale: 1.0,
             assigned: 0,
@@ -837,23 +758,6 @@ impl ClassAgg {
     }
 }
 
-/// Everything a cell produced during one epoch, merged into the
-/// fleet-level aggregates **by cell index** after the barrier so the
-/// apply order — and therefore the report — is identical at every
-/// thread count.
-#[derive(Default)]
-struct CellBatch {
-    /// `(planned index, class index, ttft seconds, tpot seconds)` per
-    /// finished endpoint task; the planned index carries the geo
-    /// layer's per-request WAN charge into the TTFT samples.
-    llm: Vec<(usize, usize, f64, f64)>,
-    /// `(planned index, absolute first-token instant seconds)` per
-    /// finished endpoint task, gathered only while capturing.
-    first_tokens: Vec<(usize, f64)>,
-    /// `(planned index, completion instant)` per finished workflow.
-    done: Vec<(usize, SimTime)>,
-}
-
 /// Injects queued workflows into the cell's engine while execution
 /// slots are free. `now` is the instant the slot freed or the queue
 /// gained work — exactly when the sequential loop would have injected.
@@ -883,147 +787,221 @@ fn inject_ready(
     Ok(())
 }
 
-/// Drains the cell engine's finished-task metrics and completions into
-/// the cell's own batch. `t` is the engine instant that produced them
-/// (the latency clock for workflows completing now). The engine logs
-/// are read in place and cleared (keeping their capacity) — no
-/// per-harvest Vec handoff.
-fn harvest_cell(cell: &mut Cell, capturing: bool, t: SimTime) {
+/// Drains the cell engine's finished-task metrics and completions
+/// straight into the region's class aggregates (and the capture, if
+/// any). `t` is the engine instant that produced them (the latency
+/// clock for workflows completing now). A request's WAN charge
+/// ([`PlannedRequest::wan_s`]) lands here: on its end-to-end latency,
+/// its SLO verdict and its TTFT — the user-observed clocks — but not
+/// TPOT (token cadence is generated server-side). The engine logs are
+/// read in place and cleared, keeping their capacity.
+fn harvest_cell(
+    cell: &mut Cell,
+    classes: &mut [ClassAgg],
+    planned: &[PlannedRequest],
+    capture: &mut Option<&mut RunCapture>,
+    t: SimTime,
+) {
     let Cell {
         engine,
         task_class,
         task_job,
         inflight,
         completed,
-        batch,
         ..
-    } = &mut *cell;
+    } = cell;
     for &(tid, ttft, tpot, first_abs) in engine.llm_metrics() {
         if let Some(class_idx) = task_slot_take(task_class, tid) {
             let idx = task_slot_get(task_job, tid).expect("classed task has a job slot");
-            batch.llm.push((idx, class_idx, ttft, tpot));
-            if capturing {
-                batch.first_tokens.push((idx, first_abs));
+            classes[class_idx].ttfts.push(ttft + planned[idx].wan_s);
+            classes[class_idx].tpots.push(tpot);
+            if let Some(o) = capture
+                .as_deref_mut()
+                .and_then(|cap| cap.requests[idx].outcome.as_mut())
+            {
+                // Earliest first token across the workflow's endpoint
+                // tasks.
+                o.first_token_s = Some(o.first_token_s.map_or(first_abs, |v| v.min(first_abs)));
             }
         }
     }
     engine.clear_llm_metrics();
     for &tid in engine.completions() {
         task_slot_take(task_class, tid);
-        let Some(job_idx) = task_slot_take(task_job, tid) else {
+        let Some(idx) = task_slot_take(task_job, tid) else {
             continue;
         };
-        let Some(k) = inflight.iter().position(|j| j.planned_idx == job_idx) else {
+        let Some(k) = inflight.iter().position(|j| j.planned_idx == idx) else {
             continue;
         };
         inflight[k].remaining -= 1;
-        if inflight[k].remaining == 0 {
-            let job = inflight.swap_remove(k);
-            *completed += 1;
-            batch.done.push((job.planned_idx, t));
+        if inflight[k].remaining > 0 {
+            continue;
+        }
+        inflight.swap_remove(k);
+        *completed += 1;
+        let p = &planned[idx];
+        let latency = t.saturating_duration_since(p.req.at).as_secs_f64() + p.wan_s;
+        let met = p.req.class.met_by(latency);
+        let agg = &mut classes[p.class_idx];
+        agg.completed += 1;
+        agg.slo_met += u64::from(met);
+        agg.latencies.push(latency);
+        if let Some(o) = capture
+            .as_deref_mut()
+            .and_then(|cap| cap.requests[idx].outcome.as_mut())
+        {
+            o.completed_s = Some(t.as_secs_f64());
+            o.slo_met = Some(met);
         }
     }
     engine.clear_completions();
 }
 
-/// Steps one cell to the epoch boundary: inject queued work into free
-/// slots, drain engine events up to `bound` (stopping at every task
-/// completion so injection re-runs at that instant, exactly like the
-/// sequential loop), and collect the epoch's metrics into the cell's
-/// own batch (applied fleet-wide after the barrier). Runs on a worker
-/// thread under parallel execution — touches only cell-local state.
-pub(crate) fn advance_cell(
-    cell: &mut Cell,
+/// Steps every cell of `region` to the epoch boundary, one after
+/// another in cell-index order: inject queued work into free slots and
+/// drain engine events up to `bound`, stopping at every task completion
+/// so injection re-runs at that instant and the harvest lands in the
+/// region's aggregates.
+fn advance_cells(
+    region: &mut Region,
     planned: &[PlannedRequest],
     per_cell_inflight: usize,
-    capturing: bool,
+    capture: &mut Option<&mut RunCapture>,
     start: SimTime,
     bound: SimTime,
     inclusive: bool,
 ) -> Result<(), SimError> {
-    let mut now = start;
-    loop {
-        inject_ready(cell, planned, per_cell_inflight, now)?;
-        match cell.engine.step_while(bound, inclusive)? {
-            Some(t) => {
-                harvest_cell(cell, capturing, t);
-                now = t;
+    let Region { cells, classes, .. } = region;
+    for cell in cells.iter_mut() {
+        let mut now = start;
+        loop {
+            inject_ready(cell, planned, per_cell_inflight, now)?;
+            match cell.engine.step_while(bound, inclusive)? {
+                Some(t) => {
+                    harvest_cell(cell, classes, planned, capture, t);
+                    now = t;
+                }
+                None => break,
             }
-            None => break,
         }
     }
     Ok(())
 }
 
-/// Steps every cell to the epoch boundary, collecting each cell's
-/// harvest into its own batch. With `threads > 1` and more than one
-/// cell active inside the epoch, cells run concurrently on scoped
-/// worker threads; cells only touch cell-local state between epochs,
-/// so the per-cell outcome — and the index-ordered merge done by
-/// [`apply_cell_batches`] — is identical to stepping them inline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cells(
-    cells: &mut [Cell],
+/// One admission domain: its engine cells, its admission controller,
+/// its per-class aggregates and the arrivals routed to it for the
+/// current epoch. The single-region fleet is one region; the geo layer
+/// runs one per federated region. A region touches only its own state
+/// between epochs, which is what lets [`advance_regions`] step several
+/// on worker threads.
+pub(crate) struct Region {
+    pub(crate) cells: Vec<Cell>,
+    pub(crate) ctrl: AdmissionController<()>,
+    pub(crate) classes: Vec<ClassAgg>,
+    next_seq: u64,
+    pub(crate) steals: u64,
+    /// This epoch's arrivals, `(instant, planned index)` in arrival
+    /// order; drained by [`advance_region`], capacity kept.
+    pub(crate) arrivals: Vec<(SimTime, usize)>,
+}
+
+impl Region {
+    /// A region over freshly built cells with an empty admission record.
+    pub(crate) fn new(
+        cells: Vec<Cell>,
+        admission: &AdmissionConfig,
+        classes: Vec<ClassAgg>,
+    ) -> Result<Self, SimError> {
+        Ok(Region {
+            cells,
+            ctrl: AdmissionController::new(admission.clone())?,
+            classes,
+            next_seq: 0,
+            steals: 0,
+            arrivals: Vec::new(),
+        })
+    }
+}
+
+/// The run-constant routing knobs every region step reads.
+pub(crate) struct StepCtx {
+    /// Execution slots per cell before admitted work queues.
+    pub(crate) per_cell_inflight: usize,
+    pub(crate) router: CellPolicy,
+    /// Distinct scheduling priorities, highest first — the SLO-affine
+    /// stripe table.
+    pub(crate) priority_ranks: Vec<u8>,
+    pub(crate) steal_margin: usize,
+}
+
+/// Advances one region from `start` to `bound`: interleaves its
+/// buffered arrivals with its cells' engine events (events at an
+/// arrival's instant beat the arrival, so every cell steps to it
+/// inclusively before it routes), then steps the cells to `bound`
+/// itself. Region-local only — safe to run on a worker thread when
+/// `capture` is `None`.
+pub(crate) fn advance_region(
+    region: &mut Region,
     planned: &[PlannedRequest],
-    per_cell_inflight: usize,
-    capturing: bool,
-    threads: usize,
+    ctx: &StepCtx,
     start: SimTime,
     bound: SimTime,
     inclusive: bool,
+    capture: &mut Option<&mut RunCapture>,
 ) -> Result<(), SimError> {
-    let within = |t: SimTime| if inclusive { t <= bound } else { t < bound };
-    let active = cells
-        .iter()
-        .filter(|c| {
-            c.engine.peek_time().is_some_and(within)
-                || (c.inflight.len() < per_cell_inflight && !c.queue.is_empty())
-        })
-        .count();
-    if threads <= 1 || active <= 1 {
-        for c in cells.iter_mut() {
-            advance_cell(
-                c,
-                planned,
-                per_cell_inflight,
-                capturing,
-                start,
-                bound,
-                inclusive,
-            )?;
-        }
-        return Ok(());
+    let inflight = ctx.per_cell_inflight;
+    let mut now = start;
+    let arrivals = std::mem::take(&mut region.arrivals);
+    for &(at, idx) in &arrivals {
+        advance_cells(region, planned, inflight, capture, now, at, true)?;
+        process_arrival(region, planned, ctx, at, idx, capture);
+        now = at;
     }
-    let n = cells.len();
-    let chunk = n.div_ceil(threads);
-    let run_slice = |slice: &mut [Cell]| {
-        for c in slice.iter_mut() {
-            advance_cell(
-                c,
-                planned,
-                per_cell_inflight,
-                capturing,
-                start,
-                bound,
-                inclusive,
-            )?;
+    // Hand the (now empty) buffer back so the next epoch reuses its
+    // capacity.
+    region.arrivals = arrivals;
+    region.arrivals.clear();
+    advance_cells(region, planned, inflight, capture, now, bound, inclusive)
+}
+
+/// Steps every region to the inclusive sync-epoch boundary `bound` —
+/// concurrently on `threads` scoped workers when more than one region
+/// has work, first chunk on the caller's thread. Regions are
+/// independent inside an epoch (their arrivals and WAN charges were
+/// fixed at the boundary), so the outcome is identical at every thread
+/// count; errors resolve in region-index order.
+pub(crate) fn advance_regions(
+    regions: &mut [Region],
+    planned: &[PlannedRequest],
+    ctx: &StepCtx,
+    threads: usize,
+    start: SimTime,
+    bound: SimTime,
+) -> Result<(), SimError> {
+    let run_slice = |slice: &mut [Region]| {
+        for region in slice.iter_mut() {
+            advance_region(region, planned, ctx, start, bound, true, &mut None)?;
         }
         Ok::<(), SimError>(())
     };
+    let busy = regions
+        .iter()
+        .filter(|r| {
+            !r.arrivals.is_empty() || r.cells.iter().any(|c| c.engine.peek_time().is_some())
+        })
+        .count();
+    if threads <= 1 || busy <= 1 {
+        return run_slice(regions);
+    }
+    let chunk = regions.len().div_ceil(threads);
     std::thread::scope(|s| {
-        // The first chunk runs on this thread, overlapped with the
-        // workers — one fewer spawn per epoch, and the caller's thread
-        // isn't idle while the fleet steps.
-        let mut chunks = cells.chunks_mut(chunk);
-        let first = chunks.next().expect("at least one cell");
+        let mut chunks = regions.chunks_mut(chunk);
+        let first = chunks.next().expect("at least one region");
         let handles: Vec<_> = chunks
             .map(|slice| s.spawn(move || run_slice(slice)))
             .collect();
-        let head = run_slice(first);
-        // Join in spawn order: the first error (by cell index) wins
-        // deterministically; batches live on the cells, already in
-        // index order.
-        head?;
+        run_slice(first)?;
         for h in handles {
             match h.join() {
                 Ok(r) => r?,
@@ -1034,81 +1012,29 @@ pub(crate) fn advance_cells(
     })
 }
 
-/// Merges every cell's accumulated batch into the fleet-level
-/// aggregates in cell-index order (the deterministic merge the
-/// parallel path shares with the sequential one), draining the batches
-/// in place so their buffers are reused next epoch. A request's WAN
-/// charge ([`PlannedRequest::wan_s`]) lands here: on its end-to-end
-/// latency, its SLO verdict and its TTFT — the user-observed clocks —
-/// but not TPOT (token cadence is generated server-side).
-pub(crate) fn apply_cell_batches(
-    cells: &mut [Cell],
+/// Routes and admission-gates the arrival at `planned[arr_idx]`: the
+/// admission decision at the arrival instant runs against the routed
+/// cell's backlog, and an admitted workflow joins that cell's queue.
+/// Always sequential within a region — routing reads every cell's
+/// backlog.
+fn process_arrival(
+    region: &mut Region,
     planned: &[PlannedRequest],
-    classes: &mut [ClassAgg],
-    capture: &mut Option<&mut RunCapture>,
-) {
-    for cell in cells.iter_mut() {
-        let batch = &mut cell.batch;
-        for (idx, class_idx, ttft, tpot) in batch.llm.drain(..) {
-            classes[class_idx].ttfts.push(ttft + planned[idx].wan_s);
-            classes[class_idx].tpots.push(tpot);
-        }
-        if let Some(cap) = capture.as_deref_mut() {
-            for (idx, first_abs) in batch.first_tokens.drain(..) {
-                if let Some(o) = cap.requests[idx].outcome.as_mut() {
-                    // Earliest first token across the workflow's
-                    // endpoint tasks.
-                    o.first_token_s = Some(o.first_token_s.map_or(first_abs, |v| v.min(first_abs)));
-                }
-            }
-        } else {
-            batch.first_tokens.clear();
-        }
-        for (idx, t) in batch.done.drain(..) {
-            let p = &planned[idx];
-            let latency = t.saturating_duration_since(p.req.at).as_secs_f64() + p.wan_s;
-            let agg = &mut classes[p.class_idx];
-            agg.completed += 1;
-            if p.req.class.met_by(latency) {
-                agg.slo_met += 1;
-            }
-            agg.latencies.push(latency);
-            if let Some(cap) = capture.as_deref_mut() {
-                if let Some(o) = cap.requests[idx].outcome.as_mut() {
-                    o.completed_s = Some(t.as_secs_f64());
-                    o.slo_met = Some(p.req.class.met_by(latency));
-                }
-            }
-        }
-    }
-}
-
-/// Routes and admission-gates the arrival at `planned[arr_idx]`:
-/// the admission decision at the arrival instant runs against the
-/// routed cell's backlog, and an admitted workflow joins that cell's
-/// queue. Always sequential — routing reads every cell's backlog.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_arrival(
+    ctx: &StepCtx,
     at: SimTime,
     arr_idx: usize,
-    planned: &[PlannedRequest],
-    cells: &mut [Cell],
-    classes: &mut [ClassAgg],
-    ctrl: &mut AdmissionController<()>,
-    router: CellPolicy,
-    priority_ranks: &[u8],
-    next_seq: &mut u64,
     capture: &mut Option<&mut RunCapture>,
 ) {
     let p = &planned[arr_idx];
+    let cells = &mut region.cells;
     let cell_idx = route_cell(
-        router,
+        ctx.router,
         cells,
         p.req.id,
         p.req.class.priority,
-        priority_ranks,
+        &ctx.priority_ranks,
     );
-    let decision = ctrl.gate(
+    let decision = region.ctrl.gate(
         at,
         p.req.class.deadline_s,
         p.est_service_s,
@@ -1126,121 +1052,86 @@ pub(crate) fn process_arrival(
         });
     }
     if admitted {
-        classes[p.class_idx].admitted += 1;
+        region.classes[p.class_idx].admitted += 1;
         let cell = &mut cells[cell_idx];
-        cell.queue.push(p.req.class.priority, *next_seq, arr_idx);
-        *next_seq += 1;
+        cell.queue
+            .push(p.req.class.priority, region.next_seq, arr_idx);
+        region.next_seq += 1;
         cell.assigned += 1;
         cell.note_backlog();
     }
 }
 
 /// Steps the one engine event that crosses a telemetry tick on cell
-/// `i` and merges its harvest through the shared apply path. Returns
-/// the event instant (the new global now).
-pub(crate) fn step_trigger(
-    cells: &mut [Cell],
+/// `i` and harvests it into the region. Returns the event instant (the
+/// new global now).
+fn step_trigger(
+    region: &mut Region,
     i: usize,
     planned: &[PlannedRequest],
-    classes: &mut [ClassAgg],
     capture: &mut Option<&mut RunCapture>,
 ) -> Result<SimTime, SimError> {
-    let t = cells[i].engine.step()?.expect("peeked event exists");
-    harvest_cell(&mut cells[i], capture.is_some(), t);
-    apply_cell_batches(cells, planned, classes, capture);
+    let cell = &mut region.cells[i];
+    let t = cell.engine.step()?.expect("peeked event exists");
+    harvest_cell(cell, &mut region.classes, planned, capture, t);
     Ok(t)
 }
 
+/// The planned request stream both serve loops start from.
+pub(crate) struct ServeSetup<T> {
+    /// What the caller built from the shared route-selection inputs
+    /// (the fleet's cells, the geo layer's regions).
+    pub(crate) built: T,
+    pub(crate) planned: Vec<PlannedRequest>,
+    /// One interned aggregate per SLO class, with `offered` counted.
+    pub(crate) classes: Vec<ClassAgg>,
+    /// Distinct scheduling priorities, highest first.
+    pub(crate) priority_ranks: Vec<u8>,
+}
+
 impl Runtime {
-    /// Serves an open-loop request stream: generates arrivals from
-    /// `opts.process`, gates them through the (global) admission
-    /// controller, routes admitted workflows to one of
-    /// [`FleetOptions::shards`] engine cells, injects them mid-flight
-    /// and measures per-class latency percentiles and SLO attainment.
-    /// A periodic migration pass at the rebalancer cadence lets hot
-    /// cells shed queued-but-unstarted workflows to cold ones.
+    /// Serves an open-loop request stream on one region: generates
+    /// arrivals from `opts.process`, gates them through the admission
+    /// controller, routes admitted workflows to one of `opts.shards`
+    /// engine cells, injects them mid-flight and measures per-class
+    /// latency percentiles and SLO attainment. A periodic migration pass
+    /// at the rebalancer cadence lets hot cells shed
+    /// queued-but-unstarted workflows to cold ones.
+    ///
+    /// When `capture` is `Some`, every arrival's admission verdict, cell
+    /// assignment, first-token/completion instants and every inter-cell
+    /// steal are recorded into it. Recording is observation only — a
+    /// captured run produces a report bit-identical to the uncaptured
+    /// run of the same options.
     ///
     /// Deterministic: the same runtime seed and options (including the
     /// shard count and router policy) produce a bit-identical
-    /// [`FleetReport`] — at any [`FleetOptions::threads`] worker count,
-    /// since cells only interact at epoch barriers and per-cell results
-    /// merge in cell-index order.
+    /// [`FleetReport`]; `opts.threads` does not apply, since cells step
+    /// inline.
     ///
     /// # Errors
     ///
     /// Propagates planning, placement and execution errors, rejects a
     /// zero shard count or more shards than cluster nodes, and fails on
     /// a stalled serve loop (a scheduling bug).
-    #[deprecated(
-        since = "0.6.0",
-        note = "declare an open-loop `Scenario` (`WorkloadSource::Traffic`) \
-                and execute it through `Session` instead"
-    )]
-    pub fn serve(&self, opts: FleetOptions) -> Result<FleetReport, SimError> {
-        self.serve_inner(opts)
-    }
-
-    /// The open-loop pipeline behind [`Runtime::serve`] and the
-    /// `Session` open-loop mode.
-    pub(crate) fn serve_inner(&self, opts: FleetOptions) -> Result<FleetReport, SimError> {
-        self.serve_captured(opts, None)
-    }
-
-    /// [`serve_inner`](Self::serve_inner) with optional per-request
-    /// capture: when `capture` is `Some`, every arrival's admission
-    /// verdict, cell assignment, first-token/completion instants and
-    /// every inter-cell steal are recorded into it. Recording is
-    /// observation only — a captured run produces a report bit-identical
-    /// to the uncaptured run of the same options.
     pub(crate) fn serve_captured(
         &self,
         opts: FleetOptions,
         mut capture: Option<&mut RunCapture>,
     ) -> Result<FleetReport, SimError> {
         opts.validate()?;
-        let shards = opts.shards;
-        let horizon = SimDuration::from_secs_f64(opts.horizon_s);
-        let fleet_rng = SimRng::new(self.seed()).fork("fleet");
-
-        // 1. The request stream, then a concrete sized job per request.
-        let spec = TrafficSpec {
-            process: opts.process.clone(),
-            tenants: opts.tenants.clone(),
-        };
-        let requests = spec.requests(&fleet_rng, horizon);
-
-        // 2. Shared route selection over every archetype the tenant set
-        //    can emit (fleet deployments are long-lived: capacity is laid
-        //    out for the mix, not per request).
-        let prep = self.serve_prep(&opts)?;
-
-        // 3. Partition the cluster into cells, each with its own
-        //    resource-aware route selection (against the cell's capacity,
-        //    not the fleet's) and its own long-running engine: empty
-        //    graph, full route set. No per-request orchestration charge
-        //    (§3.3 puts it under 1% of workflow time; the closed-loop
-        //    entry points measure it).
-        let clusters = self.build_cluster().partition(shards)?;
-        let mut routes_by_nodes: BTreeMap<usize, BTreeMap<Capability, RouteSpec>> = BTreeMap::new();
-        let mut cells = self.build_cells(clusters, &prep, &mut routes_by_nodes)?;
-
-        // 4. Plan every request up front (decomposition is input-size
-        //    independent, so this is equivalent to planning on arrival and
-        //    keeps the loop allocation-free). The admission estimate uses
-        //    cell 0's routes: equal node slices select identical routes,
-        //    and the estimate is a front-door heuristic either way.
-        let est_routes = cells[0].routes.clone();
-        let mut class_index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut classes: Vec<ClassAgg> = Vec::new();
-        let mut planned = Vec::with_capacity(requests.len());
-        self.plan_requests(
-            requests,
-            &est_routes,
-            &fleet_rng,
-            &mut class_index,
-            &mut classes,
-            &mut planned,
-        )?;
+        // Partition the cluster into cells, each with its own
+        // resource-aware route selection (against the cell's capacity,
+        // not the fleet's) and its own long-running engine. No
+        // per-request orchestration charge (§3.3 puts it under 1% of
+        // workflow time; closed-loop runs measure it).
+        let setup = self.serve_setup(&opts, |prep| {
+            let clusters = self.build_cluster().partition(opts.shards)?;
+            let cells = self.build_cells(clusters, prep, &mut BTreeMap::new())?;
+            let est_routes = cells[0].routes.clone();
+            Ok((cells, est_routes))
+        })?;
+        let planned = setup.planned;
         if let Some(cap) = capture.as_deref_mut() {
             cap.requests.clear();
             cap.steals.clear();
@@ -1259,96 +1150,51 @@ impl Runtime {
             }
         }
 
-        // 5. The serve loop: every cell's event queue and the arrival
-        //    stream, merged deterministically (earliest first; engine
-        //    events beat simultaneous arrivals; ties across cells go to
-        //    the lowest cell index).
-        let mut ctrl: AdmissionController<()> = AdmissionController::new(opts.admission.clone())?;
+        let mut region = Region::new(setup.built, &opts.admission, setup.classes)?;
+        let ctx = StepCtx {
+            per_cell_inflight: opts.max_inflight.max(1).div_ceil(opts.shards),
+            router: opts.router,
+            priority_ranks: setup.priority_ranks,
+            steal_margin: opts.steal_margin,
+        };
         let rebalancer = Rebalancer::default();
         let rebalance_every = SimDuration::from_secs_f64(opts.rebalance_every_s.max(1.0));
         let mut next_rebalance = SimTime::ZERO + rebalance_every;
-        let mut steals = 0u64;
-        let mut next_seq = 0u64;
-        let per_cell_inflight = opts.max_inflight.max(1).div_ceil(shards);
-        // Distinct scheduling priorities, highest first — the stripe
-        // table for the SLO-affine router.
-        let priority_ranks: Vec<u8> = {
-            let mut ps: Vec<u8> = opts.tenants.iter().map(|t| t.class.priority).collect();
-            ps.sort_unstable_by(|a, b| b.cmp(a));
-            ps.dedup();
-            ps
-        };
-
-        let threads = opts.threads.max(1).min(shards);
-        let capturing = capture.is_some();
         let mut now = SimTime::ZERO;
         let mut arr_idx = 0usize;
         loop {
-            let next_arr = planned.get(arr_idx).map(|p| p.req.at);
-
-            // The common epoch: the next synchronization point is an
-            // arrival strictly before the telemetry tick. Every cell
-            // advances to it concurrently (engine events at the arrival
-            // instant beat the simultaneous arrival, hence the inclusive
-            // bound), then the arrival routes against the merged backlog
-            // picture. No tick can fire: now stays short of it.
-            if let Some(at) = next_arr.filter(|&at| at < next_rebalance) {
-                advance_cells(
-                    &mut cells,
-                    &planned,
-                    per_cell_inflight,
-                    capturing,
-                    threads,
-                    now,
-                    at,
-                    true,
-                )?;
-                apply_cell_batches(&mut cells, &planned, &mut classes, &mut capture);
-                now = at;
-                process_arrival(
-                    at,
-                    arr_idx,
-                    &planned,
-                    &mut cells,
-                    &mut classes,
-                    &mut ctrl,
-                    opts.router,
-                    &priority_ranks,
-                    &mut next_seq,
-                    &mut capture,
-                );
+            // The epoch ends at the telemetry tick: every arrival
+            // strictly before it joins the region's buffer, and the
+            // region steps to just before the tick.
+            while let Some(p) = planned.get(arr_idx).filter(|p| p.req.at < next_rebalance) {
+                region.arrivals.push((p.req.at, arr_idx));
                 arr_idx += 1;
-                continue;
             }
-
-            // Otherwise the epoch ends at the telemetry tick: advance
-            // every cell to just before it, then process exactly the one
-            // merged-stream item that crosses the tick (earliest first;
-            // engine events beat simultaneous arrivals; cross-cell ties
-            // go to the lowest cell index) — the rebalancer fires after
-            // that item, not at the tick instant.
-            advance_cells(
-                &mut cells,
+            advance_region(
+                &mut region,
                 &planned,
-                per_cell_inflight,
-                capturing,
-                threads,
+                &ctx,
                 now,
                 next_rebalance,
                 false,
+                &mut capture,
             )?;
-            apply_cell_batches(&mut cells, &planned, &mut classes, &mut capture);
-            let next_event = cells
+
+            // Then exactly the one merged-stream item that crosses the
+            // tick is processed (earliest first; engine events beat
+            // simultaneous arrivals; cross-cell ties go to the lowest
+            // cell index) — the rebalancer fires after that item, not at
+            // the tick instant.
+            let next_arr = planned.get(arr_idx).map(|p| p.req.at);
+            let next_event = region
+                .cells
                 .iter()
                 .enumerate()
                 .filter_map(|(i, c)| c.engine.peek_time().map(|t| (t, i)))
                 .min();
             match (next_arr, next_event) {
                 (None, None) => {
-                    if cells
-                        .iter()
-                        .all(|c| c.inflight.is_empty() && c.queue.is_empty())
-                    {
+                    if !region.cells.iter().any(Cell::has_work) {
                         break;
                     }
                     // Epoch-entry injection already drained the queues
@@ -1360,26 +1206,15 @@ impl Runtime {
                     ));
                 }
                 (Some(at), Some((ev, i))) if ev <= at => {
-                    now = step_trigger(&mut cells, i, &planned, &mut classes, &mut capture)?;
+                    now = step_trigger(&mut region, i, &planned, &mut capture)?;
                 }
                 (Some(at), _) => {
                     now = at;
-                    process_arrival(
-                        at,
-                        arr_idx,
-                        &planned,
-                        &mut cells,
-                        &mut classes,
-                        &mut ctrl,
-                        opts.router,
-                        &priority_ranks,
-                        &mut next_seq,
-                        &mut capture,
-                    );
+                    process_arrival(&mut region, &planned, &ctx, at, arr_idx, &mut capture);
                     arr_idx += 1;
                 }
                 (None, Some((_, i))) => {
-                    now = step_trigger(&mut cells, i, &planned, &mut classes, &mut capture)?;
+                    now = step_trigger(&mut region, i, &planned, &mut capture)?;
                 }
             }
 
@@ -1389,7 +1224,7 @@ impl Runtime {
             // live tool pools, so Prewarm hints fire only for genuinely
             // unserved demand (e.g. a pool scaled down during a lull).
             while now >= next_rebalance {
-                for cell in cells.iter_mut() {
+                for cell in region.cells.iter_mut() {
                     let upcoming = cell.engine.upcoming_by_capability();
                     let mut views: Vec<EndpointView> = Vec::new();
                     for (agent, gpus, load) in cell.engine.endpoint_loads() {
@@ -1414,49 +1249,114 @@ impl Runtime {
                     cell.rebalance_actions +=
                         rebalancer.plan(&cluster_stats, &upcoming, &views).len() as u64;
                 }
-
-                steal_pass(
-                    &mut cells,
-                    opts.router,
-                    &priority_ranks,
-                    opts.steal_margin,
-                    now,
-                    &planned,
-                    &mut steals,
-                    &mut capture,
-                );
+                steal_pass(&mut region, &planned, &ctx, now, &mut capture);
                 next_rebalance += rebalance_every;
             }
         }
 
-        let admission_stats = ctrl.stats();
-
-        // 6. Per-cell settlement, then fleet-level report assembly —
-        //    both shared with the geo layer's per-region reports.
+        // Per-cell settlement, then fleet-level report assembly — both
+        // shared with the geo layer's per-region reports.
+        let Region {
+            cells,
+            ctrl,
+            classes,
+            steals,
+            ..
+        } = region;
         let mut makespan = SimTime::ZERO;
         let finished = settle_cells(cells, &mut makespan)?;
-        let params = ReportParams {
-            label: opts.label,
-            seed: self.seed(),
-            shards,
-            router: opts.router.tag().into(),
-            serving: opts.serving.tag().into(),
-            arrival_process: opts.process.kind().into(),
-            offered_rate_per_s: opts.process.mean_rate_per_s(),
-            horizon_s: opts.horizon_s,
-            admission_enabled: opts.admission.enabled,
-            offered: planned.len() as u64,
-            admission: admission_stats,
+        let params = ReportParams::new(
+            &opts,
+            self.seed(),
+            opts.label.clone(),
+            opts.shards,
+            planned.len() as u64,
+            ctrl.stats(),
             steals,
-        };
+        );
         Ok(assemble_fleet_report(params, classes, &finished, makespan))
+    }
+
+    /// The setup both serve loops share: generates the request stream,
+    /// runs [`serve_prep`](Self::serve_prep), hands the prep to `build`
+    /// (which returns its cells plus its first cell's routes), plans
+    /// every request against those routes and builds the priority
+    /// table. The admission estimate uses the first cell's routes: equal
+    /// node slices select identical routes, and the estimate is a
+    /// front-door heuristic either way.
+    ///
+    /// Every request is planned up front (decomposition is input-size
+    /// independent, so this is equivalent to planning on arrival and
+    /// keeps the serve loop allocation-free), with each SLO class
+    /// interned into one dense table so requests carry an index instead
+    /// of a name. Report order is fixed by the final (priority, name)
+    /// sort, so first-seen insertion order is fine.
+    pub(crate) fn serve_setup<T>(
+        &self,
+        opts: &FleetOptions,
+        build: impl FnOnce(&ServePrep) -> Result<(T, BTreeMap<Capability, RouteSpec>), SimError>,
+    ) -> Result<ServeSetup<T>, SimError> {
+        let fleet_rng = SimRng::new(self.seed()).fork("fleet");
+        let requests = TrafficSpec {
+            process: opts.process.clone(),
+            tenants: opts.tenants.clone(),
+        }
+        .requests(&fleet_rng, SimDuration::from_secs_f64(opts.horizon_s));
+        // Fleet deployments are long-lived: capacity is laid out for the
+        // tenant mix, not per request.
+        let prep = self.serve_prep(opts)?;
+        let (built, est_routes) = build(&prep)?;
+
+        let mut class_index: BTreeMap<String, usize> = BTreeMap::new();
+        let mut classes: Vec<ClassAgg> = Vec::new();
+        let mut planned = Vec::with_capacity(requests.len());
+        for req in requests {
+            let mut job_rng = fleet_rng.fork(&format!("job-{}", req.id));
+            let (job, inputs) = fleet_job(req.archetype, &req.tenant, &mut job_rng);
+            let (plan, _) = Planner.decompose(&job, self.library())?;
+            let graph = expand(&plan, &inputs)?;
+            let est_service_s = estimate_service_s(&graph, &est_routes, self.library())?;
+            let graph = CompiledGraph::from_graph(&graph)?;
+            let class_idx = match class_index.get(&req.class.name) {
+                Some(&i) => i,
+                None => {
+                    let i = classes.len();
+                    class_index.insert(req.class.name.clone(), i);
+                    classes.push(ClassAgg {
+                        name: req.class.name.clone(),
+                        priority: req.class.priority,
+                        deadline_s: req.class.deadline_s,
+                        ..ClassAgg::default()
+                    });
+                    i
+                }
+            };
+            classes[class_idx].offered += 1;
+            planned.push(PlannedRequest {
+                req,
+                graph,
+                est_service_s,
+                class_idx,
+                wan_s: 0.0,
+            });
+        }
+
+        let mut priority_ranks: Vec<u8> = opts.tenants.iter().map(|t| t.class.priority).collect();
+        priority_ranks.sort_unstable_by(|a, b| b.cmp(a));
+        priority_ranks.dedup();
+        Ok(ServeSetup {
+            built,
+            planned,
+            classes,
+            priority_ranks,
+        })
     }
 
     /// Route-selection inputs shared by every cell — and, under geo
     /// federation, by every region: the capability → archetype demand
     /// map over every archetype the tenant set can emit, the folded
     /// constraint set and the engine run options.
-    pub(crate) fn serve_prep(&self, opts: &FleetOptions) -> Result<ServePrep, SimError> {
+    fn serve_prep(&self, opts: &FleetOptions) -> Result<ServePrep, SimError> {
         let archetypes: Vec<Archetype> = Archetype::ALL
             .into_iter()
             .filter(|a| {
@@ -1548,56 +1448,6 @@ impl Runtime {
         }
         Ok(cells)
     }
-
-    /// Plans every request up front (decomposition is input-size
-    /// independent, so this is equivalent to planning on arrival and
-    /// keeps the serve loop allocation-free), interning each SLO class
-    /// into `classes`/`class_index` so requests carry a dense index
-    /// instead of a name. Report order is fixed by the final
-    /// (priority, name) sort, so first-seen insertion order is fine.
-    /// Appends to the three collections in place so the geo layer can
-    /// plan several origin streams against one shared class table.
-    pub(crate) fn plan_requests(
-        &self,
-        requests: Vec<RequestSpec>,
-        est_routes: &BTreeMap<Capability, RouteSpec>,
-        fleet_rng: &SimRng,
-        class_index: &mut BTreeMap<String, usize>,
-        classes: &mut Vec<ClassAgg>,
-        planned: &mut Vec<PlannedRequest>,
-    ) -> Result<(), SimError> {
-        for req in requests {
-            let mut job_rng = fleet_rng.fork(&format!("job-{}", req.id));
-            let (job, inputs) = fleet_job(req.archetype, &req.tenant, &mut job_rng);
-            let (plan, _) = Planner.decompose(&job, self.library())?;
-            let graph = expand(&plan, &inputs)?;
-            let est_service_s = estimate_service_s(&graph, est_routes, self.library())?;
-            let graph = CompiledGraph::from_graph(&graph)?;
-            let class_idx = match class_index.get(&req.class.name) {
-                Some(&i) => i,
-                None => {
-                    let i = classes.len();
-                    class_index.insert(req.class.name.clone(), i);
-                    classes.push(ClassAgg {
-                        name: req.class.name.clone(),
-                        priority: req.class.priority,
-                        deadline_s: req.class.deadline_s,
-                        ..ClassAgg::default()
-                    });
-                    i
-                }
-            };
-            classes[class_idx].offered += 1;
-            planned.push(PlannedRequest {
-                req,
-                graph,
-                est_service_s,
-                class_idx,
-                wan_s: 0.0,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// The migration pass riding the telemetry tick: hot cells shed
@@ -1611,17 +1461,14 @@ impl Runtime {
 /// skipped so other stripes still drain. Every move re-scores, so the
 /// pass converges (each steal shrinks some gap by two). Shared with
 /// the geo layer, which runs it per region at sync-epoch boundaries.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn steal_pass(
-    cells: &mut [Cell],
-    router: CellPolicy,
-    priority_ranks: &[u8],
-    steal_margin: usize,
-    now: SimTime,
+    region: &mut Region,
     planned: &[PlannedRequest],
-    steals: &mut u64,
+    ctx: &StepCtx,
+    now: SimTime,
     capture: &mut Option<&mut RunCapture>,
 ) {
+    let cells = &mut region.cells;
     loop {
         // Hot candidates in descending backlog order, ties to the
         // lowest index; take the first that can shed.
@@ -1635,12 +1482,13 @@ pub(crate) fn steal_pass(
                 .queue
                 .last_priority()
                 .expect("hot cell has queued work");
-            let eligible = match router {
-                CellPolicy::SloAffine => stripe_range(priority, priority_ranks, cells.len()),
+            let eligible = match ctx.router {
+                CellPolicy::SloAffine => stripe_range(priority, &ctx.priority_ranks, cells.len()),
                 _ => 0..cells.len(),
             };
             let cold = least_loaded(cells, eligible);
-            if hot == cold || cells[hot].backlog() < cells[cold].backlog() + steal_margin.max(1) {
+            if hot == cold || cells[hot].backlog() < cells[cold].backlog() + ctx.steal_margin.max(1)
+            {
                 continue;
             }
             let (prio, seq, idx) = cells[hot]
@@ -1651,7 +1499,7 @@ pub(crate) fn steal_pass(
             cells[cold].queue.push(prio, seq, idx);
             cells[cold].stolen_in += 1;
             cells[cold].note_backlog();
-            *steals += 1;
+            region.steals += 1;
             if let Some(cap) = capture.as_deref_mut() {
                 cap.steals.push(StealRecord {
                     at_s: now.as_secs_f64(),
@@ -1754,6 +1602,36 @@ pub(crate) struct ReportParams {
     pub(crate) offered: u64,
     pub(crate) admission: murakkab_traffic::AdmissionStats,
     pub(crate) steals: u64,
+}
+
+impl ReportParams {
+    /// The report identity of an `opts` run over `shards` settled cells;
+    /// the label and counts are the caller's (a geo region's or the
+    /// whole run's).
+    pub(crate) fn new(
+        opts: &FleetOptions,
+        seed: u64,
+        label: String,
+        shards: usize,
+        offered: u64,
+        admission: murakkab_traffic::AdmissionStats,
+        steals: u64,
+    ) -> Self {
+        ReportParams {
+            label,
+            seed,
+            shards,
+            router: opts.router.tag().into(),
+            serving: opts.serving.tag().into(),
+            arrival_process: opts.process.kind().into(),
+            offered_rate_per_s: opts.process.mean_rate_per_s(),
+            horizon_s: opts.horizon_s,
+            admission_enabled: opts.admission.enabled,
+            offered,
+            admission,
+            steals,
+        }
+    }
 }
 
 /// Sorts every class's retained samples and renders its report row.
@@ -2025,6 +1903,7 @@ pub(crate) fn estimate_service_s(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ExecutionMode, Scenario, WorkloadSource};
 
     #[test]
     fn task_slots_reject_indices_that_do_not_fit_below_the_sentinel() {
@@ -2095,10 +1974,12 @@ mod tests {
 
     #[test]
     fn small_fleet_run_completes_and_is_sane() {
-        let rt = Runtime::paper_testbed(42);
-        let opts =
-            FleetOptions::open_loop("smoke", ArrivalProcess::Poisson { rate_per_s: 0.04 }, 250.0);
-        let report = rt.serve_inner(opts).expect("serves");
+        let report =
+            Scenario::open_loop("smoke", ArrivalProcess::Poisson { rate_per_s: 0.04 }, 250.0)
+                .run()
+                .expect("serves")
+                .into_open_loop()
+                .expect("open-loop report");
         assert!(report.offered > 0);
         assert_eq!(
             report.admitted as usize + report.rejections() as usize,
@@ -2120,33 +2001,42 @@ mod tests {
 
     #[test]
     fn invalid_fleet_options_are_rejected_upfront() {
-        let rt = Runtime::paper_testbed(1);
-        let base =
-            || FleetOptions::open_loop("bad", ArrivalProcess::Poisson { rate_per_s: 0.1 }, 100.0);
-        let cases: Vec<FleetOptions> = vec![
-            FleetOptions {
-                horizon_s: f64::NAN,
-                ..base()
-            },
-            FleetOptions {
-                horizon_s: -5.0,
-                ..base()
-            },
-            FleetOptions {
-                rebalance_every_s: 0.0,
-                ..base()
-            },
-            FleetOptions {
-                parallelism: 0,
-                ..base()
-            },
-            base().max_inflight(0),
-            base().shards(0),
-            base().threads(0),
+        let base = |horizon_s: f64| {
+            Scenario::open_loop(
+                "bad",
+                ArrivalProcess::Poisson { rate_per_s: 0.1 },
+                horizon_s,
+            )
+        };
+        let mut slow_rebalance = base(100.0);
+        if let ExecutionMode::OpenLoop(spec) = &mut slow_rebalance.mode {
+            spec.rebalance_every_s = 0.0;
+        }
+        let cases = [
+            base(f64::NAN),
+            base(-5.0),
+            slow_rebalance,
+            base(100.0).parallelism(0),
+            base(100.0).max_inflight(0),
+            base(100.0).shards(0),
+            base(100.0).threads(0),
         ];
-        for opts in cases {
+        for scenario in cases {
             assert!(
-                matches!(rt.serve_inner(opts), Err(SimError::InvalidInput(_))),
+                matches!(scenario.run(), Err(SimError::InvalidInput(_))),
+                "degenerate open-loop scenarios must be rejected"
+            );
+            // The serve loop's own guard holds the same rules.
+            let (ExecutionMode::OpenLoop(spec), WorkloadSource::Traffic { process, tenants }) =
+                (&scenario.mode, &scenario.workload)
+            else {
+                unreachable!("open-loop scenario");
+            };
+            assert!(
+                matches!(
+                    scenario.fleet_options(spec, process, tenants).validate(),
+                    Err(SimError::InvalidInput(_))
+                ),
                 "degenerate fleet options must be rejected"
             );
         }

@@ -13,13 +13,16 @@
 //! WAN round-trip plus payload transfer on its latency and TTFT when
 //! it is served away from home.
 //!
-//! Determinism mirrors the single-region fleet: regions only interact
-//! at sync-epoch boundaries (route snapshots, elastic transitions,
-//! steal passes), so between epochs every region advances on its own
-//! engine state alone. Regions step concurrently on scoped worker
-//! threads — cells within a region step inline — and all merging is in
+//! Each region is a `Region` stepped by the same `advance_region` as the
+//! single-region fleet ([`mod@crate::fleet`]), with inclusive sync-epoch
+//! bounds. Regions only interact at
+//! sync-epoch boundaries (route snapshots, elastic transitions, steal
+//! passes), so between epochs every region advances on its own engine
+//! state alone. `advance_regions` steps them concurrently on the
+//! [`OpenLoopSpec::threads`](crate::scenario::OpenLoopSpec) region
+//! workers — cells within a region step inline — and all merging is in
 //! region-index order, so the report is bit-identical at every
-//! [`OpenLoopSpec::threads`](crate::scenario::OpenLoopSpec) count.
+//! region-worker count.
 //!
 //! Elastic capacity: each region's spot pool is one single-node cell
 //! per spot slot, flipped active/inactive at epoch boundaries by the
@@ -36,17 +39,16 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use murakkab_geo::{desired_spot_nodes, origin_region, route_region, GeoSpec, RegionLoad};
+use murakkab_geo::{
+    desired_spot_nodes, origin_region, route_region, GeoSpec, RegionLoad, RegionSpec,
+};
 use murakkab_hardware::SpotTrace;
 use murakkab_sim::{SimDuration, SimError, SimRng, SimTime};
-use murakkab_traffic::{
-    AdmissionController, AdmissionStats, ArrivalProcess, TenantProfile, TrafficSpec,
-};
+use murakkab_traffic::{AdmissionStats, ArrivalProcess, TenantProfile};
 
 use crate::fleet::{
-    advance_cells, apply_cell_batches, assemble_fleet_report, process_arrival, settle_cells,
-    steal_pass, Cell, CellDone, CellPolicy, ClassAgg, FleetOptions, FleetReport, PlannedRequest,
-    ReportParams,
+    advance_regions, assemble_fleet_report, settle_cells, steal_pass, CellDone, ClassAgg,
+    FleetOptions, FleetReport, Region, ReportParams, ServeSetup, StepCtx,
 };
 use crate::runtime::Runtime;
 use crate::scenario::{OpenLoopSpec, Scenario};
@@ -151,19 +153,10 @@ struct SpotSlot {
     active: bool,
 }
 
-/// Everything one region owns during the serve loop. Regions only
-/// touch their own state between sync epochs, which is what lets them
-/// advance on worker threads.
-struct RegionState {
-    idx: usize,
-    cells: Vec<Cell>,
-    ctrl: AdmissionController<()>,
-    classes: Vec<ClassAgg>,
-    next_seq: u64,
-    steals: u64,
-    /// This epoch's geo-routed arrivals, `(instant, planned index)` in
-    /// arrival order.
-    arrivals: Vec<(SimTime, usize)>,
+/// A region's geo-only books, kept next to its [`Region`]: the spot
+/// slots and the WAN and elastic counters its report carries.
+#[derive(Default)]
+struct Ledger {
     spot: Vec<SpotSlot>,
     origin_requests: u64,
     served_requests: u64,
@@ -177,163 +170,36 @@ struct RegionState {
     reclaim_migrated: u64,
 }
 
-/// Advances one region from `start` to the epoch boundary `bound`:
-/// interleaves its pre-routed arrivals with its cells' engine events
-/// (events at an arrival's instant beat the arrival, exactly like the
-/// single-region loop), applying each cell's harvest into the region's
-/// own class aggregates. Cell-local and region-local only — safe to
-/// run on a worker thread.
-fn advance_region(
-    rs: &mut RegionState,
-    planned: &[PlannedRequest],
-    per_cell_inflight: usize,
-    router: CellPolicy,
-    priority_ranks: &[u8],
-    start: SimTime,
-    bound: SimTime,
-) -> Result<(), SimError> {
-    let mut now = start;
-    let arrivals = std::mem::take(&mut rs.arrivals);
-    for &(at, idx) in &arrivals {
-        advance_cells(
-            &mut rs.cells,
-            planned,
-            per_cell_inflight,
-            false,
-            1,
-            now,
-            at,
-            true,
-        )?;
-        apply_cell_batches(&mut rs.cells, planned, &mut rs.classes, &mut None);
-        process_arrival(
-            at,
-            idx,
-            planned,
-            &mut rs.cells,
-            &mut rs.classes,
-            &mut rs.ctrl,
-            router,
-            priority_ranks,
-            &mut rs.next_seq,
-            &mut None,
-        );
-        now = at;
-    }
-    // Hand the (now empty) buffer back so next epoch reuses its
-    // capacity.
-    rs.arrivals = arrivals;
-    rs.arrivals.clear();
-    advance_cells(
-        &mut rs.cells,
-        planned,
-        per_cell_inflight,
-        false,
-        1,
-        now,
-        bound,
-        true,
-    )?;
-    apply_cell_batches(&mut rs.cells, planned, &mut rs.classes, &mut None);
-    Ok(())
-}
-
-/// Steps every region to the epoch boundary — concurrently on scoped
-/// threads when `threads > 1`, first chunk on the caller's thread.
-/// Regions are fully independent inside an epoch (their arrivals and
-/// WAN charges were fixed at the boundary), so the outcome is
-/// identical at every thread count; errors resolve in region-index
-/// order.
-#[allow(clippy::too_many_arguments)]
-fn advance_regions(
-    regions: &mut [RegionState],
-    planned: &[PlannedRequest],
-    per_cell_inflight: usize,
-    router: CellPolicy,
-    priority_ranks: &[u8],
-    threads: usize,
-    start: SimTime,
-    bound: SimTime,
-) -> Result<(), SimError> {
-    let busy = regions
-        .iter()
-        .filter(|r| {
-            !r.arrivals.is_empty() || r.cells.iter().any(|c| c.engine.peek_time().is_some())
-        })
-        .count();
-    if threads <= 1 || busy <= 1 {
-        for rs in regions.iter_mut() {
-            advance_region(
-                rs,
-                planned,
-                per_cell_inflight,
-                router,
-                priority_ranks,
-                start,
-                bound,
-            )?;
-        }
-        return Ok(());
-    }
-    let chunk = regions.len().div_ceil(threads);
-    let run_slice = |slice: &mut [RegionState]| {
-        for rs in slice.iter_mut() {
-            advance_region(
-                rs,
-                planned,
-                per_cell_inflight,
-                router,
-                priority_ranks,
-                start,
-                bound,
-            )?;
-        }
-        Ok::<(), SimError>(())
-    };
-    std::thread::scope(|s| {
-        let mut chunks = regions.chunks_mut(chunk);
-        let first = chunks.next().expect("at least one region");
-        let handles: Vec<_> = chunks
-            .map(|slice| s.spawn(move || run_slice(slice)))
-            .collect();
-        let head = run_slice(first);
-        head?;
-        for h in handles {
-            match h.join() {
-                Ok(r) => r?,
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-        Ok(())
-    })
-}
-
 /// Flips a region's spot cells at an epoch boundary: a slot is wanted
 /// while the predictive autoscaler asks for at least `slot + 1` nodes
 /// *and* its availability trace says the platform has capacity.
 /// Transitions are epoch-granular (the modeled control-plane cadence).
 /// A reclaim migrates the cell's queued workflows to the region's
 /// least-loaded active cell; in-flight work drains in place.
-fn elastic_pass(rs: &mut RegionState, geo: &GeoSpec, now: SimTime) {
+fn elastic_pass(
+    rs: &mut Region,
+    ledger: &mut Ledger,
+    spec: &RegionSpec,
+    geo: &GeoSpec,
+    now: SimTime,
+) {
     let Some(elastic) = &geo.elastic else {
         return;
     };
-    let region = &geo.regions[rs.idx];
-    let desired = desired_spot_nodes(region, now.as_secs_f64(), elastic.lead_s, geo.day_s);
-    for s in 0..rs.spot.len() {
+    let desired = desired_spot_nodes(spec, now.as_secs_f64(), elastic.lead_s, geo.day_s);
+    for (s, slot) in ledger.spot.iter_mut().enumerate() {
         // Slot `s` materializes once the autoscaler wants its whole
         // cell's worth of nodes.
-        let slot_nodes = rs.cells[rs.spot[s].cell].nodes;
-        let want = (s + 1) * slot_nodes <= desired && rs.spot[s].trace.available_at(now);
-        let cell = rs.spot[s].cell;
-        if want && !rs.spot[s].active {
-            rs.spot[s].active = true;
+        let cell = slot.cell;
+        let want = (s + 1) * rs.cells[cell].nodes <= desired && slot.trace.available_at(now);
+        if want && !slot.active {
+            slot.active = true;
             rs.cells[cell].active = true;
-            rs.spot_activations += 1;
-        } else if !want && rs.spot[s].active {
-            rs.spot[s].active = false;
+            ledger.spot_activations += 1;
+        } else if !want && slot.active {
+            slot.active = false;
             rs.cells[cell].active = false;
-            rs.spot_reclaims += 1;
+            ledger.spot_reclaims += 1;
             // Shed the queue before the node disappears: every queued
             // item keeps its (priority, seq), so it drains in exactly
             // the order it would have.
@@ -343,7 +209,7 @@ fn elastic_pass(rs: &mut RegionState, geo: &GeoSpec, now: SimTime) {
             }
             if !moved.is_empty() {
                 let target = crate::fleet::least_loaded(&rs.cells, 0..rs.cells.len());
-                rs.reclaim_migrated += moved.len() as u64;
+                ledger.reclaim_migrated += moved.len() as u64;
                 for (prio, seq, idx) in moved {
                     rs.cells[cell].migrated_out += 1;
                     rs.cells[target].queue.push(prio, seq, idx);
@@ -368,95 +234,66 @@ pub(crate) fn execute_geo(
     geo.validate()?;
     let opts: FleetOptions = scenario.fleet_options(spec, process, tenants);
     let horizon = SimDuration::from_secs_f64(opts.horizon_s);
-    let fleet_rng = SimRng::new(runtime.seed()).fork("fleet");
 
     // The arrival stream is the same one the single-region path would
     // generate — geo only decides *where* each request is served.
-    let traffic = TrafficSpec {
-        process: opts.process.clone(),
-        tenants: opts.tenants.clone(),
-    };
-    let requests = traffic.requests(&fleet_rng, horizon);
-
-    let prep = runtime.serve_prep(&opts)?;
-    let geo_rng = SimRng::new(runtime.seed()).fork("geo");
-    let mut routes_by_nodes = BTreeMap::new();
-    let mut regions: Vec<RegionState> = Vec::with_capacity(geo.regions.len());
-    for (idx, region) in geo.regions.iter().enumerate() {
-        let clusters = runtime
-            .build_cluster_of(region.nodes)
-            .partition(region.shards)?;
-        let mut cells = runtime.build_cells(clusters, &prep, &mut routes_by_nodes)?;
-        // A spot slot is a whole cell sized like the region's
-        // on-demand cells (a fractional cell cannot host the agent
-        // set); a spot pool smaller than one cell never materializes —
-        // the analyzer warns about the idle remainder.
-        let cell_nodes = (region.nodes / region.shards.max(1)).max(1);
-        let slots = region.spot_nodes / cell_nodes;
-        let mut spot = Vec::with_capacity(slots);
-        if let Some(elastic) = &geo.elastic {
-            for s in 0..slots {
-                let mut spot_cells = runtime.build_cells(
-                    vec![runtime.build_cluster_of(cell_nodes)],
-                    &prep,
-                    &mut routes_by_nodes,
-                )?;
-                let mut cell = spot_cells.pop().expect("one cluster in, one cell out");
-                cell.active = false;
-                cell.cost_scale = elastic.price_factor;
-                let mut trace_rng = geo_rng.fork(&format!("spot-{}-{s}", region.name));
-                // Generate well past the horizon: the drain tail keeps
-                // running after the last arrival.
-                let trace = SpotTrace::generate(
-                    &mut trace_rng,
-                    SimTime::ZERO + horizon + horizon + horizon,
-                    SimDuration::from_secs_f64(elastic.mean_up_s),
-                    SimDuration::from_secs_f64(elastic.mean_down_s),
-                );
-                spot.push(SpotSlot {
-                    trace,
-                    cell: cells.len(),
-                    active: false,
-                });
-                cells.push(cell);
+    let ServeSetup {
+        built,
+        mut planned,
+        classes: table_classes,
+        priority_ranks,
+    } = runtime.serve_setup(&opts, |prep| {
+        let geo_rng = SimRng::new(runtime.seed()).fork("geo");
+        let mut routes_by_nodes = BTreeMap::new();
+        let mut built = Vec::with_capacity(geo.regions.len());
+        for region in &geo.regions {
+            let clusters = runtime
+                .build_cluster_of(region.nodes)
+                .partition(region.shards)?;
+            let mut cells = runtime.build_cells(clusters, prep, &mut routes_by_nodes)?;
+            // A spot slot is a whole cell sized like the region's
+            // on-demand cells (a fractional cell cannot host the agent
+            // set); a spot pool smaller than one cell never materializes
+            // — the analyzer warns about the idle remainder.
+            let cell_nodes = (region.nodes / region.shards.max(1)).max(1);
+            let slots = region.spot_nodes / cell_nodes;
+            let mut ledger = Ledger::default();
+            if let Some(elastic) = &geo.elastic {
+                for s in 0..slots {
+                    let mut spot_cells = runtime.build_cells(
+                        vec![runtime.build_cluster_of(cell_nodes)],
+                        prep,
+                        &mut routes_by_nodes,
+                    )?;
+                    let mut cell = spot_cells.pop().expect("one cluster in, one cell out");
+                    cell.active = false;
+                    cell.cost_scale = elastic.price_factor;
+                    let mut trace_rng = geo_rng.fork(&format!("spot-{}-{s}", region.name));
+                    // Generate well past the horizon: the drain tail
+                    // keeps running after the last arrival.
+                    let trace = SpotTrace::generate(
+                        &mut trace_rng,
+                        SimTime::ZERO + horizon + horizon + horizon,
+                        SimDuration::from_secs_f64(elastic.mean_up_s),
+                        SimDuration::from_secs_f64(elastic.mean_down_s),
+                    );
+                    ledger.spot.push(SpotSlot {
+                        trace,
+                        cell: cells.len(),
+                        active: false,
+                    });
+                    cells.push(cell);
+                }
             }
+            built.push((cells, ledger));
         }
-        regions.push(RegionState {
-            idx,
-            cells,
-            ctrl: AdmissionController::new(opts.admission.clone())?,
-            classes: Vec::new(),
-            next_seq: 0,
-            steals: 0,
-            arrivals: Vec::new(),
-            spot,
-            origin_requests: 0,
-            served_requests: 0,
-            escaped_out: 0,
-            escaped_in: 0,
-            wan_egress_gb: 0.0,
-            wan_egress_usd: 0.0,
-            spot_activations: 0,
-            spot_reclaims: 0,
-            spot_node_hours: 0.0,
-            reclaim_migrated: 0,
-        });
-    }
+        let est_routes = built[0].0[0].routes.clone();
+        Ok((built, est_routes))
+    })?;
 
     // One shared class table: every region's aggregates line up on the
-    // same dense index so the global roll-up is a per-slot merge.
-    let est_routes = regions[0].cells[0].routes.clone();
-    let mut class_index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut table_classes: Vec<ClassAgg> = Vec::new();
-    let mut planned: Vec<PlannedRequest> = Vec::with_capacity(requests.len());
-    runtime.plan_requests(
-        requests,
-        &est_routes,
-        &fleet_rng,
-        &mut class_index,
-        &mut table_classes,
-        &mut planned,
-    )?;
+    // same dense index so the global roll-up is a per-slot merge. A
+    // region counts `offered` at origin, so its rows start empty.
     let skeleton: Vec<ClassAgg> = table_classes
         .iter()
         .map(|c| ClassAgg {
@@ -466,20 +303,22 @@ pub(crate) fn execute_geo(
             ..ClassAgg::default()
         })
         .collect();
-    for rs in &mut regions {
-        rs.classes = skeleton.clone();
+    let mut regions: Vec<Region> = Vec::with_capacity(built.len());
+    let mut ledgers: Vec<Ledger> = Vec::with_capacity(built.len());
+    for (cells, ledger) in built {
+        regions.push(Region::new(cells, &opts.admission, skeleton.clone())?);
+        ledgers.push(ledger);
     }
 
-    let priority_ranks: Vec<u8> = {
-        let mut ps: Vec<u8> = opts.tenants.iter().map(|t| t.class.priority).collect();
-        ps.sort_unstable_by(|a, b| b.cmp(a));
-        ps.dedup();
-        ps
-    };
     // The fleet-wide in-flight budget splits over the on-demand cells;
     // spot cells get the same per-cell budget as elastic headroom.
     let fixed_cells: usize = geo.regions.iter().map(|r| r.shards).sum();
-    let per_cell_inflight = opts.max_inflight.max(1).div_ceil(fixed_cells.max(1));
+    let ctx = StepCtx {
+        per_cell_inflight: opts.max_inflight.max(1).div_ceil(fixed_cells.max(1)),
+        router: opts.router,
+        priority_ranks,
+        steal_margin: opts.steal_margin,
+    };
     let threads = opts.threads.max(1).min(regions.len());
     let epoch = SimDuration::from_secs_f64(geo.sync_epoch_s);
 
@@ -491,8 +330,8 @@ pub(crate) fn execute_geo(
         // 1. Elastic spot transitions at the boundary, *before* the
         //    load snapshot — the router sees the capacity the epoch
         //    will actually have.
-        for rs in regions.iter_mut() {
-            elastic_pass(rs, geo, now);
+        for ((rs, ledger), spec) in regions.iter_mut().zip(&mut ledgers).zip(&geo.regions) {
+            elastic_pass(rs, ledger, spec, geo, now);
         }
 
         // 2. The sync snapshot every arrival in this epoch routes
@@ -508,7 +347,7 @@ pub(crate) fn execute_geo(
 
         // 3. Geo-route every arrival in (now, epoch_end]: fix its
         //    origin, serving region and WAN charge, and hand it to the
-        //    serving region's epoch queue.
+        //    serving region's epoch buffer.
         while arr_idx < planned.len() && planned[arr_idx].req.at <= epoch_end {
             let at = planned[arr_idx].req.at;
             let t_s = at.as_secs_f64();
@@ -516,50 +355,32 @@ pub(crate) fn execute_geo(
             let serving = route_region(geo.policy, origin, &geo.wan, &loads, geo.spill_margin);
             planned[arr_idx].wan_s = geo.wan.wan_latency_s(origin, serving);
             let class_idx = planned[arr_idx].class_idx;
-            regions[origin].origin_requests += 1;
+            ledgers[origin].origin_requests += 1;
             regions[origin].classes[class_idx].offered += 1;
             if serving != origin {
-                regions[origin].escaped_out += 1;
-                regions[serving].escaped_in += 1;
-                regions[serving].wan_egress_gb += geo.wan.transfer_gb_per_request();
-                regions[serving].wan_egress_usd += geo.wan.egress_usd_per_request();
+                ledgers[origin].escaped_out += 1;
+                ledgers[serving].escaped_in += 1;
+                ledgers[serving].wan_egress_gb += geo.wan.transfer_gb_per_request();
+                ledgers[serving].wan_egress_usd += geo.wan.egress_usd_per_request();
             }
-            regions[serving].served_requests += 1;
+            ledgers[serving].served_requests += 1;
             regions[serving].arrivals.push((at, arr_idx));
             arr_idx += 1;
         }
 
         // 4. Every region advances to the boundary independently.
-        advance_regions(
-            &mut regions,
-            &planned,
-            per_cell_inflight,
-            opts.router,
-            &priority_ranks,
-            threads,
-            now,
-            epoch_end,
-        )?;
+        advance_regions(&mut regions, &planned, &ctx, threads, now, epoch_end)?;
 
         // 5. Within-region work stealing rides the sync cadence.
-        for rs in regions.iter_mut() {
-            steal_pass(
-                &mut rs.cells,
-                opts.router,
-                &priority_ranks,
-                opts.steal_margin,
-                epoch_end,
-                &planned,
-                &mut rs.steals,
-                &mut None,
-            );
+        for (rs, ledger) in regions.iter_mut().zip(&mut ledgers) {
+            steal_pass(rs, &planned, &ctx, epoch_end, &mut None);
             // The spot bill covers the offered-load horizon only. The
             // drain tail's length depends on where the routing policy
             // put the last requests, so billing it would break the
             // equal-cost contract that makes policy sweeps comparable;
             // the predictive schedule itself is already policy-blind.
             if now.as_secs_f64() < opts.horizon_s {
-                rs.spot_node_hours += rs
+                ledger.spot_node_hours += ledger
                     .spot
                     .iter()
                     .filter(|s| s.active)
@@ -597,102 +418,64 @@ pub(crate) fn execute_geo(
     // own fleet report and the global one merges everything in
     // region-index order.
     let mut makespan = SimTime::ZERO;
-    let mut settled: Vec<(RegionSummary, Vec<CellDone>)> = Vec::with_capacity(regions.len());
+    let mut settled = Vec::with_capacity(regions.len());
     for rs in regions {
-        let summary = RegionSummary {
-            idx: rs.idx,
-            admission: rs.ctrl.stats(),
-            classes: rs.classes,
-            steals: rs.steals,
-            origin_requests: rs.origin_requests,
-            served_requests: rs.served_requests,
-            escaped_out: rs.escaped_out,
-            escaped_in: rs.escaped_in,
-            wan_egress_gb: rs.wan_egress_gb,
-            wan_egress_usd: rs.wan_egress_usd,
-            spot_activations: rs.spot_activations,
-            spot_reclaims: rs.spot_reclaims,
-            spot_node_hours: rs.spot_node_hours,
-            reclaim_migrated: rs.reclaim_migrated,
-        };
         let finished = settle_cells(rs.cells, &mut makespan)?;
-        settled.push((summary, finished));
+        settled.push((finished, rs.ctrl.stats(), rs.classes, rs.steals));
     }
-
-    let base_params =
-        |label: String, shards: usize, offered: u64, admission: AdmissionStats, steals: u64| {
-            ReportParams {
-                label,
-                seed: runtime.seed(),
-                shards,
-                router: opts.router.tag().into(),
-                serving: opts.serving.tag().into(),
-                arrival_process: opts.process.kind().into(),
-                offered_rate_per_s: opts.process.mean_rate_per_s(),
-                horizon_s: opts.horizon_s,
-                admission_enabled: opts.admission.enabled,
-                offered,
-                admission,
-                steals,
-            }
-        };
 
     let mut region_reports = Vec::with_capacity(settled.len());
     let mut merged_classes = skeleton;
     let mut all_done: Vec<CellDone> = Vec::new();
     let mut adm_total = AdmissionStats::default();
     let mut steals_total = 0u64;
-    let mut cross_region = 0u64;
-    let (mut wan_gb, mut wan_usd) = (0.0f64, 0.0f64);
-    let mut spot_hours = 0.0f64;
-    let mut spot_reclaims = 0u64;
-    for (summary, finished) in settled {
-        let region = &geo.regions[summary.idx];
-        for (slot, agg) in merged_classes.iter_mut().zip(&summary.classes) {
+    for (((finished, admission, classes, steals), ledger), region) in
+        settled.into_iter().zip(ledgers).zip(&geo.regions)
+    {
+        for (slot, agg) in merged_classes.iter_mut().zip(&classes) {
             slot.merge(agg);
         }
-        adm_total.admitted += summary.admission.admitted;
-        adm_total.rejected_rate += summary.admission.rejected_rate;
-        adm_total.rejected_deadline += summary.admission.rejected_deadline;
-        adm_total.rejected_queue_full += summary.admission.rejected_queue_full;
-        steals_total += summary.steals;
-        cross_region += summary.escaped_in;
-        wan_gb += summary.wan_egress_gb;
-        wan_usd += summary.wan_egress_usd;
-        spot_hours += summary.spot_node_hours;
-        spot_reclaims += summary.spot_reclaims;
+        adm_total.admitted += admission.admitted;
+        adm_total.rejected_rate += admission.rejected_rate;
+        adm_total.rejected_deadline += admission.rejected_deadline;
+        adm_total.rejected_queue_full += admission.rejected_queue_full;
+        steals_total += steals;
         let fleet = assemble_fleet_report(
-            base_params(
+            ReportParams::new(
+                &opts,
+                runtime.seed(),
                 format!("{}/{}", opts.label, region.name),
                 finished.len(),
-                summary.origin_requests,
-                summary.admission,
-                summary.steals,
+                ledger.origin_requests,
+                admission,
+                steals,
             ),
-            summary.classes,
+            classes,
             &finished,
             makespan,
         );
         region_reports.push(GeoRegionReport {
             region: region.name.clone(),
             utc_offset_h: region.utc_offset_h,
-            origin_requests: summary.origin_requests,
-            served_requests: summary.served_requests,
-            escaped_out: summary.escaped_out,
-            escaped_in: summary.escaped_in,
-            wan_egress_gb: summary.wan_egress_gb,
-            wan_egress_usd: summary.wan_egress_usd,
-            spot_activations: summary.spot_activations,
-            spot_reclaims: summary.spot_reclaims,
-            spot_node_hours: summary.spot_node_hours,
-            reclaim_migrated: summary.reclaim_migrated,
+            origin_requests: ledger.origin_requests,
+            served_requests: ledger.served_requests,
+            escaped_out: ledger.escaped_out,
+            escaped_in: ledger.escaped_in,
+            wan_egress_gb: ledger.wan_egress_gb,
+            wan_egress_usd: ledger.wan_egress_usd,
+            spot_activations: ledger.spot_activations,
+            spot_reclaims: ledger.spot_reclaims,
+            spot_node_hours: ledger.spot_node_hours,
+            reclaim_migrated: ledger.reclaim_migrated,
             fleet,
         });
         all_done.extend(finished);
     }
 
     let global = assemble_fleet_report(
-        base_params(
+        ReportParams::new(
+            &opts,
+            runtime.seed(),
             opts.label.clone(),
             all_done.len(),
             planned.len() as u64,
@@ -703,36 +486,18 @@ pub(crate) fn execute_geo(
         &all_done,
         makespan,
     );
-    let cost_usd = global.cost_usd + wan_usd;
+    let sum = |f: fn(&GeoRegionReport) -> f64| region_reports.iter().map(f).sum::<f64>();
+    let wan_usd = sum(|r| r.wan_egress_usd);
     Ok(GeoReport {
         policy: geo.policy.tag().into(),
         sync_epoch_s: geo.sync_epoch_s,
-        regions: region_reports,
-        cross_region_requests: cross_region,
-        wan_egress_gb: wan_gb,
+        cross_region_requests: region_reports.iter().map(|r| r.escaped_in).sum(),
+        wan_egress_gb: sum(|r| r.wan_egress_gb),
         wan_egress_usd: wan_usd,
-        spot_node_hours: spot_hours,
-        spot_reclaims,
-        cost_usd,
+        spot_node_hours: sum(|r| r.spot_node_hours),
+        spot_reclaims: region_reports.iter().map(|r| r.spot_reclaims).sum(),
+        cost_usd: global.cost_usd + wan_usd,
         global,
+        regions: region_reports,
     })
-}
-
-/// The non-cell state of a settled region, split out so the cells can
-/// be consumed by [`settle_cells`] first.
-struct RegionSummary {
-    idx: usize,
-    admission: AdmissionStats,
-    classes: Vec<ClassAgg>,
-    steals: u64,
-    origin_requests: u64,
-    served_requests: u64,
-    escaped_out: u64,
-    escaped_in: u64,
-    wan_egress_gb: f64,
-    wan_egress_usd: f64,
-    spot_activations: u64,
-    spot_reclaims: u64,
-    spot_node_hours: f64,
-    reclaim_migrated: u64,
 }

@@ -45,10 +45,6 @@
 //! let report = scenario.run().unwrap();
 //! println!("{}", report.summary_line());
 //! ```
-//!
-//! The legacy imperative entry points (`Runtime::run_job`,
-//! `Runtime::run_concurrent`, `Runtime::serve`) are deprecated shims
-//! over the same pipeline.
 
 pub mod ablation;
 pub mod analyze;
@@ -65,7 +61,7 @@ pub mod workloads;
 pub use analyze::{analyze, AnalysisReport, Diagnostic, Severity};
 pub use baseline::run_baseline_video_understanding;
 pub use capture::{RequestOutcome, RequestRecord, RunCapture, StealRecord};
-pub use fleet::{CellPolicy, FleetCellReport, FleetOptions, FleetReport};
+pub use fleet::{CellPolicy, FleetCellReport, FleetReport};
 pub use geo::{GeoRegionReport, GeoReport};
 pub use murakkab_geo::{ElasticSpec, GeoPolicy, GeoSpec, RegionSpec, WanModel};
 pub use murakkab_llmsim::{BackendSpec, ServingBackend, ServingMode};

@@ -22,7 +22,6 @@ use murakkab_workflow::Job;
 
 use crate::engine::{Engine, EngineOptions, EngineOutcome, RouteSpec};
 use crate::report::RunReport;
-use crate::workloads;
 
 /// Which Speech-to-Text resource configuration to run (the Figure 3 /
 /// Table 2 experiment axis).
@@ -222,67 +221,6 @@ impl Runtime {
         cm
     }
 
-    /// Runs the paper's Video Understanding job (Listing 2 against the
-    /// seeded two-video workload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, placement and execution errors.
-    #[deprecated(
-        since = "0.6.0",
-        note = "declare a `Scenario` with the `paper-video` catalog entry \
-                and execute it through `Session` instead"
-    )]
-    pub fn run_video_understanding(&self, opts: RunOptions) -> Result<RunReport, SimError> {
-        let job = workloads::paper_video_job();
-        let inputs = workloads::paper_video_inputs(self.seed);
-        self.run_jobs(std::slice::from_ref(&(job, inputs)), &opts, false)
-    }
-
-    /// Runs any declarative job against concrete inputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, placement and execution errors.
-    #[deprecated(
-        since = "0.6.0",
-        note = "declare a closed-loop `Scenario` (`WorkloadSource::Jobs`) \
-                and execute it through `Session` instead"
-    )]
-    pub fn run_job(
-        &self,
-        job: &Job,
-        inputs: &JobInputs,
-        opts: RunOptions,
-    ) -> Result<RunReport, SimError> {
-        self.run_jobs(
-            std::slice::from_ref(&(job.clone(), inputs.clone())),
-            &opts,
-            false,
-        )
-    }
-
-    /// Runs several independent jobs *concurrently* on one shared cluster
-    /// — the paper's Figure 2: "higher resource multiplexing between
-    /// independent workflows to improve efficiency".
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, placement and execution errors; fails if
-    /// `jobs` is empty.
-    #[deprecated(
-        since = "0.6.0",
-        note = "declare a closed-loop `Scenario` with several workload \
-                entries and execute it through `Session` instead"
-    )]
-    pub fn run_concurrent(
-        &self,
-        jobs: &[(Job, JobInputs)],
-        opts: RunOptions,
-    ) -> Result<RunReport, SimError> {
-        self.run_jobs(jobs, &opts, true)
-    }
-
     /// The shared closed-loop pipeline behind every entry point: plan
     /// (decompose) → expand → select agent/hardware configs → execute on
     /// the discrete-event engine. One job runs as-is; several jobs are
@@ -403,8 +341,8 @@ impl Runtime {
     }
 
     /// Agent/hardware selection and routing for a set of capabilities —
-    /// the shared pass behind [`Runtime::run_job`],
-    /// [`Runtime::run_concurrent`] and [`Runtime::serve`].
+    /// the shared pass behind every closed-loop run and every serve
+    /// cell.
     ///
     /// Selection is sequential and resource-aware: each choice debits the
     /// projected stats so later choices cannot jointly over-commit the
@@ -670,9 +608,10 @@ pub(crate) fn report_from_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads;
 
-    /// The Video Understanding workload through the shared pipeline (what
-    /// the deprecated `run_video_understanding` shim wraps).
+    /// The paper's Video Understanding workload through the shared
+    /// pipeline.
     fn vu(rt: &Runtime, opts: RunOptions) -> Result<RunReport, SimError> {
         let job = workloads::paper_video_job();
         let inputs = workloads::paper_video_inputs(rt.seed());

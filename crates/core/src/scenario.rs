@@ -46,14 +46,6 @@
 //! let replayed = Scenario::from_json(&json).unwrap().run().unwrap();
 //! assert_eq!(report.digest(), replayed.digest());
 //! ```
-//!
-//! The legacy imperative entry points ([`Runtime::run_job`],
-//! [`Runtime::run_concurrent`], [`Runtime::serve`]) remain as deprecated
-//! shims over the same pipeline.
-//!
-//! [`Runtime::run_job`]: crate::runtime::Runtime::run_job
-//! [`Runtime::run_concurrent`]: crate::runtime::Runtime::run_concurrent
-//! [`Runtime::serve`]: crate::runtime::Runtime::serve
 
 use serde::{Deserialize, Serialize};
 
@@ -198,16 +190,16 @@ pub struct OpenLoopSpec {
     pub rebalance_every_s: f64,
     /// Backlog gap above which the migration pass steals queued work.
     pub steal_margin: usize,
-    /// Worker threads stepping cells concurrently between
-    /// synchronization epochs (`None` = 1, inline). Reports are
-    /// bit-identical at every thread count; absent in older scenario
-    /// files.
+    /// Region workers stepping a federated (`geo`) run's regions
+    /// concurrently between sync epochs (`None` = 1, inline). Cells
+    /// always step inline, so a single-region run ignores it. Reports
+    /// are bit-identical at every thread count; absent in older
+    /// scenario files.
     pub threads: Option<usize>,
 }
 
 impl OpenLoopSpec {
-    /// The stock open-loop configuration over a given horizon (matches
-    /// [`FleetOptions::open_loop`]).
+    /// The stock open-loop configuration over a given horizon.
     pub fn over_horizon(horizon_s: f64) -> Self {
         OpenLoopSpec {
             horizon_s,
@@ -221,8 +213,8 @@ impl OpenLoopSpec {
         }
     }
 
-    /// Validates the numeric fields (same rules [`FleetOptions::validate`]
-    /// enforces on the legacy surface).
+    /// Validates the numeric fields (the same rules the serve loop
+    /// enforces on its own options).
     ///
     /// # Errors
     ///
@@ -368,7 +360,7 @@ impl Scenario {
 
     /// An open-loop scenario on the paper testbed: the given arrival
     /// process over the stock three-tenant set, stock admission control,
-    /// one engine cell (matches [`FleetOptions::open_loop`]).
+    /// one engine cell.
     pub fn open_loop(label: &str, process: ArrivalProcess, horizon_s: f64) -> Self {
         Scenario {
             label: label.into(),
@@ -621,8 +613,9 @@ impl Scenario {
         self
     }
 
-    /// Sets the worker-thread count for concurrent cell stepping
-    /// (open-loop scenarios; no-op in closed loop). Reports stay
+    /// Sets the region-worker count for concurrent region stepping
+    /// (federated open-loop scenarios; no-op in closed loop and on a
+    /// single region, where cells step inline). Reports stay
     /// bit-identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {

@@ -1,9 +1,8 @@
 //! Sim-speed scoreboard: wall-clock throughput of the fleet serve loop
-//! across a shards × threads grid, with a per-shard digest cross-check
-//! proving the parallel path bit-identical. The driver lives in
+//! across a shard sweep, one digest per row. The bench lives in
 //! `murakkab_bench::simspeed_main`; the binary sits in the root package
 //! so `cargo run --release --bin simspeed [seed] [--quick]` resolves.
-//! `--quick` trims the grid and horizon (CI mode).
+//! `--quick` trims the sweep and horizon (CI mode).
 
 use murakkab_bench::SEED;
 

@@ -1,11 +1,18 @@
 //! Config-search → scenario emission: the winning lever assignment
-//! round-trips through Scenario JSON and executes.
+//! round-trips through Scenario JSON and executes, and any scenario
+//! that round-trips executes to an identical report.
 
 use murakkab::scenario::{CatalogRef, Scenario};
+use murakkab::SttChoice;
 use murakkab_agents::library::stock_library;
 use murakkab_agents::Profiler;
 use murakkab_orchestrator::{ConfigSearch, DemandModel, SearchMode};
+use murakkab_traffic::{AdmissionConfig, ArrivalProcess};
 use murakkab_workflow::{Constraint, ConstraintSet};
+
+fn json<T: serde::Serialize>(v: &T) -> String {
+    serde_json::to_string(v).expect("serializes")
+}
 
 /// The emitted scenario is a faithful, runnable artifact: it survives
 /// a JSON round-trip bit-for-bit, validates, and executes with the
@@ -72,4 +79,32 @@ fn levers_map_onto_scenario_knobs() {
         "a concrete STT choice pins the knob"
     );
     scenario.validate().expect("validates");
+}
+
+#[test]
+fn scenario_serde_round_trip_produces_identical_reports() {
+    // Scenario -> JSON -> Scenario -> identical Report, in both modes.
+    let closed = Scenario::closed_loop("rt-closed")
+        .seed(13)
+        .stt(SttChoice::Gpu);
+    let open = Scenario::open_loop(
+        "rt-open",
+        ArrivalProcess::Poisson { rate_per_s: 0.08 },
+        150.0,
+    )
+    .seed(13)
+    .admission(AdmissionConfig::default());
+    for scenario in [closed, open] {
+        let round_tripped =
+            Scenario::from_json(&scenario.to_json().expect("serializes")).expect("parses");
+        assert_eq!(scenario, round_tripped, "spec must round-trip losslessly");
+        let direct = scenario.run().expect("direct run");
+        let replayed = round_tripped.run().expect("replayed run");
+        assert_eq!(
+            json(&direct),
+            json(&replayed),
+            "round-tripped scenario must execute bit-identically"
+        );
+        assert_eq!(direct.digest(), replayed.digest());
+    }
 }
