@@ -8,9 +8,11 @@
 //! - **error** (`ANZ0xx`) — the scenario cannot execute: degenerate
 //!   numerics, empty workloads, mode/workload mismatches, unknown
 //!   catalog entries, jobs that fail to plan, constraint sets no agent
-//!   satisfies. [`Scenario::validate`], [`RunOptions::validate`] and
-//!   the serve loop's own option check are thin wrappers over the same
-//!   rules, so the execution path and the analyzer can never disagree.
+//!   satisfies. [`Scenario::validate`] is a thin wrapper over the same
+//!   rules and runs once at the [`Session`](crate::scenario::Session)
+//!   entry, and the deep checks call the preparation code execution
+//!   itself runs, so the execution path and the analyzer can never
+//!   disagree.
 //! - **warning** (`ANZ1xx`) — the scenario executes but is predicted to
 //!   misbehave: a deployment group no node can host, aggregate GPU
 //!   demand above cluster capacity, an SLO deadline below the
@@ -37,14 +39,14 @@ use murakkab_hardware::{HardwareTarget, VmShape};
 use murakkab_llmsim::ServingMode;
 use murakkab_orchestrator::{expand, JobInputs, Planner};
 use murakkab_sim::{SimError, SimRng, SimTime};
-use murakkab_traffic::{AdmissionConfig, Archetype, ArrivalProcess, TenantProfile};
-use murakkab_workflow::{ConstraintSet, Job, TaskGraph};
+use murakkab_traffic::{AdmissionConfig, Archetype, TenantProfile};
+use murakkab_workflow::{Job, TaskGraph};
 
 use crate::engine::RouteSpec;
-use crate::fleet::{canonical_job, estimate_service_s, fleet_job, FleetOptions};
-use crate::runtime::{RoutePlan, RunOptions, Runtime};
-use crate::scenario::{sample_mix_jobs, ExecutionMode, OpenLoopSpec, Scenario, WorkloadSource};
-use crate::workloads::{WorkloadCatalog, WorkloadParams};
+use crate::fleet::{estimate_service_s, fleet_job};
+use crate::runtime::{RoutePlan, RoutePrep, Runtime, SttChoice};
+use crate::scenario::{closed_loop_jobs, ExecutionMode, OpenLoopSpec, Scenario, WorkloadSource};
+use crate::workloads::WorkloadCatalog;
 
 /// Stable diagnostic codes (`ANZ0xx` errors, `ANZ1xx` warnings,
 /// `ANZ2xx` infos). The constants exist so tests and tools can match on
@@ -305,90 +307,11 @@ pub(crate) fn first_error(diags: &[Diagnostic]) -> Result<(), SimError> {
 // Structural rules (shared with the validate() wrappers)
 // ---------------------------------------------------------------------------
 
-/// Rules behind [`RunOptions::validate`].
-pub(crate) fn run_options_diags(opts: &RunOptions) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if opts.parallelism == 0 {
-        out.push(
-            Diagnostic::error(
-                codes::BAD_NUMERIC,
-                "parallelism",
-                "parallelism must be at least 1",
-            )
-            .suggest("set parallelism to a positive stage fan-out"),
-        );
-    }
-    for (i, &(at_s, node)) in opts.preemptions.iter().enumerate() {
-        if !at_s.is_finite() || at_s < 0.0 {
-            out.push(Diagnostic::error(
-                codes::BAD_NUMERIC,
-                &format!("preemptions[{i}].at_s"),
-                format!(
-                    "preemption instant must be a finite non-negative number \
-                     of seconds, got {at_s} (node {node})"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Rules behind [`FleetOptions::validate`] (numeric knobs only; the
-/// admission, process and tenant rules are scenario-level because the
-/// serve loop validates them further downstream).
-pub(crate) fn fleet_options_diags(opts: &FleetOptions) -> Vec<Diagnostic> {
-    let mut out = open_loop_numeric_diags(
-        opts.horizon_s,
-        opts.rebalance_every_s,
-        opts.shards,
-        opts.max_inflight,
-        "",
-    );
-    if opts.parallelism == 0 {
-        out.push(Diagnostic::error(
-            codes::BAD_NUMERIC,
-            "parallelism",
-            "parallelism must be at least 1",
-        ));
-    }
-    if opts.threads == 0 {
-        out.push(Diagnostic::error(
-            codes::BAD_NUMERIC,
-            "threads",
-            "threads must be at least 1 region worker (1 steps regions inline)",
-        ));
-    }
-    out
-}
-
 /// Rules behind [`OpenLoopSpec::validate`].
 pub(crate) fn open_loop_spec_diags(spec: &OpenLoopSpec, prefix: &str) -> Vec<Diagnostic> {
-    let mut out = open_loop_numeric_diags(
-        spec.horizon_s,
-        spec.rebalance_every_s,
-        spec.shards,
-        spec.max_inflight,
-        prefix,
-    );
-    if spec.threads == Some(0) {
-        out.push(Diagnostic::error(
-            codes::BAD_NUMERIC,
-            &format!("{prefix}threads"),
-            "threads must be at least 1 region worker (1 steps regions inline)",
-        ));
-    }
-    out
-}
-
-fn open_loop_numeric_diags(
-    horizon_s: f64,
-    rebalance_every_s: f64,
-    shards: usize,
-    max_inflight: usize,
-    prefix: &str,
-) -> Vec<Diagnostic> {
     let path = |field: &str| format!("{prefix}{field}");
     let mut out = Vec::new();
+    let horizon_s = spec.horizon_s;
     if !horizon_s.is_finite() || horizon_s <= 0.0 {
         out.push(Diagnostic::error(
             codes::BAD_NUMERIC,
@@ -396,6 +319,7 @@ fn open_loop_numeric_diags(
             format!("arrival horizon must be a finite positive number of seconds, got {horizon_s}"),
         ));
     }
+    let rebalance_every_s = spec.rebalance_every_s;
     if !rebalance_every_s.is_finite() || rebalance_every_s <= 0.0 {
         out.push(Diagnostic::error(
             codes::BAD_NUMERIC,
@@ -406,18 +330,25 @@ fn open_loop_numeric_diags(
             ),
         ));
     }
-    if shards == 0 {
+    if spec.shards == 0 {
         out.push(Diagnostic::error(
             codes::BAD_NUMERIC,
             &path("shards"),
             "fleet needs at least one shard",
         ));
     }
-    if max_inflight == 0 {
+    if spec.max_inflight == 0 {
         out.push(Diagnostic::error(
             codes::BAD_NUMERIC,
             &path("max_inflight"),
             "max_inflight must be at least 1",
+        ));
+    }
+    if spec.threads == Some(0) {
+        out.push(Diagnostic::error(
+            codes::BAD_NUMERIC,
+            &path("threads"),
+            "threads must be at least 1 region worker (1 steps regions inline)",
         ));
     }
     out
@@ -489,7 +420,30 @@ fn admission_diags(cfg: &AdmissionConfig, prefix: &str, out: &mut Vec<Diagnostic
 /// Every structural rule over the spec itself — the analyzer's
 /// error-severity backbone and the body of [`Scenario::validate`].
 pub(crate) fn scenario_structural(scenario: &Scenario) -> Vec<Diagnostic> {
-    let mut out = run_options_diags(&scenario.run_options());
+    let mut out = Vec::new();
+    if scenario.parallelism == 0 {
+        out.push(
+            Diagnostic::error(
+                codes::BAD_NUMERIC,
+                "parallelism",
+                "parallelism must be at least 1",
+            )
+            .suggest("set parallelism to a positive stage fan-out"),
+        );
+    }
+    for (i, p) in scenario.preemptions.iter().enumerate() {
+        if !p.at_s.is_finite() || p.at_s < 0.0 {
+            out.push(Diagnostic::error(
+                codes::BAD_NUMERIC,
+                &format!("preemptions[{i}].at_s"),
+                format!(
+                    "preemption instant must be a finite non-negative number \
+                     of seconds, got {} (node {})",
+                    p.at_s, p.node
+                ),
+            ));
+        }
+    }
     if scenario.cluster.nodes == 0 {
         out.push(
             Diagnostic::error(
@@ -595,6 +549,21 @@ pub(crate) fn scenario_structural(scenario: &Scenario) -> Vec<Diagnostic> {
                     codes::IGNORED_KNOB,
                     "preemptions",
                     "open-loop serving ignores the preemption schedule",
+                ));
+            }
+            if scenario.stt != SttChoice::Auto {
+                out.push(Diagnostic::info(
+                    codes::IGNORED_KNOB,
+                    "stt",
+                    "open-loop serving selects the STT configuration from the \
+                     constraints; the override is ignored",
+                ));
+            }
+            if scenario.pin_paper_agents {
+                out.push(Diagnostic::info(
+                    codes::IGNORED_KNOB,
+                    "pin_paper_agents",
+                    "open-loop serving selects agents freely; paper-agent pinning is ignored",
                 ));
             }
         }
@@ -711,12 +680,7 @@ fn deep_diags(
 ) {
     match &scenario.mode {
         ExecutionMode::ClosedLoop => closed_loop_deep(scenario, catalog, runtime, out),
-        ExecutionMode::OpenLoop(spec) => {
-            let WorkloadSource::Traffic { process, tenants } = &scenario.workload else {
-                return; // structural ANZ003 already fired
-            };
-            open_loop_deep(scenario, spec, process, tenants, runtime, out);
-        }
+        ExecutionMode::OpenLoop(_) => open_loop_deep(scenario, runtime, out),
     }
 }
 
@@ -756,13 +720,11 @@ fn plan_job(
 fn select_or_report(
     runtime: &Runtime,
     cluster: murakkab_cluster::ClusterManager,
-    cap_archetypes: &BTreeMap<Capability, Vec<String>>,
-    constraints: &ConstraintSet,
-    opts: &RunOptions,
+    prep: &RoutePrep,
     out: &mut Vec<Diagnostic>,
 ) -> Option<RoutePlan> {
     let mut stats = cluster.stats(SimTime::ZERO);
-    match runtime.select_routes(cap_archetypes, constraints, &mut stats, opts) {
+    match runtime.select_routes(prep, &mut stats) {
         Ok(plan) => Some(plan),
         Err(SimError::Unsatisfiable(msg)) => {
             out.push(
@@ -788,85 +750,46 @@ fn closed_loop_deep(
     runtime: &Runtime,
     out: &mut Vec<Diagnostic>,
 ) {
-    // Resolve the job list exactly like `Session::closed_loop_jobs`.
-    let mut jobs: Vec<(Job, JobInputs)> = Vec::new();
-    match &scenario.workload {
-        WorkloadSource::Catalog { entries } => {
-            for (i, r) in entries.iter().enumerate() {
-                match catalog.get(&r.entry) {
-                    Ok(entry) => {
-                        let params = WorkloadParams {
-                            seed: scenario.seed,
-                            size: r.size.unwrap_or(entry.default_size),
-                            user: r.user.clone().unwrap_or_else(|| entry.default_user.clone()),
-                        };
-                        jobs.push(entry.build(&params));
-                    }
-                    Err(_) => out.push(
-                        Diagnostic::error(
-                            codes::UNKNOWN_CATALOG_ENTRY,
-                            &format!("workload.Catalog.entries[{i}]"),
-                            format!("no workload named `{}` is registered", r.entry),
-                        )
-                        .suggest("pick a registered entry or register a custom one"),
-                    ),
-                }
-            }
+    let jobs = match closed_loop_jobs(scenario, catalog) {
+        Ok(jobs) => jobs,
+        Err(SimError::NotFound { id, .. }) => {
+            out.push(
+                Diagnostic::error(
+                    codes::UNKNOWN_CATALOG_ENTRY,
+                    "workload.Catalog.entries",
+                    format!("no workload named `{id}` is registered"),
+                )
+                .suggest("pick a registered entry or register a custom one"),
+            );
+            return;
         }
-        WorkloadSource::Jobs { jobs: specs } => {
-            jobs.extend(specs.iter().map(|s| (s.job.clone(), s.inputs.clone())));
+        Err(e) => {
+            out.push(Diagnostic::error(
+                codes::WORKLOAD_DEGENERATE,
+                "workload.Mix",
+                format!("mix does not sample: {e}"),
+            ));
+            return;
         }
-        WorkloadSource::Mix { tenants, requests } => {
-            match sample_mix_jobs(scenario.seed, tenants, *requests) {
-                Ok(sampled) => jobs = sampled,
-                Err(e) => out.push(Diagnostic::error(
-                    codes::WORKLOAD_DEGENERATE,
-                    "workload.Mix",
-                    format!("mix does not sample: {e}"),
-                )),
-            }
-        }
-        WorkloadSource::Traffic { .. } => return, // structural ANZ003 already fired
-    }
-    if out.iter().any(|d| d.severity == Severity::Error) {
-        return;
-    }
+    };
 
-    let mut cap_archetypes: BTreeMap<Capability, Vec<String>> = BTreeMap::new();
-    let mut constraints = ConstraintSet::new();
+    let mut plans = Vec::with_capacity(jobs.len());
     let mut graphs: Vec<(String, TaskGraph)> = Vec::new();
     for (i, (job, inputs)) in jobs.iter().enumerate() {
         let path = format!("workload[{i}]");
-        let Some((plan, graph)) = plan_job(job, inputs, &path, runtime, out) else {
-            continue;
-        };
-        for c in job.constraints.all() {
-            constraints = constraints.and(*c);
+        if let Some((plan, graph)) = plan_job(job, inputs, &path, runtime, out) {
+            plans.push(plan);
+            graphs.push((path, graph));
         }
-        for cap in plan.capabilities() {
-            cap_archetypes
-                .entry(cap)
-                .or_default()
-                .push(plan.archetype.clone());
-        }
-        graphs.push((path, graph));
-    }
-    for &c in &scenario.constraints {
-        constraints = constraints.and(c);
     }
     if out.iter().any(|d| d.severity == Severity::Error) {
         return;
     }
-
-    let opts = scenario.run_options();
-    let Some(route_plan) = select_or_report(
-        runtime,
-        runtime.build_cluster(),
-        &cap_archetypes,
-        &constraints,
-        &opts,
-        out,
-    ) else {
+    let prep = RoutePrep::new(
+        jobs.iter().map(|(job, _)| job).zip(&plans),
+        scenario.run_options(),
+    );
+    let Some(route_plan) = select_or_report(runtime, runtime.build_cluster(), &prep, out) else {
         return;
     };
     capacity_diags(
@@ -879,7 +802,7 @@ fn closed_loop_deep(
 
     // A LatencyUnder bound below the idle-system critical path can never
     // be met, regardless of scheduling.
-    if let Some(bound) = constraints.latency_bound() {
+    if let Some(bound) = prep.constraints.latency_bound() {
         let bound_s = bound.as_secs_f64();
         for (path, graph) in &graphs {
             let Ok(est) = estimate_service_s(graph, &route_plan.routes, runtime.library()) else {
@@ -902,61 +825,24 @@ fn closed_loop_deep(
     }
 }
 
-fn open_loop_deep(
-    scenario: &Scenario,
-    spec: &OpenLoopSpec,
-    process: &ArrivalProcess,
-    tenants: &[TenantProfile],
-    runtime: &Runtime,
-    out: &mut Vec<Diagnostic>,
-) {
-    // Mirror `serve_captured`: one route selection over every archetype the
-    // tenant set can emit, against a single cell's capacity.
-    let archetypes: Vec<Archetype> = Archetype::ALL
-        .into_iter()
-        .filter(|a| {
-            tenants
-                .iter()
-                .any(|t| t.mix.weights().iter().any(|&(m, w)| m == *a && w > 0.0))
-        })
-        .collect();
-    let mut cap_archetypes: BTreeMap<Capability, Vec<String>> = BTreeMap::new();
-    let mut constraints = ConstraintSet::new();
-    for &arch in &archetypes {
-        let job = canonical_job(arch);
-        let (plan, _) = match Planner.decompose(&job, runtime.library()) {
-            Ok(p) => p,
-            Err(e) => {
-                out.push(Diagnostic::error(
-                    codes::PLAN_FAILED,
-                    "workload.Traffic.tenants",
-                    format!("archetype {arch:?} does not decompose: {e}"),
-                ));
-                continue;
-            }
-        };
-        for c in job.constraints.all() {
-            constraints = constraints.and(*c);
+fn open_loop_deep(scenario: &Scenario, runtime: &Runtime, out: &mut Vec<Diagnostic>) {
+    let Ok((spec, process, tenants)) = scenario.open_loop_parts() else {
+        return; // structural ANZ003 already fired
+    };
+    // The serve loop's own preparation: one route selection over every
+    // archetype the tenant set can emit, against a single cell's
+    // capacity.
+    let prep = match runtime.serve_prep(scenario) {
+        Ok(prep) => prep,
+        Err(e) => {
+            out.push(Diagnostic::error(
+                codes::PLAN_FAILED,
+                "workload.Traffic.tenants",
+                format!("the tenant set's archetypes do not prepare for serving: {e}"),
+            ));
+            return;
         }
-        for cap in plan.capabilities() {
-            cap_archetypes
-                .entry(cap)
-                .or_default()
-                .push(plan.archetype.clone());
-        }
-    }
-    for &c in &scenario.constraints {
-        constraints = constraints.and(c);
-    }
-    if out.iter().any(|d| d.severity == Severity::Error) {
-        return;
-    }
-
-    let run_opts = RunOptions::labeled(&scenario.label)
-        .parallelism(scenario.parallelism)
-        .pin_paper_agents(false)
-        .serving(scenario.serving)
-        .workflow_aware(scenario.workflow_aware);
+    };
     let cells = match runtime.build_cluster().partition(spec.shards) {
         Ok(cells) => cells,
         Err(e) => {
@@ -975,14 +861,7 @@ fn open_loop_deep(
         .min_by_key(|c| c.nodes().len())
         .expect("partition yields at least one cell");
     let cell_nodes = smallest.nodes().len();
-    let Some(route_plan) = select_or_report(
-        runtime,
-        smallest,
-        &cap_archetypes,
-        &constraints,
-        &run_opts,
-        out,
-    ) else {
+    let Some(route_plan) = select_or_report(runtime, smallest, &prep, out) else {
         return;
     };
     capacity_diags(

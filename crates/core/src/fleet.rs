@@ -40,18 +40,18 @@ use serde::{Deserialize, Serialize};
 use murakkab_agents::{calib, Capability};
 use murakkab_cluster::{EndpointView, Rebalancer};
 use murakkab_hardware::{DeviceKind, HardwareTarget};
-use murakkab_llmsim::ServingMode;
 use murakkab_orchestrator::{expand, JobInputs, MediaInfo, Planner, SceneInfo};
 use murakkab_sim::{SimDuration, SimError, SimRng, SimTime};
 use murakkab_traffic::{
-    AdmissionConfig, AdmissionController, Archetype, ArrivalProcess, JobMix, RequestSpec, SloClass,
-    TenantProfile, TrafficSpec,
+    AdmissionConfig, AdmissionController, Archetype, JobMix, RequestSpec, SloClass, TenantProfile,
+    TrafficSpec,
 };
-use murakkab_workflow::{Constraint, Job, TaskGraph};
+use murakkab_workflow::{Job, TaskGraph};
 
 use crate::capture::{RequestOutcome, RequestRecord, RunCapture, StealRecord};
 use crate::engine::{CompiledGraph, Engine, RouteSpec};
-use crate::runtime::{RoutePlan, RunOptions, Runtime};
+use crate::runtime::{RoutePlan, RoutePrep, Runtime};
+use crate::scenario::Scenario;
 use crate::workloads;
 
 /// How the fleet router assigns admitted workflows to engine cells.
@@ -79,73 +79,6 @@ impl CellPolicy {
             CellPolicy::LeastLoaded => "least-loaded",
             CellPolicy::SloAffine => "slo-affine",
         }
-    }
-}
-
-/// Options for one open-loop serving run.
-#[derive(Debug, Clone)]
-pub(crate) struct FleetOptions {
-    /// Report label.
-    pub label: String,
-    /// The arrival process.
-    pub process: ArrivalProcess,
-    /// Arrival horizon in seconds (the run drains after the last
-    /// arrival; rates are normalized over this window).
-    pub horizon_s: f64,
-    /// Admission-control configuration.
-    pub admission: AdmissionConfig,
-    /// Workflows executing concurrently across the whole fleet before
-    /// admitted requests queue; split evenly across cells (each cell's
-    /// slot budget is `ceil(max_inflight / shards)`, at least one).
-    pub max_inflight: usize,
-    /// Per-stage worker fan-out inside each workflow.
-    pub parallelism: u32,
-    /// Region workers stepping a federated run's regions concurrently
-    /// between sync epochs, capped at the region count. Cells always
-    /// step inline, so a single-region run ignores it; either way
-    /// same-seed reports are bit-identical at every thread count.
-    pub threads: usize,
-    /// The tenant set (weights, mixes, SLO classes).
-    pub tenants: Vec<TenantProfile>,
-    /// Advisory rebalancer polling cadence in simulated seconds (also
-    /// the work-stealing cadence).
-    pub rebalance_every_s: f64,
-    /// Engine cells the cluster is partitioned into (each cell owns a
-    /// node slice and runs its own engine). Must be ≥ 1 and ≤ the node
-    /// count.
-    pub shards: usize,
-    /// How admitted workflows are assigned to cells.
-    pub router: CellPolicy,
-    /// Backlog gap (hot − cold, in queued + in-flight workflows) above
-    /// which the periodic migration pass moves the hottest cell's
-    /// last-to-run queued workflow (lowest priority, youngest) to the
-    /// coldest eligible cell, repeated until the gap closes. Under the
-    /// SLO-affine router, eligibility is confined to the workflow's
-    /// priority stripe.
-    pub steal_margin: usize,
-    /// Serving regime the cells' LLM endpoints deploy under.
-    pub serving: ServingMode,
-    /// Extra constraints ANDed into the shared route selection *after*
-    /// the canonical jobs' own constraints (lower priority, so they
-    /// tighten bounds without overriding a tenant's primary objective).
-    pub constraints: Vec<Constraint>,
-    /// Workflow-aware cluster management inside each cell (pool release
-    /// on DAG lookahead).
-    pub workflow_aware: bool,
-}
-
-impl FleetOptions {
-    /// Validates the numeric fields, so bad parameters surface as a typed
-    /// [`SimError::InvalidInput`] at the entry point instead of silent
-    /// misbehavior downstream.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidInput`] on a non-finite or non-positive
-    /// horizon or rebalance cadence, zero `parallelism`, zero
-    /// `threads`, zero `max_inflight`, or a zero shard count.
-    pub(crate) fn validate(&self) -> Result<(), SimError> {
-        crate::analyze::first_error(&crate::analyze::fleet_options_diags(self))
     }
 }
 
@@ -1090,43 +1023,43 @@ pub(crate) struct ServeSetup<T> {
 }
 
 impl Runtime {
-    /// Serves an open-loop request stream on one region: generates
-    /// arrivals from `opts.process`, gates them through the admission
-    /// controller, routes admitted workflows to one of `opts.shards`
-    /// engine cells, injects them mid-flight and measures per-class
-    /// latency percentiles and SLO attainment. A periodic migration pass
-    /// at the rebalancer cadence lets hot cells shed
-    /// queued-but-unstarted workflows to cold ones.
+    /// Serves an open-loop scenario on one region: generates arrivals
+    /// from its process, gates them through the admission controller,
+    /// routes admitted workflows to one of its `shards` engine cells,
+    /// injects them mid-flight and measures per-class latency
+    /// percentiles and SLO attainment. A periodic migration pass at the
+    /// rebalancer cadence lets hot cells shed queued-but-unstarted
+    /// workflows to cold ones.
     ///
     /// When `capture` is `Some`, every arrival's admission verdict, cell
     /// assignment, first-token/completion instants and every inter-cell
     /// steal are recorded into it. Recording is observation only — a
     /// captured run produces a report bit-identical to the uncaptured
-    /// run of the same options.
+    /// run of the same scenario.
     ///
-    /// Deterministic: the same runtime seed and options (including the
+    /// Deterministic: the same runtime seed and scenario (including the
     /// shard count and router policy) produce a bit-identical
-    /// [`FleetReport`]; `opts.threads` does not apply, since cells step
-    /// inline.
+    /// [`FleetReport`]; `threads` does not apply, since cells step
+    /// inline. The scenario is validated by the caller.
     ///
     /// # Errors
     ///
-    /// Propagates planning, placement and execution errors, rejects a
-    /// zero shard count or more shards than cluster nodes, and fails on
-    /// a stalled serve loop (a scheduling bug).
+    /// Propagates planning, placement and execution errors, rejects more
+    /// shards than cluster nodes, and fails on a stalled serve loop (a
+    /// scheduling bug).
     pub(crate) fn serve_captured(
         &self,
-        opts: FleetOptions,
+        scenario: &Scenario,
         mut capture: Option<&mut RunCapture>,
     ) -> Result<FleetReport, SimError> {
-        opts.validate()?;
+        let (spec, _, _) = scenario.open_loop_parts()?;
         // Partition the cluster into cells, each with its own
         // resource-aware route selection (against the cell's capacity,
         // not the fleet's) and its own long-running engine. No
         // per-request orchestration charge (§3.3 puts it under 1% of
         // workflow time; closed-loop runs measure it).
-        let setup = self.serve_setup(&opts, |prep| {
-            let clusters = self.build_cluster().partition(opts.shards)?;
+        let setup = self.serve_setup(scenario, |prep| {
+            let clusters = self.build_cluster().partition(spec.shards)?;
             let cells = self.build_cells(clusters, prep, &mut BTreeMap::new())?;
             let est_routes = cells[0].routes.clone();
             Ok((cells, est_routes))
@@ -1150,15 +1083,15 @@ impl Runtime {
             }
         }
 
-        let mut region = Region::new(setup.built, &opts.admission, setup.classes)?;
+        let mut region = Region::new(setup.built, &spec.admission, setup.classes)?;
         let ctx = StepCtx {
-            per_cell_inflight: opts.max_inflight.max(1).div_ceil(opts.shards),
-            router: opts.router,
+            per_cell_inflight: spec.max_inflight.max(1).div_ceil(spec.shards),
+            router: spec.router,
             priority_ranks: setup.priority_ranks,
-            steal_margin: opts.steal_margin,
+            steal_margin: spec.steal_margin,
         };
         let rebalancer = Rebalancer::default();
-        let rebalance_every = SimDuration::from_secs_f64(opts.rebalance_every_s.max(1.0));
+        let rebalance_every = SimDuration::from_secs_f64(spec.rebalance_every_s.max(1.0));
         let mut next_rebalance = SimTime::ZERO + rebalance_every;
         let mut now = SimTime::ZERO;
         let mut arr_idx = 0usize;
@@ -1266,14 +1199,13 @@ impl Runtime {
         let mut makespan = SimTime::ZERO;
         let finished = settle_cells(cells, &mut makespan)?;
         let params = ReportParams::new(
-            &opts,
-            self.seed(),
-            opts.label.clone(),
-            opts.shards,
+            scenario,
+            scenario.label.clone(),
+            spec.shards,
             planned.len() as u64,
             ctrl.stats(),
             steals,
-        );
+        )?;
         Ok(assemble_fleet_report(params, classes, &finished, makespan))
     }
 
@@ -1293,18 +1225,19 @@ impl Runtime {
     /// sort, so first-seen insertion order is fine.
     pub(crate) fn serve_setup<T>(
         &self,
-        opts: &FleetOptions,
-        build: impl FnOnce(&ServePrep) -> Result<(T, BTreeMap<Capability, RouteSpec>), SimError>,
+        scenario: &Scenario,
+        build: impl FnOnce(&RoutePrep) -> Result<(T, BTreeMap<Capability, RouteSpec>), SimError>,
     ) -> Result<ServeSetup<T>, SimError> {
+        let (spec, process, tenants) = scenario.open_loop_parts()?;
         let fleet_rng = SimRng::new(self.seed()).fork("fleet");
         let requests = TrafficSpec {
-            process: opts.process.clone(),
-            tenants: opts.tenants.clone(),
+            process: process.clone(),
+            tenants: tenants.to_vec(),
         }
-        .requests(&fleet_rng, SimDuration::from_secs_f64(opts.horizon_s));
+        .requests(&fleet_rng, SimDuration::from_secs_f64(spec.horizon_s));
         // Fleet deployments are long-lived: capacity is laid out for the
         // tenant mix, not per request.
-        let prep = self.serve_prep(opts)?;
+        let prep = self.serve_prep(scenario)?;
         let (built, est_routes) = build(&prep)?;
 
         let mut class_index: BTreeMap<String, usize> = BTreeMap::new();
@@ -1341,7 +1274,7 @@ impl Runtime {
             });
         }
 
-        let mut priority_ranks: Vec<u8> = opts.tenants.iter().map(|t| t.class.priority).collect();
+        let mut priority_ranks: Vec<u8> = tenants.iter().map(|t| t.class.priority).collect();
         priority_ranks.sort_unstable_by(|a, b| b.cmp(a));
         priority_ranks.dedup();
         Ok(ServeSetup {
@@ -1353,49 +1286,37 @@ impl Runtime {
     }
 
     /// Route-selection inputs shared by every cell — and, under geo
-    /// federation, by every region: the capability → archetype demand
-    /// map over every archetype the tenant set can emit, the folded
-    /// constraint set and the engine run options.
-    fn serve_prep(&self, opts: &FleetOptions) -> Result<ServePrep, SimError> {
-        let archetypes: Vec<Archetype> = Archetype::ALL
+    /// federation, by every region — and checked by the preflight
+    /// analyzer: the canonical job of every archetype the tenant set can
+    /// emit, folded under the scenario's run options.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidInput`] when the scenario is not open-loop
+    /// traffic or its tenants emit no archetype, and any decomposition
+    /// error of a canonical job.
+    pub(crate) fn serve_prep(&self, scenario: &Scenario) -> Result<RoutePrep, SimError> {
+        let (_, _, tenants) = scenario.open_loop_parts()?;
+        let jobs: Vec<Job> = Archetype::ALL
             .into_iter()
             .filter(|a| {
-                opts.tenants
+                tenants
                     .iter()
                     .any(|t| t.mix.weights().iter().any(|&(m, w)| m == *a && w > 0.0))
             })
+            .map(canonical_job)
             .collect();
-        if archetypes.is_empty() {
+        if jobs.is_empty() {
             return Err(SimError::InvalidInput("fleet tenant set is empty".into()));
         }
-        let mut cap_archetypes: BTreeMap<Capability, Vec<String>> = BTreeMap::new();
-        let mut constraints = murakkab_workflow::ConstraintSet::new();
-        for &arch in &archetypes {
-            let job = canonical_job(arch);
-            let (plan, _) = Planner.decompose(&job, self.library())?;
-            for c in job.constraints.all() {
-                constraints = constraints.and(*c);
-            }
-            for cap in plan.capabilities() {
-                cap_archetypes
-                    .entry(cap)
-                    .or_default()
-                    .push(plan.archetype.clone());
-            }
-        }
-        for &c in &opts.constraints {
-            constraints = constraints.and(c);
-        }
-        let run_opts = RunOptions::labeled(&opts.label)
-            .parallelism(opts.parallelism)
-            .pin_paper_agents(false)
-            .serving(opts.serving)
-            .workflow_aware(opts.workflow_aware);
-        Ok(ServePrep {
-            cap_archetypes,
-            constraints,
-            run_opts,
-        })
+        let plans = jobs
+            .iter()
+            .map(|job| Ok(Planner.decompose(job, self.library())?.0))
+            .collect::<Result<Vec<_>, SimError>>()?;
+        Ok(RoutePrep::new(
+            jobs.iter().zip(&plans),
+            scenario.run_options(),
+        ))
     }
 
     /// Builds one started, idle engine cell per cluster slice. Route
@@ -1407,7 +1328,7 @@ impl Runtime {
     pub(crate) fn build_cells(
         &self,
         clusters: Vec<murakkab_cluster::ClusterManager>,
-        prep: &ServePrep,
+        prep: &RoutePrep,
         routes_by_nodes: &mut BTreeMap<usize, BTreeMap<Capability, RouteSpec>>,
     ) -> Result<Vec<Cell>, SimError> {
         let mut cells = Vec::with_capacity(clusters.len());
@@ -1421,12 +1342,7 @@ impl Runtime {
                         routes,
                         selections: _,
                         orchestrator_agent: _,
-                    } = self.select_routes(
-                        &prep.cap_archetypes,
-                        &prep.constraints,
-                        &mut stats,
-                        &prep.run_opts,
-                    )?;
+                    } = self.select_routes(prep, &mut stats)?;
                     routes_by_nodes.insert(nodes, routes.clone());
                     routes
                 }
@@ -1517,14 +1433,6 @@ pub(crate) fn steal_pass(
     }
 }
 
-/// The shared route-selection inputs produced by
-/// [`Runtime::serve_prep`].
-pub(crate) struct ServePrep {
-    pub(crate) cap_archetypes: BTreeMap<Capability, Vec<String>>,
-    pub(crate) constraints: murakkab_workflow::ConstraintSet,
-    pub(crate) run_opts: RunOptions,
-}
-
 /// A settled cell: its engine outcome plus the serve-loop counters,
 /// ready for report assembly.
 pub(crate) struct CellDone {
@@ -1605,32 +1513,37 @@ pub(crate) struct ReportParams {
 }
 
 impl ReportParams {
-    /// The report identity of an `opts` run over `shards` settled cells;
-    /// the label and counts are the caller's (a geo region's or the
-    /// whole run's).
+    /// The report identity of an open-loop scenario's run over `shards`
+    /// settled cells; the label and counts are the caller's (a geo
+    /// region's or the whole run's).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidInput`] when the scenario is not open-loop
+    /// traffic.
     pub(crate) fn new(
-        opts: &FleetOptions,
-        seed: u64,
+        scenario: &Scenario,
         label: String,
         shards: usize,
         offered: u64,
         admission: murakkab_traffic::AdmissionStats,
         steals: u64,
-    ) -> Self {
-        ReportParams {
+    ) -> Result<Self, SimError> {
+        let (spec, process, _) = scenario.open_loop_parts()?;
+        Ok(ReportParams {
             label,
-            seed,
+            seed: scenario.seed,
             shards,
-            router: opts.router.tag().into(),
-            serving: opts.serving.tag().into(),
-            arrival_process: opts.process.kind().into(),
-            offered_rate_per_s: opts.process.mean_rate_per_s(),
-            horizon_s: opts.horizon_s,
-            admission_enabled: opts.admission.enabled,
+            router: spec.router.tag().into(),
+            serving: scenario.serving.tag().into(),
+            arrival_process: process.kind().into(),
+            offered_rate_per_s: process.mean_rate_per_s(),
+            horizon_s: spec.horizon_s,
+            admission_enabled: spec.admission.enabled,
             offered,
             admission,
             steals,
-        }
+        })
     }
 }
 
@@ -1903,7 +1816,8 @@ pub(crate) fn estimate_service_s(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ExecutionMode, Scenario, WorkloadSource};
+    use crate::scenario::ExecutionMode;
+    use murakkab_traffic::ArrivalProcess;
 
     #[test]
     fn task_slots_reject_indices_that_do_not_fit_below_the_sentinel() {
@@ -2025,19 +1939,6 @@ mod tests {
             assert!(
                 matches!(scenario.run(), Err(SimError::InvalidInput(_))),
                 "degenerate open-loop scenarios must be rejected"
-            );
-            // The serve loop's own guard holds the same rules.
-            let (ExecutionMode::OpenLoop(spec), WorkloadSource::Traffic { process, tenants }) =
-                (&scenario.mode, &scenario.workload)
-            else {
-                unreachable!("open-loop scenario");
-            };
-            assert!(
-                matches!(
-                    scenario.fleet_options(spec, process, tenants).validate(),
-                    Err(SimError::InvalidInput(_))
-                ),
-                "degenerate fleet options must be rejected"
             );
         }
     }

@@ -44,14 +44,14 @@ use murakkab_geo::{
 };
 use murakkab_hardware::SpotTrace;
 use murakkab_sim::{SimDuration, SimError, SimRng, SimTime};
-use murakkab_traffic::{AdmissionStats, ArrivalProcess, TenantProfile};
+use murakkab_traffic::AdmissionStats;
 
 use crate::fleet::{
     advance_regions, assemble_fleet_report, settle_cells, steal_pass, CellDone, ClassAgg,
-    FleetOptions, FleetReport, Region, ReportParams, ServeSetup, StepCtx,
+    FleetReport, Region, ReportParams, ServeSetup, StepCtx,
 };
 use crate::runtime::Runtime;
-use crate::scenario::{OpenLoopSpec, Scenario};
+use crate::scenario::Scenario;
 
 /// One region's slice of a [`GeoReport`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -226,14 +226,10 @@ fn elastic_pass(
 pub(crate) fn execute_geo(
     runtime: &Runtime,
     scenario: &Scenario,
-    spec: &OpenLoopSpec,
-    process: &ArrivalProcess,
-    tenants: &[TenantProfile],
     geo: &GeoSpec,
 ) -> Result<GeoReport, SimError> {
-    geo.validate()?;
-    let opts: FleetOptions = scenario.fleet_options(spec, process, tenants);
-    let horizon = SimDuration::from_secs_f64(opts.horizon_s);
+    let (spec, _, _) = scenario.open_loop_parts()?;
+    let horizon = SimDuration::from_secs_f64(spec.horizon_s);
 
     // The arrival stream is the same one the single-region path would
     // generate — geo only decides *where* each request is served.
@@ -242,7 +238,7 @@ pub(crate) fn execute_geo(
         mut planned,
         classes: table_classes,
         priority_ranks,
-    } = runtime.serve_setup(&opts, |prep| {
+    } = runtime.serve_setup(scenario, |prep| {
         let geo_rng = SimRng::new(runtime.seed()).fork("geo");
         let mut routes_by_nodes = BTreeMap::new();
         let mut built = Vec::with_capacity(geo.regions.len());
@@ -306,7 +302,7 @@ pub(crate) fn execute_geo(
     let mut regions: Vec<Region> = Vec::with_capacity(built.len());
     let mut ledgers: Vec<Ledger> = Vec::with_capacity(built.len());
     for (cells, ledger) in built {
-        regions.push(Region::new(cells, &opts.admission, skeleton.clone())?);
+        regions.push(Region::new(cells, &spec.admission, skeleton.clone())?);
         ledgers.push(ledger);
     }
 
@@ -314,12 +310,12 @@ pub(crate) fn execute_geo(
     // spot cells get the same per-cell budget as elastic headroom.
     let fixed_cells: usize = geo.regions.iter().map(|r| r.shards).sum();
     let ctx = StepCtx {
-        per_cell_inflight: opts.max_inflight.max(1).div_ceil(fixed_cells.max(1)),
-        router: opts.router,
+        per_cell_inflight: spec.max_inflight.max(1).div_ceil(fixed_cells.max(1)),
+        router: spec.router,
         priority_ranks,
-        steal_margin: opts.steal_margin,
+        steal_margin: spec.steal_margin,
     };
-    let threads = opts.threads.max(1).min(regions.len());
+    let threads = spec.threads.unwrap_or(1).max(1).min(regions.len());
     let epoch = SimDuration::from_secs_f64(geo.sync_epoch_s);
 
     let mut now = SimTime::ZERO;
@@ -379,7 +375,7 @@ pub(crate) fn execute_geo(
             // put the last requests, so billing it would break the
             // equal-cost contract that makes policy sweeps comparable;
             // the predictive schedule itself is already policy-blind.
-            if now.as_secs_f64() < opts.horizon_s {
+            if now.as_secs_f64() < spec.horizon_s {
                 ledger.spot_node_hours += ledger
                     .spot
                     .iter()
@@ -442,14 +438,13 @@ pub(crate) fn execute_geo(
         steals_total += steals;
         let fleet = assemble_fleet_report(
             ReportParams::new(
-                &opts,
-                runtime.seed(),
-                format!("{}/{}", opts.label, region.name),
+                scenario,
+                format!("{}/{}", scenario.label, region.name),
                 finished.len(),
                 ledger.origin_requests,
                 admission,
                 steals,
-            ),
+            )?,
             classes,
             &finished,
             makespan,
@@ -474,14 +469,13 @@ pub(crate) fn execute_geo(
 
     let global = assemble_fleet_report(
         ReportParams::new(
-            &opts,
-            runtime.seed(),
-            opts.label.clone(),
+            scenario,
+            scenario.label.clone(),
             all_done.len(),
             planned.len() as u64,
             adm_total,
             steals_total,
-        ),
+        )?,
         merged_classes,
         &all_done,
         makespan,

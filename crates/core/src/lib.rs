@@ -66,7 +66,7 @@ pub use geo::{GeoRegionReport, GeoReport};
 pub use murakkab_geo::{ElasticSpec, GeoPolicy, GeoSpec, RegionSpec, WanModel};
 pub use murakkab_llmsim::{BackendSpec, ServingBackend, ServingMode};
 pub use report::RunReport;
-pub use runtime::{RunOptions, Runtime, SttChoice};
+pub use runtime::{Runtime, SttChoice};
 pub use scenario::{
     CatalogRef, ClusterSpec, ExecutionMode, OpenLoopSpec, PreflightMode, Report, ReportCore,
     ReportDetail, Scenario, Session, WorkloadSource,

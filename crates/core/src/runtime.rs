@@ -16,7 +16,7 @@ use murakkab_agents::{AgentLibrary, Backend, Capability, ProfileStore, Profiler}
 use murakkab_cluster::ClusterManager;
 use murakkab_hardware::{DeviceKind, HardwareTarget, VmShape};
 use murakkab_llmsim::{plan_backend, ServingMode};
-use murakkab_orchestrator::{expand, JobInputs, Planner};
+use murakkab_orchestrator::{expand, JobInputs, LogicalPlan, Planner};
 use murakkab_sim::{SimDuration, SimError, SimTime};
 use murakkab_workflow::Job;
 
@@ -39,109 +39,74 @@ pub enum SttChoice {
     Hybrid,
 }
 
-/// Per-run options.
-#[derive(Debug, Clone)]
-pub struct RunOptions {
+/// The engine-facing projection of a [`Scenario`](crate::scenario::Scenario)'s
+/// knobs, built only by `Scenario::run_options` (which zeroes the knobs
+/// open-loop serving ignores).
+#[derive(Debug)]
+pub(crate) struct RunOptions {
     /// Report label.
-    pub label: String,
+    pub(crate) label: String,
     /// STT configuration override.
-    pub stt: SttChoice,
+    pub(crate) stt: SttChoice,
     /// Workflow-aware cluster management (pool release on DAG lookahead).
-    pub workflow_aware: bool,
+    pub(crate) workflow_aware: bool,
     /// Maximum per-stage worker fan-out (task-parallelism lever).
-    pub parallelism: u32,
+    pub(crate) parallelism: u32,
     /// Pin the paper's agents (OpenCV/Whisper/CLIP/NVLM) instead of free
     /// library selection — keeps the §4 experiments faithful while other
     /// jobs still exercise full selection.
-    pub pin_paper_agents: bool,
+    pub(crate) pin_paper_agents: bool,
     /// Spot preemptions to inject: `(seconds, node index)`.
-    pub preemptions: Vec<(f64, usize)>,
+    pub(crate) preemptions: Vec<(f64, usize)>,
     /// Serving regime LLM endpoints deploy under (colocated continuous
     /// batching, or disaggregated prefill/decode pairs).
-    pub serving: ServingMode,
+    pub(crate) serving: ServingMode,
     /// Extra selection constraints ANDed in *after* (below) the jobs'
     /// own constraints, so they tighten bounds without overriding a
     /// job's primary objective.
-    pub constraints: Vec<murakkab_workflow::Constraint>,
+    pub(crate) constraints: Vec<murakkab_workflow::Constraint>,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            label: "murakkab".into(),
-            stt: SttChoice::Auto,
-            workflow_aware: true,
-            parallelism: 16,
-            pin_paper_agents: true,
-            preemptions: Vec::new(),
-            serving: ServingMode::Colocated,
-            constraints: Vec::new(),
-        }
-    }
+/// Route-selection inputs shared by a closed-loop run, every serve cell
+/// and the preflight analyzer: the archetypes requesting each
+/// capability, the folded constraint set and the run options.
+pub(crate) struct RoutePrep {
+    pub(crate) cap_archetypes: BTreeMap<Capability, Vec<String>>,
+    pub(crate) constraints: murakkab_workflow::ConstraintSet,
+    pub(crate) run_opts: RunOptions,
 }
 
-impl RunOptions {
-    /// Options with a label.
-    pub fn labeled(label: &str) -> Self {
-        RunOptions {
-            label: label.into(),
-            ..RunOptions::default()
+impl RoutePrep {
+    /// Folds decomposed jobs into selection inputs: every job's
+    /// constraints in job order (so the strictest quality floor
+    /// applies), then the options' extra constraints below them, and
+    /// each capability's requesting archetypes (their agent filters
+    /// intersect in selection).
+    pub(crate) fn new<'a>(
+        plans: impl IntoIterator<Item = (&'a Job, &'a LogicalPlan)>,
+        run_opts: RunOptions,
+    ) -> Self {
+        let mut cap_archetypes: BTreeMap<Capability, Vec<String>> = BTreeMap::new();
+        let mut constraints = murakkab_workflow::ConstraintSet::new();
+        for (job, plan) in plans {
+            for c in job.constraints.all() {
+                constraints = constraints.and(*c);
+            }
+            for cap in plan.capabilities() {
+                cap_archetypes
+                    .entry(cap)
+                    .or_default()
+                    .push(plan.archetype.clone());
+            }
         }
-    }
-
-    /// Sets the STT configuration.
-    #[must_use]
-    pub fn stt(mut self, choice: SttChoice) -> Self {
-        self.stt = choice;
-        self
-    }
-
-    /// Sets workflow-awareness.
-    #[must_use]
-    pub fn workflow_aware(mut self, on: bool) -> Self {
-        self.workflow_aware = on;
-        self
-    }
-
-    /// Sets the parallelism lever.
-    #[must_use]
-    pub fn parallelism(mut self, n: u32) -> Self {
-        self.parallelism = n;
-        self
-    }
-
-    /// Enables/disables paper-agent pinning.
-    #[must_use]
-    pub fn pin_paper_agents(mut self, on: bool) -> Self {
-        self.pin_paper_agents = on;
-        self
-    }
-
-    /// Injects a spot preemption of cluster node `node` at `seconds`.
-    #[must_use]
-    pub fn preempt_at(mut self, seconds: f64, node: usize) -> Self {
-        self.preemptions.push((seconds, node));
-        self
-    }
-
-    /// Sets the endpoint serving regime.
-    #[must_use]
-    pub fn serving(mut self, mode: ServingMode) -> Self {
-        self.serving = mode;
-        self
-    }
-
-    /// Validates the numeric fields, so bad parameters surface as a typed
-    /// [`SimError::InvalidInput`] at the entry point instead of silent
-    /// misbehavior downstream (a zero-width pool, a preemption event at a
-    /// NaN instant).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidInput`] on zero `parallelism` or a NaN,
-    /// negative or non-finite preemption instant.
-    pub fn validate(&self) -> Result<(), SimError> {
-        crate::analyze::first_error(&crate::analyze::run_options_diags(self))
+        for &c in &run_opts.constraints {
+            constraints = constraints.and(c);
+        }
+        RoutePrep {
+            cap_archetypes,
+            constraints,
+            run_opts,
+        }
     }
 }
 
@@ -235,56 +200,34 @@ impl Runtime {
     pub(crate) fn run_jobs(
         &self,
         jobs: &[(Job, JobInputs)],
-        opts: &RunOptions,
-        multi_tenant: bool,
+        opts: RunOptions,
     ) -> Result<RunReport, SimError> {
-        opts.validate()?;
-        if jobs.is_empty() {
-            return Err(SimError::InvalidInput("no jobs to run".into()));
-        }
+        let multi_tenant = jobs.len() > 1;
         let cluster = self.build_cluster();
         let mut stats = cluster.stats(SimTime::ZERO);
 
-        // Decompose and expand every job; accumulate orchestration cost
-        // and constraints. Multi-tenant runs merge the graphs with
-        // per-tenant prefixes; a solo run keeps its graph untouched.
-        let mut merged = murakkab_workflow::TaskGraph::new();
-        let mut solo_graph = None;
-        let mut constraints = murakkab_workflow::ConstraintSet::new();
+        // Decompose and expand every job and accumulate orchestration
+        // cost. Multi-tenant runs merge the graphs with per-tenant
+        // prefixes; a solo run keeps its graph untouched.
+        let mut graph = murakkab_workflow::TaskGraph::new();
+        let mut plans = Vec::with_capacity(jobs.len());
         let mut total_cost = murakkab_orchestrator::OrchestratorCost {
             prompt_tokens: 0,
             output_tokens: 0,
         };
-        let mut cap_archetypes: BTreeMap<Capability, Vec<String>> = BTreeMap::new();
         for (i, (job, inputs)) in jobs.iter().enumerate() {
             let (plan, cost) = Planner.decompose(job, &self.library)?;
-            let graph = expand(&plan, inputs)?;
+            let expanded = expand(&plan, inputs)?;
             if multi_tenant {
-                merged.absorb_prefixed(&graph, &format!("w{i}/"));
+                graph.absorb_prefixed(&expanded, &format!("w{i}/"));
             } else {
-                solo_graph = Some(graph);
+                graph = expanded;
             }
             total_cost.prompt_tokens += cost.prompt_tokens;
             total_cost.output_tokens += cost.output_tokens;
-            for c in job.constraints.all() {
-                constraints = constraints.and(*c);
-            }
-            for cap in plan.capabilities() {
-                cap_archetypes
-                    .entry(cap)
-                    .or_default()
-                    .push(plan.archetype.clone());
-            }
+            plans.push(plan);
         }
-        for &c in &opts.constraints {
-            constraints = constraints.and(c);
-        }
-        if !multi_tenant && jobs.len() > 1 {
-            return Err(SimError::InvalidInput(
-                "several jobs need the multi-tenant pipeline".into(),
-            ));
-        }
-        let graph = solo_graph.unwrap_or(merged);
+        let prep = RoutePrep::new(jobs.iter().map(|(job, _)| job).zip(&plans), opts);
 
         // One shared selection/routing pass over the union of
         // capabilities.
@@ -292,9 +235,9 @@ impl Runtime {
             routes,
             selections,
             orchestrator_agent,
-        } = self.select_routes(&cap_archetypes, &constraints, &mut stats, opts)?;
+        } = self.select_routes(&prep, &mut stats)?;
 
-        let mut engine_opts = self.engine_options(opts);
+        let mut engine_opts = self.engine_options(&prep.run_opts);
         engine_opts.orchestration = orchestrator_agent.map(|a| (total_cost, a));
 
         let engine = Engine::new(
@@ -310,7 +253,7 @@ impl Runtime {
             &selections.values().map(|s| s.quality).collect::<Vec<_>>(),
         );
         Ok(report_from_outcome(
-            &opts.label,
+            &prep.run_opts.label,
             outcome,
             quality,
             false,
@@ -354,11 +297,14 @@ impl Runtime {
     /// requesting archetypes (the strictest tenant wins).
     pub(crate) fn select_routes(
         &self,
-        cap_archetypes: &BTreeMap<Capability, Vec<String>>,
-        constraints: &murakkab_workflow::ConstraintSet,
+        prep: &RoutePrep,
         stats: &mut murakkab_cluster::ResourceStats,
-        opts: &RunOptions,
     ) -> Result<RoutePlan, SimError> {
+        let RoutePrep {
+            cap_archetypes,
+            constraints,
+            run_opts: opts,
+        } = prep;
         let mut resident: BTreeSet<String> = BTreeSet::new();
         let mut resident_models: BTreeSet<String> = BTreeSet::new();
         let mut selections: BTreeMap<Capability, murakkab_orchestrator::SelectedConfig> =
@@ -608,20 +554,17 @@ pub(crate) fn report_from_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads;
+    use crate::scenario::Scenario;
 
-    /// The paper's Video Understanding workload through the shared
-    /// pipeline.
-    fn vu(rt: &Runtime, opts: RunOptions) -> Result<RunReport, SimError> {
-        let job = workloads::paper_video_job();
-        let inputs = workloads::paper_video_inputs(rt.seed());
-        rt.run_jobs(&[(job, inputs)], &opts, false)
+    /// Runs a closed-loop scenario (by default the paper's Video
+    /// Understanding workload) through the shared pipeline.
+    fn run(scenario: Scenario) -> Result<RunReport, SimError> {
+        scenario.run()?.into_closed_loop()
     }
 
     #[test]
     fn video_understanding_runs_end_to_end() {
-        let rt = Runtime::paper_testbed(42);
-        let report = vu(&rt, RunOptions::labeled("murakkab-auto")).unwrap();
+        let report = run(Scenario::closed_loop("murakkab-auto")).unwrap();
         // 16 scenes x (extract + stt + detect + scene-sum + embed + insert)
         // + 80 frame summaries.
         assert_eq!(report.tasks, 16 * 6 + 80);
@@ -635,9 +578,8 @@ mod tests {
 
     #[test]
     fn stt_choices_change_the_outcome() {
-        let rt = Runtime::paper_testbed(42);
-        let gpu = vu(&rt, RunOptions::labeled("gpu").stt(SttChoice::Gpu)).unwrap();
-        let cpu = vu(&rt, RunOptions::labeled("cpu").stt(SttChoice::Cpu)).unwrap();
+        let gpu = run(Scenario::closed_loop("gpu").stt(SttChoice::Gpu)).unwrap();
+        let cpu = run(Scenario::closed_loop("cpu").stt(SttChoice::Cpu)).unwrap();
         // The CPU configuration must not use the Whisper GPU; the GPU one
         // must.
         assert!(gpu.makespan_s != cpu.makespan_s);
@@ -652,18 +594,16 @@ mod tests {
     #[test]
     fn auto_follows_min_cost_to_cpu() {
         // Listing 2 carries MIN_COST; Auto must behave like Cpu.
-        let rt = Runtime::paper_testbed(42);
-        let auto = vu(&rt, RunOptions::labeled("auto")).unwrap();
-        let cpu = vu(&rt, RunOptions::labeled("cpu").stt(SttChoice::Cpu)).unwrap();
+        let auto = run(Scenario::closed_loop("auto")).unwrap();
+        let cpu = run(Scenario::closed_loop("cpu").stt(SttChoice::Cpu)).unwrap();
         assert!((auto.makespan_s - cpu.makespan_s).abs() < 1e-6);
         assert!((auto.energy_allocated_wh - cpu.energy_allocated_wh).abs() < 1e-6);
     }
 
     #[test]
     fn determinism_same_seed_same_report() {
-        let rt = Runtime::paper_testbed(7);
-        let a = vu(&rt, RunOptions::labeled("a").stt(SttChoice::Gpu)).unwrap();
-        let b = vu(&rt, RunOptions::labeled("b").stt(SttChoice::Gpu)).unwrap();
+        let a = run(Scenario::closed_loop("a").seed(7).stt(SttChoice::Gpu)).unwrap();
+        let b = run(Scenario::closed_loop("b").seed(7).stt(SttChoice::Gpu)).unwrap();
         assert_eq!(a.makespan_s, b.makespan_s);
         assert_eq!(a.energy_allocated_wh, b.energy_allocated_wh);
         assert_eq!(a.trace.spans().len(), b.trace.spans().len());
@@ -671,37 +611,11 @@ mod tests {
 
     #[test]
     fn newsfeed_job_runs_without_pinning() {
-        let rt = Runtime::paper_testbed(42);
-        let (job, inputs) = workloads::newsfeed_job("Alice", 12);
-        let report = rt
-            .run_jobs(&[(job, inputs)], &RunOptions::labeled("newsfeed"), false)
-            .unwrap();
+        let report = run(Scenario::closed_loop("newsfeed")
+            .catalog_entry("newsfeed")
+            .pin_paper_agents(false))
+        .unwrap();
         assert_eq!(report.tasks, 3 * 12 + 2);
         assert!(report.makespan_s > 0.0);
-    }
-
-    #[test]
-    fn invalid_numeric_options_are_rejected_upfront() {
-        let rt = Runtime::paper_testbed(1);
-        let (job, inputs) = workloads::newsfeed_job("Alice", 2);
-        let jobs = [(job, inputs)];
-
-        let mut zero_width = RunOptions::labeled("bad");
-        zero_width.parallelism = 0;
-        assert!(matches!(
-            rt.run_jobs(&jobs, &zero_width, false),
-            Err(SimError::InvalidInput(_))
-        ));
-
-        for bad_at in [f64::NAN, -1.0, f64::INFINITY] {
-            let opts = RunOptions::labeled("bad").preempt_at(bad_at, 0);
-            assert!(
-                matches!(
-                    rt.run_jobs(&jobs, &opts, false),
-                    Err(SimError::InvalidInput(_))
-                ),
-                "preempt_at({bad_at}) must be rejected"
-            );
-        }
     }
 }

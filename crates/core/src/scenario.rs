@@ -55,9 +55,7 @@ use murakkab_sim::{SimError, SimRng};
 use murakkab_traffic::{AdmissionConfig, ArrivalProcess, TenantProfile};
 use murakkab_workflow::{Constraint, Job};
 
-use crate::fleet::{
-    default_tenants, fleet_job, CellPolicy, FleetClassReport, FleetOptions, FleetReport,
-};
+use crate::fleet::{default_tenants, fleet_job, CellPolicy, FleetClassReport, FleetReport};
 use crate::report::RunReport;
 use crate::runtime::{RunOptions, Runtime, SttChoice};
 use crate::workloads::{WorkloadCatalog, WorkloadParams};
@@ -213,8 +211,8 @@ impl OpenLoopSpec {
         }
     }
 
-    /// Validates the numeric fields (the same rules the serve loop
-    /// enforces on its own options).
+    /// Validates the numeric fields (the same rules
+    /// [`Scenario::validate`] applies to an open-loop mode).
     ///
     /// # Errors
     ///
@@ -681,43 +679,44 @@ impl Scenario {
         Session::new(self)?.execute(self)
     }
 
-    /// The closed-loop run options this scenario implies.
+    /// The run options this scenario implies — the only place that
+    /// knows which knobs open-loop serving ignores: it selects STT from
+    /// the constraints (`Auto`), never pins the paper's agents and
+    /// injects no preemptions.
     pub(crate) fn run_options(&self) -> RunOptions {
+        let open_loop = matches!(self.mode, ExecutionMode::OpenLoop(_));
         RunOptions {
             label: self.label.clone(),
-            stt: self.stt,
+            stt: if open_loop { SttChoice::Auto } else { self.stt },
             workflow_aware: self.workflow_aware,
             parallelism: self.parallelism,
-            pin_paper_agents: self.pin_paper_agents,
-            preemptions: self.preemptions.iter().map(|p| (p.at_s, p.node)).collect(),
+            pin_paper_agents: self.pin_paper_agents && !open_loop,
+            preemptions: if open_loop {
+                Vec::new()
+            } else {
+                self.preemptions.iter().map(|p| (p.at_s, p.node)).collect()
+            },
             serving: self.serving,
             constraints: self.constraints.clone(),
         }
     }
 
-    /// The fleet options this scenario implies (open-loop mode).
-    pub(crate) fn fleet_options(
+    /// The open-loop spec, arrival process and tenant set of an
+    /// open-loop traffic scenario.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidInput`] for any other mode/workload pairing.
+    pub(crate) fn open_loop_parts(
         &self,
-        spec: &OpenLoopSpec,
-        process: &ArrivalProcess,
-        tenants: &[TenantProfile],
-    ) -> FleetOptions {
-        FleetOptions {
-            label: self.label.clone(),
-            process: process.clone(),
-            horizon_s: spec.horizon_s,
-            admission: spec.admission.clone(),
-            max_inflight: spec.max_inflight,
-            parallelism: self.parallelism,
-            tenants: tenants.to_vec(),
-            rebalance_every_s: spec.rebalance_every_s,
-            shards: spec.shards,
-            router: spec.router,
-            steal_margin: spec.steal_margin,
-            threads: spec.threads.unwrap_or(1),
-            serving: self.serving,
-            constraints: self.constraints.clone(),
-            workflow_aware: self.workflow_aware,
+    ) -> Result<(&OpenLoopSpec, &ArrivalProcess, &[TenantProfile]), SimError> {
+        match (&self.mode, &self.workload) {
+            (ExecutionMode::OpenLoop(spec), WorkloadSource::Traffic { process, tenants }) => {
+                Ok((spec, process, tenants))
+            }
+            _ => Err(SimError::InvalidInput(
+                "open-loop serving needs ExecutionMode::OpenLoop over a traffic workload".into(),
+            )),
         }
     }
 }
@@ -1077,40 +1076,18 @@ impl Session {
                 }
             }
         }
-        match &scenario.mode {
-            ExecutionMode::ClosedLoop => {
-                let jobs = self.closed_loop_jobs(scenario)?;
-                let multi_tenant = jobs.len() > 1;
-                let report = self
-                    .runtime
-                    .run_jobs(&jobs, &scenario.run_options(), multi_tenant)?;
+        match (&scenario.mode, &scenario.geo) {
+            (ExecutionMode::ClosedLoop, _) => {
+                let jobs = closed_loop_jobs(scenario, &self.catalog)?;
+                let report = self.runtime.run_jobs(&jobs, scenario.run_options())?;
                 Ok(Report::from_run(scenario.seed, report))
             }
-            ExecutionMode::OpenLoop(spec) => {
-                let WorkloadSource::Traffic { process, tenants } = &scenario.workload else {
-                    unreachable!("validated: open loop implies a traffic source");
-                };
-                if let Some(geo) = &scenario.geo {
-                    if capture.is_some() {
-                        return Err(SimError::InvalidInput(
-                            "per-request capture is single-region; drop `geo` to capture".into(),
-                        ));
-                    }
-                    let report = crate::geo::execute_geo(
-                        &self.runtime,
-                        scenario,
-                        spec,
-                        process,
-                        tenants,
-                        geo,
-                    )?;
-                    return Ok(Report::from_geo(report));
-                }
-                let report = self
-                    .runtime
-                    .serve_captured(scenario.fleet_options(spec, process, tenants), capture)?;
-                Ok(Report::from_fleet(report))
-            }
+            (ExecutionMode::OpenLoop(_), Some(geo)) => Ok(Report::from_geo(
+                crate::geo::execute_geo(&self.runtime, scenario, geo)?,
+            )),
+            (ExecutionMode::OpenLoop(_), None) => Ok(Report::from_fleet(
+                self.runtime.serve_captured(scenario, capture)?,
+            )),
         }
     }
 
@@ -1119,33 +1096,44 @@ impl Session {
     pub fn analyze(&self, scenario: &Scenario) -> crate::analyze::AnalysisReport {
         crate::analyze::analyze_with(scenario, &self.catalog, &self.runtime)
     }
+}
 
-    /// Materializes the closed-loop job list from the workload source.
-    fn closed_loop_jobs(&self, scenario: &Scenario) -> Result<Vec<(Job, JobInputs)>, SimError> {
-        match &scenario.workload {
-            WorkloadSource::Catalog { entries } => entries
-                .iter()
-                .map(|r| {
-                    let entry = self.catalog.get(&r.entry)?;
-                    let params = WorkloadParams {
-                        seed: scenario.seed,
-                        size: r.size.unwrap_or(entry.default_size),
-                        user: r.user.clone().unwrap_or_else(|| entry.default_user.clone()),
-                    };
-                    Ok(entry.build(&params))
-                })
-                .collect(),
-            WorkloadSource::Jobs { jobs } => Ok(jobs
-                .iter()
-                .map(|spec| (spec.job.clone(), spec.inputs.clone()))
-                .collect()),
-            WorkloadSource::Mix { tenants, requests } => {
-                sample_mix_jobs(scenario.seed, tenants, *requests)
-            }
-            WorkloadSource::Traffic { .. } => Err(SimError::InvalidInput(
-                "an arrival-process workload needs ExecutionMode::OpenLoop".into(),
-            )),
+/// Materializes a closed-loop scenario's job list from its workload
+/// source, resolving catalog names against `catalog` — shared by
+/// execution and the preflight analyzer.
+///
+/// # Errors
+///
+/// [`SimError::NotFound`] for an unregistered catalog entry,
+/// [`SimError::InvalidInput`] for a mix that does not sample or a
+/// traffic source.
+pub(crate) fn closed_loop_jobs(
+    scenario: &Scenario,
+    catalog: &WorkloadCatalog,
+) -> Result<Vec<(Job, JobInputs)>, SimError> {
+    match &scenario.workload {
+        WorkloadSource::Catalog { entries } => entries
+            .iter()
+            .map(|r| {
+                let entry = catalog.get(&r.entry)?;
+                let params = WorkloadParams {
+                    seed: scenario.seed,
+                    size: r.size.unwrap_or(entry.default_size),
+                    user: r.user.clone().unwrap_or_else(|| entry.default_user.clone()),
+                };
+                Ok(entry.build(&params))
+            })
+            .collect(),
+        WorkloadSource::Jobs { jobs } => Ok(jobs
+            .iter()
+            .map(|spec| (spec.job.clone(), spec.inputs.clone()))
+            .collect()),
+        WorkloadSource::Mix { tenants, requests } => {
+            sample_mix_jobs(scenario.seed, tenants, *requests)
         }
+        WorkloadSource::Traffic { .. } => Err(SimError::InvalidInput(
+            "an arrival-process workload needs ExecutionMode::OpenLoop".into(),
+        )),
     }
 }
 
@@ -1153,7 +1141,7 @@ impl Session {
 /// the closed-loop multi-tenant batch. Deterministic in the seed; the
 /// tenant draw, archetype draw and per-job sizing each use an
 /// independently forked stream.
-pub(crate) fn sample_mix_jobs(
+fn sample_mix_jobs(
     seed: u64,
     tenants: &[TenantProfile],
     requests: u32,
@@ -1311,11 +1299,13 @@ mod tests {
 
     #[test]
     fn degenerate_numerics_are_rejected() {
-        let nan_preempt = Scenario::closed_loop("bad").preempt_at(f64::NAN, 0);
-        assert!(matches!(
-            nan_preempt.validate(),
-            Err(SimError::InvalidInput(_))
-        ));
+        for bad_at in [f64::NAN, -1.0, f64::INFINITY] {
+            let bad_preempt = Scenario::closed_loop("bad").preempt_at(bad_at, 0);
+            assert!(
+                matches!(bad_preempt.validate(), Err(SimError::InvalidInput(_))),
+                "preempt_at({bad_at}) must be rejected"
+            );
+        }
 
         let zero_parallel = Scenario::closed_loop("bad").parallelism(0);
         assert!(matches!(

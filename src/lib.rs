@@ -7,8 +7,8 @@
 //! surface so examples and tests read naturally.
 
 pub use murakkab::{
-    ablation, baseline, engine, report, runtime, scenario, workloads, Report, RunOptions,
-    RunReport, Runtime, Scenario, ServingMode, Session, SttChoice, WorkloadCatalog,
+    ablation, baseline, engine, report, runtime, scenario, workloads, Report, RunReport, Runtime,
+    Scenario, ServingMode, Session, SttChoice, WorkloadCatalog,
 };
 
 /// The seed used for all committed experiment outputs.

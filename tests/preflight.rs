@@ -4,7 +4,7 @@
 
 use murakkab::analyze::codes;
 use murakkab::{
-    analyze, ExecutionMode, PreflightMode, Scenario, Session, Severity, WorkloadSource,
+    analyze, ExecutionMode, PreflightMode, Scenario, Session, Severity, SttChoice, WorkloadSource,
 };
 use murakkab_sim::SimError;
 use murakkab_traffic::{
@@ -133,6 +133,36 @@ fn predicted_shed_floor_is_realized_when_run() {
         "predicted shed must materialize: offered {} admitted {}",
         fleet.offered,
         fleet.admitted
+    );
+}
+
+#[test]
+fn ignored_closed_loop_knobs_are_flagged_and_inert_in_open_loop() {
+    // The stock tenant set includes video jobs, so an STT override or
+    // paper-agent pinning would change selection if open loop honored
+    // them.
+    let base = Scenario::open_loop("knobs", ArrivalProcess::Poisson { rate_per_s: 0.05 }, 200.0);
+    let knobbed = base.clone().stt(SttChoice::Gpu).pin_paper_agents(true);
+    let report = analyze(&knobbed);
+    for path in ["stt", "pin_paper_agents"] {
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == codes::IGNORED_KNOB && d.path == path),
+            "open loop must flag the ignored `{path}` knob, got:\n{}",
+            report.render_human()
+        );
+    }
+    assert!(!report.has_errors() && !report.has_warnings());
+    assert!(
+        !codes_of(&analyze(&base)).contains(&codes::IGNORED_KNOB),
+        "default knobs are not flagged"
+    );
+    assert_eq!(
+        knobbed.run().unwrap().digest(),
+        base.run().unwrap().digest(),
+        "ignored knobs must not reach the serve loop"
     );
 }
 
