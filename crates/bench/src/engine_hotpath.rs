@@ -42,9 +42,13 @@ pub const HOTPATH_TRACE_FIXTURE: &str = concat!(
 /// row.
 pub const HOTPATH_GOLDEN_DIGEST_FULL: u64 = 0xea62_6496_fa46_806f;
 
-/// Pre-change golden digest of the quick-horizon (240 s) simspeed
-/// workload at `shards = 1` — the CI variant of the same assertion.
+/// Pre-change golden digest of the quick-horizon
+/// ([`HOTPATH_QUICK_HORIZON_S`]) simspeed workload at `shards = 1` —
+/// the CI variant of the same assertion.
 pub const HOTPATH_GOLDEN_DIGEST_QUICK: u64 = 0x1633_34b3_c5b0_74d3;
+
+/// Arrival horizon of the quick (CI) variant, seconds.
+pub const HOTPATH_QUICK_HORIZON_S: f64 = 240.0;
 
 /// Pre-change (PR 8, BTreeMap-keyed engine) single-thread baseline on
 /// the full-horizon simspeed workload, events per wall-second. The
@@ -123,8 +127,8 @@ fn row(
 /// The engine hot-path bench driver: runs both single-core workloads,
 /// asserts each digest against its pre-change golden, prints the
 /// scoreboard and writes `BENCH_engine_hotpath.json`. `quick` trims the
-/// simspeed horizon to 240 s (CI mode; the trace fixture is already
-/// small). `alloc_count` reads the process-wide allocation counter when
+/// simspeed horizon to [`HOTPATH_QUICK_HORIZON_S`] (CI mode; the trace
+/// fixture is already small). `alloc_count` reads the process-wide allocation counter when
 /// the caller installed one.
 ///
 /// # Panics
@@ -132,7 +136,11 @@ fn row(
 /// Panics if a run fails, a digest diverges from its golden, or the
 /// results file fails to write — bench binaries want loud failures.
 pub fn engine_hotpath_main(seed: u64, quick: bool, alloc_count: Option<&dyn Fn() -> u64>) {
-    let horizon_s = if quick { 240.0 } else { SIMSPEED_HORIZON_S };
+    let horizon_s = if quick {
+        HOTPATH_QUICK_HORIZON_S
+    } else {
+        SIMSPEED_HORIZON_S
+    };
     let golden = if quick {
         HOTPATH_GOLDEN_DIGEST_QUICK
     } else {

@@ -442,7 +442,9 @@ pub struct Engine {
     /// in completion order — the fleet driver maps these to jobs via a
     /// per-job remaining-task counter.
     completions_log: Vec<TaskId>,
-    /// Events popped off the queue so far (the sim-speed denominator).
+    /// Simulated events so far: queue pops plus the decode iterations
+    /// an endpoint fast-forwarded inside one pop (the sim-speed
+    /// denominator).
     events_processed: u64,
     trace: TraceLog,
     /// Latest task-completion instant — the makespan source when span
@@ -696,7 +698,7 @@ impl Engine {
     /// incomplete with no pending events) — a routing/scheduling bug.
     pub fn run(mut self, start: SimTime) -> Result<EngineOutcome, SimError> {
         self.start(start)?;
-        while self.step()?.is_some() {}
+        while self.step_while(SimTime::MAX, true)?.is_some() {}
         self.finish(start)
     }
 
@@ -750,8 +752,14 @@ impl Engine {
     }
 
     /// Processes the next pending event and returns its instant, or `None`
-    /// when the queue is empty. The open-loop fleet driver interleaves
-    /// these steps with request admissions.
+    /// when the queue is empty.
+    ///
+    /// This is a single-event step: a decode iteration popped here runs
+    /// alone, without fast-forwarding the ones after it, because the
+    /// caller may act on the engine right after this one event. The
+    /// fleet's telemetry tick relies on that: its rebalancer fires after
+    /// exactly the one item that crosses the tick. Batched drains go
+    /// through [`Engine::step_while`].
     ///
     /// # Errors
     ///
@@ -760,11 +768,16 @@ impl Engine {
         let Some(ev) = self.queue.pop() else {
             return Ok(None);
         };
-        self.process(ev).map(Some)
+        let at = ev.at;
+        self.process(ev, at).map(Some)
     }
 
-    /// Applies one popped event.
-    fn process(&mut self, ev: Event<EngineEvent>) -> Result<SimTime, SimError> {
+    /// Applies one popped event. A decode iteration may fast-forward the
+    /// ones after it whose boundaries fall strictly before both the next
+    /// queued event and `limit`: the per-event loop would pop exactly
+    /// those next, each completing nothing and changing nothing outside
+    /// its endpoint.
+    fn process(&mut self, ev: Event<EngineEvent>, limit: SimTime) -> Result<SimTime, SimError> {
         self.events_processed += 1;
         let now = ev.at;
         match ev.payload {
@@ -800,7 +813,16 @@ impl Engine {
                     // step schedule.
                     return Ok(now);
                 }
-                let outcome = self.endpoints[ei].backend.on_step(now);
+                // Admitted work not yet dispatched would reach an
+                // endpoint at `now`, after this step: no fast-forward
+                // past it.
+                let horizon = match self.queue.peek_time() {
+                    _ if !self.ready_pending.is_empty() => now,
+                    Some(next) => next.min(limit),
+                    None => limit,
+                };
+                let outcome = self.endpoints[ei].backend.on_step(now, horizon)?;
+                self.events_processed += outcome.iterations.saturating_sub(1);
                 for c in &outcome.completions {
                     let h = &mut self.endpoints[ei];
                     if h.orchestration_req == Some(c.id) {
@@ -914,6 +936,11 @@ impl Engine {
     /// stop instant, or `None` once no pending event falls within the
     /// bound.
     ///
+    /// Decode iterations that complete nothing are fast-forwarded in
+    /// place up to the next queued event and the bound (see
+    /// [`Engine::events_processed`]); the drain ends in the same state
+    /// as popping them one at a time.
+    ///
     /// # Errors
     ///
     /// Propagates endpoint/cluster errors.
@@ -922,6 +949,13 @@ impl Engine {
         bound: SimTime,
         inclusive: bool,
     ) -> Result<Option<SimTime>, SimError> {
+        // The exclusive instant fast-forwarded boundaries must stay
+        // before: the first one the drain itself would not pop.
+        let limit = if inclusive {
+            bound + SimDuration::from_micros(1)
+        } else {
+            bound
+        };
         // `pop_before` fuses the bound check into the pop — one bucket
         // settle per event instead of a peek scan followed by a pop.
         loop {
@@ -929,7 +963,7 @@ impl Engine {
                 return Ok(None);
             };
             let before = self.completions_log.len();
-            let now = self.process(ev)?;
+            let now = self.process(ev, limit)?;
             if self.completions_log.len() > before {
                 return Ok(Some(now));
             }
@@ -949,7 +983,10 @@ impl Engine {
         self.completions_log.clear();
     }
 
-    /// Events popped off this engine's queue so far.
+    /// Simulated events so far: queue pops plus the decode iterations
+    /// fast-forwarded inside one pop, each counted as the event it
+    /// would have been. The count matches a loop that pops every
+    /// iteration.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -1849,6 +1886,10 @@ mod tests {
 
     /// An engine serving nothing yet, like a fleet cell's.
     fn serve_engine(record_spans: bool) -> Engine {
+        serve_engine_on(routes(), record_spans)
+    }
+
+    fn serve_engine_on(routes: BTreeMap<Capability, RouteSpec>, record_spans: bool) -> Engine {
         let opts = EngineOptions {
             record_spans,
             ..EngineOptions::default()
@@ -1857,7 +1898,7 @@ mod tests {
             ClusterManager::paper_testbed(),
             &stock_library(),
             TaskGraph::new(),
-            routes(),
+            routes,
             opts,
             SimTime::ZERO,
         )
@@ -1960,6 +2001,135 @@ mod tests {
         );
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.tasks_completed, b.tasks_completed);
+    }
+
+    /// `routes()` plus an external web search (0.8 s per call).
+    fn routes_with_search() -> BTreeMap<Capability, RouteSpec> {
+        let mut r = routes();
+        r.insert(
+            Capability::WebSearch,
+            RouteSpec::External {
+                agent: "WebSearch".into(),
+            },
+        );
+        r
+    }
+
+    /// The fan-in workflow plus one long summary, so the endpoint
+    /// decodes for a while with a steady batch.
+    fn decode_heavy_graph() -> CompiledGraph {
+        let mut g = fan_in_graph();
+        g.add_task(
+            "long",
+            "long",
+            Capability::Summarization,
+            Work::Tokens {
+                prompt: 800,
+                output: 400,
+            },
+        );
+        CompiledGraph::from_graph(&g).expect("compiles")
+    }
+
+    /// A search feeding a summary: the summary reaches the endpoint
+    /// when the search returns.
+    fn search_graph() -> CompiledGraph {
+        let mut g = TaskGraph::new();
+        let search = g.add_task("search", "search", Capability::WebSearch, Work::Items(1));
+        let cite = g.add_task(
+            "cite",
+            "cite",
+            Capability::Summarization,
+            Work::Tokens {
+                prompt: 300,
+                output: 40,
+            },
+        );
+        g.add_edge(search, cite).expect("acyclic");
+        CompiledGraph::from_graph(&g).expect("compiles")
+    }
+
+    /// Everything observable about a drained serve engine.
+    fn drained_state(engine: Engine) -> (u64, Vec<TaskId>, String, String) {
+        let events = engine.events_processed();
+        let order = engine.completions().to_vec();
+        let metrics = format!("{:?}", engine.llm_metrics());
+        let outcome = engine.finish(SimTime::ZERO).expect("settles");
+        (events, order, metrics, format!("{outcome:?}"))
+    }
+
+    #[test]
+    fn fast_forwarded_drains_match_single_event_steps() {
+        // Decode boundaries of the decode-heavy graph alone, read off the
+        // endpoint's token counter after every single-event step.
+        let mut probe = serve_engine_on(routes_with_search(), false);
+        probe
+            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph())
+            .expect("admits");
+        let tokens = |e: &Engine| e.endpoints[0].backend.stats().tokens_out.get();
+        let mut boundaries = Vec::new();
+        let mut seen = 0;
+        while let Some(t) = probe.step().expect("steps") {
+            if tokens(&probe) > seen {
+                seen = tokens(&probe);
+                boundaries.push(t);
+            }
+        }
+        // Admit a search whose 0.8 s latency ends exactly on a boundary
+        // in the middle of a long decode run: the summary it unblocks
+        // must join the batch at that boundary.
+        let latency = SimDuration::from_secs_f64(0.8);
+        let tie = boundaries[boundaries.len() * 2 / 3];
+        assert!(tie > SimTime::ZERO + latency);
+        let search_at = tie - latency;
+
+        // One event at a time.
+        let mut single = serve_engine_on(routes_with_search(), true);
+        single
+            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph())
+            .expect("admits");
+        let mut instants = Vec::new();
+        while single.peek_time().is_some_and(|t| t <= search_at) {
+            instants.extend(single.step().expect("steps"));
+        }
+        single
+            .admit_graph_into(search_at, &search_graph())
+            .expect("admits");
+        while let Some(t) = single.step().expect("steps") {
+            instants.push(t);
+        }
+        assert!(
+            instants.iter().filter(|&&t| t == tie).count() >= 2,
+            "the search completes on a decode boundary"
+        );
+
+        // Batched drains under a ladder of small bounds, alternating
+        // exclusive and inclusive, with the admission at its instant.
+        let mut batched = serve_engine_on(routes_with_search(), true);
+        batched
+            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph())
+            .expect("admits");
+        let drain_to = |e: &mut Engine, bound: SimTime, inclusive: bool| {
+            while e.step_while(bound, inclusive).expect("drains").is_some() {}
+        };
+        let rung = SimDuration::from_millis(170);
+        let mut bound = SimTime::ZERO;
+        let mut admitted = false;
+        for k in 0u32.. {
+            bound += rung;
+            if !admitted && bound >= search_at {
+                drain_to(&mut batched, search_at, true);
+                batched
+                    .admit_graph_into(search_at, &search_graph())
+                    .expect("admits");
+                admitted = true;
+            }
+            drain_to(&mut batched, bound, k % 2 == 1);
+            if admitted && batched.peek_time().is_none() {
+                break;
+            }
+        }
+        assert_eq!(drained_state(batched), drained_state(single));
     }
 
     #[test]

@@ -246,7 +246,8 @@ pub struct FleetCellReport {
     pub pool_scale_downs: u64,
     /// Advisory rebalancer actions recommended for this cell.
     pub rebalance_actions: u64,
-    /// Discrete events the cell's engine processed (the sim-speed
+    /// Simulated events of the cell's engine: queue pops plus the
+    /// decode iterations fast-forwarded inside one pop (the sim-speed
     /// denominator; identical at every thread count).
     pub events_processed: u64,
     /// Instant the cell's last workflow finished, seconds.
@@ -325,8 +326,9 @@ pub struct FleetReport {
     pub pool_scale_downs: u64,
     /// Advisory rebalancer actions recommended over the run (all cells).
     pub rebalance_actions: u64,
-    /// Discrete events processed across all cell engines (the
-    /// sim-speed denominator; identical at every thread count).
+    /// Simulated events across all cell engines: queue pops plus the
+    /// decode iterations fast-forwarded inside one pop (the sim-speed
+    /// denominator; identical at every thread count).
     pub events_processed: u64,
     /// Queued workflows moved between cells by the migration pass.
     pub steals: u64,

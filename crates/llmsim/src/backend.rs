@@ -11,7 +11,7 @@
 //!
 //! Event-loop contract: the host must schedule a step event for **every**
 //! `Some(t)` a backend returns (from `on_submit` or `on_step`) and call
-//! `on_step(t)` when it fires. Backends may re-arm earlier than a
+//! `on_step(t, horizon)` when it fires. Backends may re-arm earlier than a
 //! previously returned time; they tolerate step calls at any time they
 //! returned, even if nothing is due anymore. All backends are
 //! seed-deterministic: identical call sequences produce identical
@@ -182,8 +182,17 @@ pub trait ServingBackend: std::fmt::Debug + Send {
     /// Returns [`SimError::InvalidInput`] if the request can never fit.
     fn on_submit(&mut self, req: Request, now: SimTime) -> Result<Option<SimTime>, SimError>;
 
-    /// Handles a step event scheduled for `now`.
-    fn on_step(&mut self, now: SimTime) -> StepOutcome;
+    /// Handles a step event scheduled for `now`. `horizon` is the
+    /// exclusive instant before which nothing else touches the backend;
+    /// a backend may run follow-on iterations that end before it in
+    /// place and report them in [`StepOutcome::iterations`]. Passing
+    /// `horizon = now` runs exactly one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] when the step breaks the
+    /// backend's bookkeeping (e.g. no step was outstanding).
+    fn on_step(&mut self, now: SimTime, horizon: SimTime) -> Result<StepOutcome, SimError>;
 
     /// Drains the backend synchronously, returning all completions.
     /// Test/measurement helper — production use goes through the event
@@ -326,8 +335,8 @@ impl ServingBackend for Endpoint {
         Endpoint::on_submit(self, req, now)
     }
 
-    fn on_step(&mut self, now: SimTime) -> StepOutcome {
-        Endpoint::on_step(self, now)
+    fn on_step(&mut self, now: SimTime, horizon: SimTime) -> Result<StepOutcome, SimError> {
+        Endpoint::on_step(self, now, horizon)
     }
 
     fn drain(&mut self, now: SimTime) -> (Vec<Completion>, SimTime) {

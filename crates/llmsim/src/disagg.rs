@@ -491,22 +491,27 @@ impl ServingBackend for DisaggEndpoint {
         }
     }
 
-    fn on_step(&mut self, now: SimTime) -> StepOutcome {
+    /// Runs one step per event: `horizon` is ignored, since the decode
+    /// instance does not fast-forward yet.
+    fn on_step(&mut self, now: SimTime, _horizon: SimTime) -> Result<StepOutcome, SimError> {
         let mut completions = Vec::new();
         self.advance(now, &mut completions);
         let next_step = self.next_due().map(|(t, _)| t);
         self.armed = next_step;
-        StepOutcome {
+        Ok(StepOutcome {
             completions,
             next_step,
-        }
+            iterations: 1,
+        })
     }
 
     fn drain(&mut self, mut now: SimTime) -> (Vec<Completion>, SimTime) {
         let mut out = Vec::new();
         while let Some((t, _)) = self.next_due() {
             now = t.max(now);
-            let o = self.on_step(now);
+            let o = self
+                .on_step(now, now)
+                .expect("disaggregated steps are infallible");
             out.extend(o.completions);
         }
         (out, now)
@@ -602,7 +607,7 @@ mod tests {
         while ep.decoding.len() < 2 {
             let Some((t, _)) = ep.next_due() else { break };
             now = t;
-            ep.on_step(now);
+            ep.on_step(now, now).expect("steps");
         }
         assert_eq!(ep.decoding.len(), 2);
         let expected: u64 = 2 * u64::from(Request::new(0, 256, 64).total_tokens());

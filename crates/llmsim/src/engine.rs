@@ -12,6 +12,17 @@
 //!    idle, the returned time must be scheduled as the next step event;
 //! 2. [`Endpoint::on_step`] when that event fires — completions are
 //!    returned and the next step time (if any) must be scheduled.
+//!
+//! A step may run more than one iteration. When the iteration ending at
+//! `now` completes nothing, the iterations after it are pure functions
+//! of `(batch, resident tokens)` until the next one that completes a
+//! request: the batch does not change, so neither do the KV occupancy
+//! or the utilization level. The host passes a `horizon` before which
+//! nothing else can touch the endpoint, and the step runs those
+//! iterations in place, O(1) each, stopping before the first boundary
+//! at or past the horizon and before the first iteration that would
+//! complete a request. `SimTime` is integer µs, so the sums match the
+//! iteration-by-iteration path exactly.
 
 use std::collections::VecDeque;
 
@@ -70,13 +81,17 @@ impl Completion {
     }
 }
 
-/// Result of one engine iteration.
-#[derive(Debug, Clone, Default)]
+/// Result of one step event.
+#[derive(Debug, Clone)]
 pub struct StepOutcome {
-    /// Requests that finished at this iteration boundary.
+    /// Requests that finished at the step's instant.
     pub completions: Vec<Completion>,
     /// When the next iteration ends, if the engine still has work.
     pub next_step: Option<SimTime>,
+    /// Iterations the step ran: the one ending at its instant plus the
+    /// follow-on iterations fast-forwarded before its horizon (at
+    /// least 1).
+    pub iterations: u64,
 }
 
 /// Aggregated serving statistics.
@@ -299,16 +314,33 @@ impl Endpoint {
         if self.step_pending {
             return Ok(None);
         }
-        Ok(self.arm_next_step(now))
+        self.arm_next_step(now)
     }
 
     /// Handles the step event that was scheduled for `now`.
     ///
-    /// # Panics
+    /// `horizon` is the exclusive instant before which nothing else
+    /// touches this endpoint: no submission and no other event the host
+    /// would order first. When the iteration ending at `now` completes
+    /// nothing, the iterations whose boundaries fall before `horizon`
+    /// run in place, up to (not including) the first one that would
+    /// complete a request, and only the boundary after them is returned
+    /// as `next_step`. `horizon <= now` runs exactly one iteration. A
+    /// step that completes a request always runs one, since the host
+    /// reacts to completions at `now`.
     ///
-    /// Panics if no step event was outstanding (an event-loop bug).
-    pub fn on_step(&mut self, now: SimTime) -> StepOutcome {
-        assert!(self.step_pending, "{}: spurious step event", self.name);
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] if no step event was
+    /// outstanding (an event-loop bug) or a finishing request held no KV
+    /// reservation.
+    pub fn on_step(&mut self, now: SimTime, horizon: SimTime) -> Result<StepOutcome, SimError> {
+        if !self.step_pending {
+            return Err(SimError::InvalidState(format!(
+                "{}: spurious step event",
+                self.name
+            )));
+        }
         self.step_pending = false;
         self.armed_deadline = None;
 
@@ -318,6 +350,7 @@ impl Endpoint {
         // out in place (order-preserving) — no batch-sized scratch Vec
         // per iteration.
         let mut completions = Vec::new();
+        let mut fault = None;
         let Self {
             running, kv, stats, ..
         } = self;
@@ -326,8 +359,11 @@ impl Endpoint {
             let first_token = *r.first_token.get_or_insert(now);
             stats.tokens_out.incr();
             if r.generated >= r.req.output_tokens {
-                kv.release(r.req.id)
-                    .expect("running request must hold a KV reservation");
+                if let Err(e) = kv.release(r.req.id) {
+                    fault.get_or_insert(SimError::InvalidState(format!(
+                        "finishing request holds no KV reservation: {e}"
+                    )));
+                }
                 let c = Completion {
                     id: r.req.id,
                     submitted: r.submitted,
@@ -343,17 +379,27 @@ impl Endpoint {
                 true
             }
         });
+        if let Some(e) = fault {
+            return Err(e);
+        }
 
-        let next_step = self.arm_next_step(now);
-        StepOutcome {
+        let mut next_step = self.arm_next_step(now)?;
+        let mut iterations = 1;
+        if let Some(deadline) = next_step.filter(|_| completions.is_empty()) {
+            let (skipped, next) = self.fast_forward(deadline, horizon);
+            iterations += skipped;
+            next_step = Some(next);
+        }
+        Ok(StepOutcome {
             completions,
             next_step,
-        }
+            iterations,
+        })
     }
 
     /// Admits what fits, computes the next iteration's duration, records
     /// metrics, and returns the next boundary (or `None` when drained).
-    fn arm_next_step(&mut self, now: SimTime) -> Option<SimTime> {
+    fn arm_next_step(&mut self, now: SimTime) -> Result<Option<SimTime>, SimError> {
         // Admission: FIFO head-of-line (no reordering — determinism and
         // fairness over packing efficiency).
         while self.running.len() < self.max_batch as usize {
@@ -364,10 +410,10 @@ impl Endpoint {
             if !self.kv.fits(footprint) {
                 break;
             }
-            let p = self.waiting.pop_front().expect("front checked above");
-            self.kv
-                .reserve(p.req.id, footprint)
-                .expect("fits() checked above");
+            let Some(p) = self.waiting.pop_front() else {
+                break;
+            };
+            self.kv.reserve(p.req.id, footprint)?;
             self.pending_prefill += prefill_time(&self.model, &self.group, p.req.prompt_tokens);
             self.running.push(Running {
                 req: p.req,
@@ -382,17 +428,12 @@ impl Endpoint {
 
         if self.running.is_empty() {
             self.util.record(now, 0.0);
-            return None;
+            return Ok(None);
         }
 
         let batch = self.running.len() as u32;
-        let resident: u64 = self
-            .running
-            .iter()
-            .map(|r| u64::from(r.req.prompt_tokens + r.generated))
-            .sum();
         let prefill_part = std::mem::take(&mut self.pending_prefill);
-        let decode_part = decode_step_time(&self.model, &self.group, batch, resident);
+        let decode_part = decode_step_time(&self.model, &self.group, batch, self.resident());
         self.prefill_busy += prefill_part;
         self.decode_busy += decode_part;
         let dur = prefill_part + decode_part;
@@ -402,7 +443,71 @@ impl Endpoint {
         self.step_pending = true;
         let deadline = now + dur;
         self.armed_deadline = Some(deadline);
-        Some(deadline)
+        Ok(Some(deadline))
+    }
+
+    /// Tokens resident in the running batch's KV (prompt plus output so
+    /// far).
+    fn resident(&self) -> u64 {
+        self.running
+            .iter()
+            .map(|r| u64::from(r.req.prompt_tokens + r.generated))
+            .sum()
+    }
+
+    /// Runs in place the iterations that follow the one armed to end at
+    /// `deadline`, while their boundaries fall before `horizon` and none
+    /// of them completes a request. Returns how many ran and the
+    /// boundary left armed.
+    ///
+    /// Each skipped iteration is what [`Endpoint::on_step`] and
+    /// [`Endpoint::arm_next_step`] would do at its boundary with nothing
+    /// admitted and nothing finished: one token per running request,
+    /// `batch` more resident tokens, and a decode-only duration. The
+    /// KV and utilization series would record unchanged values, which
+    /// [`TimeSeries::record`] drops, so they are left alone.
+    fn fast_forward(&mut self, mut deadline: SimTime, horizon: SimTime) -> (u64, SimTime) {
+        if deadline >= horizon {
+            return (0, deadline);
+        }
+        // A waiting head that fits would join at the next boundary.
+        // `arm_next_step` just admitted all it could and nothing is
+        // released until a request finishes, so this only guards the
+        // invariant.
+        let admissible = self.waiting.front().is_some_and(|head| {
+            self.running.len() < self.max_batch as usize
+                && self.kv.fits(u64::from(head.req.total_tokens()))
+        });
+        // Tokens the closest-to-done request still needs: iteration
+        // `k + 1` from here completes it when `k + 1 >= min_left`.
+        let min_left = self
+            .running
+            .iter()
+            .map(|r| r.req.output_tokens.saturating_sub(r.generated))
+            .min();
+        let Some(min_left) = min_left.filter(|_| !admissible) else {
+            return (0, deadline);
+        };
+        let batch = self.running.len() as u32;
+        let mut resident = self.resident();
+        let first = deadline;
+        let mut k = 0u32;
+        while deadline < horizon && k + 1 < min_left {
+            k += 1;
+            resident += u64::from(batch);
+            let dur = decode_step_time(&self.model, &self.group, batch, resident);
+            self.decode_busy += dur;
+            deadline += dur;
+        }
+        if k > 0 {
+            for r in &mut self.running {
+                r.generated += k;
+                r.first_token.get_or_insert(first);
+            }
+            self.stats.tokens_out.add(u64::from(k) * u64::from(batch));
+            self.armed_deadline = Some(deadline);
+        }
+        (u64::from(k), deadline)
     }
 
     /// Cumulative busy time attributed to prefill vs decode across all
@@ -412,8 +517,14 @@ impl Endpoint {
     }
 
     /// Drains the endpoint synchronously: repeatedly steps until idle,
-    /// returning all completions. Test/measurement helper — production use
-    /// goes through the event loop.
+    /// returning all completions. Nothing else touches the endpoint, so
+    /// every step fast-forwards as far as it can. Test/measurement
+    /// helper — production use goes through the event loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint's own bookkeeping breaks (a step it armed
+    /// is refused, or a finishing request holds no KV reservation).
     pub fn drain(&mut self, mut now: SimTime) -> (Vec<Completion>, SimTime) {
         let mut out = Vec::new();
         let mut next = if self.step_pending {
@@ -421,10 +532,13 @@ impl Endpoint {
             self.armed_deadline
         } else {
             self.arm_next_step(now)
+                .expect("admission reserves what fits")
         };
         while let Some(t) = next {
             now = t.max(now);
-            let o = self.on_step(now);
+            let o = self
+                .on_step(now, SimTime::MAX)
+                .expect("drain steps only armed iterations");
             out.extend(o.completions);
             next = o.next_step;
         }
@@ -456,7 +570,7 @@ mod tests {
         let mut now = next;
         let mut done = Vec::new();
         loop {
-            let o = ep.on_step(now);
+            let o = ep.on_step(now, now).unwrap();
             done.extend(o.completions);
             match o.next_step {
                 Some(t) => now = t,
@@ -543,10 +657,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "spurious step event")]
-    fn spurious_step_panics() {
+    fn spurious_step_is_a_typed_error() {
         let mut ep = endpoint(8);
-        ep.on_step(SimTime::ZERO);
+        let err = ep
+            .on_step(SimTime::ZERO, SimTime::MAX)
+            .expect_err("no step was armed");
+        assert!(matches!(err, SimError::InvalidState(_)), "{err}");
+        assert!(err.to_string().contains("spurious step event"), "{err}");
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! arenas, compiled route table, calendar event queue, allocation
 //! slab). The digests below were recorded by running each input at
 //! that commit; any divergence means the refactor changed simulation
-//! behaviour, not just its speed.
+//! behaviour, not just its speed. The engine hot-path scoreboard's
+//! simspeed workload is pinned here too, at both of its horizons.
 
-use murakkab::scenario::Scenario;
+use murakkab::scenario::{Scenario, Session};
+use murakkab_bench::engine_hotpath::{
+    HOTPATH_GOLDEN_DIGEST_FULL, HOTPATH_GOLDEN_DIGEST_QUICK, HOTPATH_QUICK_HORIZON_S,
+};
+use murakkab_bench::simspeed::{simspeed_log, simspeed_scenario, SIMSPEED_HORIZON_S};
+use murakkab_bench::SEED;
 
 /// `(committed scenario, pre-arena golden digest)`.
 const SCENARIO_GOLDENS: &[(&str, u64)] = &[
@@ -55,4 +61,23 @@ fn trace_fixture_replay_matches_pre_arena_golden() {
         TRACE_GOLDEN,
         "trace fixture digest diverged from its pre-arena golden"
     );
+}
+
+#[test]
+fn simspeed_workload_matches_hotpath_goldens() {
+    for (horizon_s, golden) in [
+        (SIMSPEED_HORIZON_S, HOTPATH_GOLDEN_DIGEST_FULL),
+        (HOTPATH_QUICK_HORIZON_S, HOTPATH_GOLDEN_DIGEST_QUICK),
+    ] {
+        let log = simspeed_log(SEED, horizon_s);
+        let scenario = simspeed_scenario(SEED, &log, 1, horizon_s);
+        let digest = Session::new(&scenario)
+            .and_then(|session| session.execute(&scenario))
+            .unwrap_or_else(|e| panic!("simspeed over {horizon_s} s runs: {e}"))
+            .digest();
+        assert_eq!(
+            digest, golden,
+            "simspeed over {horizon_s} s: digest {digest:#018x} diverged from its golden {golden:#018x}"
+        );
+    }
 }
