@@ -59,7 +59,7 @@ fn bench_llm_engine(c: &mut Criterion) {
                     ep.on_submit(Request::new(i, 512, 64), SimTime::ZERO)
                         .unwrap();
                 }
-                let (done, _) = ep.drain(SimTime::ZERO);
+                let (done, _) = ep.drain(SimTime::ZERO).expect("drains");
                 assert_eq!(done.len(), 64);
             })
         });

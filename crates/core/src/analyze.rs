@@ -40,10 +40,10 @@ use murakkab_llmsim::ServingMode;
 use murakkab_orchestrator::{expand, JobInputs, Planner};
 use murakkab_sim::{SimError, SimRng, SimTime};
 use murakkab_traffic::{AdmissionConfig, Archetype, TenantProfile};
-use murakkab_workflow::{Job, TaskGraph};
+use murakkab_workflow::Job;
 
-use crate::engine::RouteSpec;
-use crate::fleet::{estimate_service_s, fleet_job};
+use crate::engine::{CompiledGraph, RouteSpec};
+use crate::fleet::{estimate_service_s, fleet_job, ServiceCosts};
 use crate::runtime::{RoutePlan, RoutePrep, Runtime, SttChoice};
 use crate::scenario::{closed_loop_jobs, ExecutionMode, OpenLoopSpec, Scenario, WorkloadSource};
 use crate::workloads::WorkloadCatalog;
@@ -684,14 +684,15 @@ fn deep_diags(
     }
 }
 
-/// Decomposes and expands one job, reporting failures as `ANZ009`.
+/// Decomposes, expands and compiles one job, reporting failures as
+/// `ANZ009`.
 fn plan_job(
     job: &Job,
     inputs: &JobInputs,
     path: &str,
     runtime: &Runtime,
     out: &mut Vec<Diagnostic>,
-) -> Option<(murakkab_orchestrator::LogicalPlan, TaskGraph)> {
+) -> Option<(murakkab_orchestrator::LogicalPlan, CompiledGraph)> {
     let plan = match Planner.decompose(job, runtime.library()) {
         Ok((plan, _)) => plan,
         Err(e) => {
@@ -703,7 +704,7 @@ fn plan_job(
             return None;
         }
     };
-    match expand(&plan, inputs) {
+    match expand(&plan, inputs).and_then(|graph| CompiledGraph::from_graph(&graph)) {
         Ok(graph) => Some((plan, graph)),
         Err(e) => {
             out.push(Diagnostic::error(
@@ -774,7 +775,7 @@ fn closed_loop_deep(
     };
 
     let mut plans = Vec::with_capacity(jobs.len());
-    let mut graphs: Vec<(String, TaskGraph)> = Vec::new();
+    let mut graphs: Vec<(String, CompiledGraph)> = Vec::new();
     for (i, (job, inputs)) in jobs.iter().enumerate() {
         let path = format!("workload[{i}]");
         if let Some((plan, graph)) = plan_job(job, inputs, &path, runtime, out) {
@@ -804,8 +805,9 @@ fn closed_loop_deep(
     // be met, regardless of scheduling.
     if let Some(bound) = prep.constraints.latency_bound() {
         let bound_s = bound.as_secs_f64();
+        let costs = ServiceCosts::new(&route_plan.routes, runtime.library());
         for (path, graph) in &graphs {
-            let Ok(est) = estimate_service_s(graph, &route_plan.routes, runtime.library()) else {
+            let Ok(est) = estimate_service_s(graph, &costs) else {
                 continue;
             };
             if est > bound_s {
@@ -875,6 +877,7 @@ fn open_loop_deep(scenario: &Scenario, runtime: &Runtime, out: &mut Vec<Diagnost
     // Per-(tenant, archetype) idle-system service estimates: the SLO
     // lower bound and the load model both build on them.
     let rng = SimRng::new(scenario.seed).fork("preflight");
+    let costs = ServiceCosts::new(&route_plan.routes, runtime.library());
     let mut est: BTreeMap<(usize, Archetype), f64> = BTreeMap::new();
     for (ti, tenant) in tenants.iter().enumerate() {
         for &(arch, w) in tenant.mix.weights() {
@@ -887,7 +890,7 @@ fn open_loop_deep(scenario: &Scenario, runtime: &Runtime, out: &mut Vec<Diagnost
             let Some((_, graph)) = plan_job(&job, &inputs, &path, runtime, out) else {
                 continue;
             };
-            let Ok(e) = estimate_service_s(&graph, &route_plan.routes, runtime.library()) else {
+            let Ok(e) = estimate_service_s(&graph, &costs) else {
                 continue;
             };
             est.insert((ti, arch), e);

@@ -55,7 +55,7 @@ const CROSS_NODE_INTERCONNECT_FACTOR: f64 = 0.25;
 
 /// Number of [`Capability`] variants — the size of the per-capability
 /// route and lookahead tables.
-const N_CAPS: usize = Capability::ALL.len();
+pub(crate) const N_CAPS: usize = Capability::ALL.len();
 
 /// How a capability's tasks are executed.
 #[derive(Debug, Clone)]
@@ -198,6 +198,16 @@ impl CompiledGraph {
     pub fn successors(&self, i: usize) -> &[u32] {
         let (start, end) = self.tasks[i].succ;
         &self.succ[start as usize..end as usize]
+    }
+
+    /// Replaces task `i`'s work, keeping its capability and edges: how a
+    /// memoized plan takes on one request's scene durations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn set_work(&mut self, i: usize, work: Work) {
+        self.tasks[i].work = work;
     }
 }
 

@@ -34,10 +34,11 @@
 //! backlog telemetry.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use murakkab_agents::{calib, Capability};
+use murakkab_agents::{calib, AgentLibrary, AgentSpec, Capability, Work};
 use murakkab_cluster::{EndpointView, Rebalancer};
 use murakkab_hardware::{DeviceKind, HardwareTarget};
 use murakkab_orchestrator::{expand, JobInputs, MediaInfo, Planner, SceneInfo};
@@ -49,7 +50,7 @@ use murakkab_traffic::{
 use murakkab_workflow::{Job, TaskGraph};
 
 use crate::capture::{RequestOutcome, RequestRecord, RunCapture, StealRecord};
-use crate::engine::{CompiledGraph, Engine, RouteSpec};
+use crate::engine::{CompiledGraph, CompiledTask, Engine, RouteSpec, N_CAPS};
 use crate::runtime::{RoutePlan, RoutePrep, Runtime};
 use crate::scenario::Scenario;
 use crate::workloads;
@@ -126,33 +127,185 @@ pub fn canonical_job(archetype: Archetype) -> Job {
 
 /// A concrete fleet job instance: the archetype's job with seeded sizes
 /// (short clips, small feeds — request-scale work, not the paper's
-/// two-video evaluation batch).
+/// two-video evaluation batch). Draws the job's shape, then builds it.
 pub fn fleet_job(archetype: Archetype, tenant: &str, rng: &mut SimRng) -> (Job, JobInputs) {
-    match archetype {
-        Archetype::VideoUnderstanding => {
-            let scenes = rng.int_range(1, 2);
-            let scenes = (0..scenes)
-                .map(|_| {
-                    let audio = rng.normal(12.0, 2.0);
-                    SceneInfo {
-                        duration_s: audio,
-                        audio_s: audio,
-                        frames: calib::FRAMES_PER_SCENE,
-                    }
-                })
-                .collect();
-            (
+    JobShape::draw(archetype, rng).job(tenant)
+}
+
+/// The seeded size of a fleet job: everything [`fleet_job`] draws before
+/// it builds the job. Request streams repeat a small set of shapes, so
+/// the serve path plans each shape once ([`PlanMemo`]).
+#[derive(Debug, Clone, PartialEq)]
+enum JobShape {
+    /// A short clip, one entry per scene.
+    Video(Vec<SceneInfo>),
+    /// A newsfeed over this many posts.
+    Newsfeed(u32),
+    /// A chain-of-thought job with this many reasoning paths.
+    ChainOfThought(u32),
+    /// A document-QA job over this many documents.
+    DocQa(u32),
+}
+
+impl JobShape {
+    /// Draws `archetype`'s shape: the item count, or the scene count
+    /// followed by one audio duration per scene.
+    fn draw(archetype: Archetype, rng: &mut SimRng) -> Self {
+        match archetype {
+            Archetype::VideoUnderstanding => {
+                let scenes = rng.int_range(1, 2);
+                JobShape::Video(
+                    (0..scenes)
+                        .map(|_| {
+                            let audio = rng.normal(12.0, 2.0);
+                            SceneInfo {
+                                duration_s: audio,
+                                audio_s: audio,
+                                frames: calib::FRAMES_PER_SCENE,
+                            }
+                        })
+                        .collect(),
+                )
+            }
+            Archetype::Newsfeed => JobShape::Newsfeed(rng.int_range(4, 10) as u32),
+            Archetype::ChainOfThought => JobShape::ChainOfThought(rng.int_range(2, 4) as u32),
+            Archetype::DocQa => JobShape::DocQa(rng.int_range(4, 12) as u32),
+        }
+    }
+
+    /// The job and inputs of this shape; `tenant` is the newsfeed's user.
+    fn job(&self, tenant: &str) -> (Job, JobInputs) {
+        match self {
+            JobShape::Video(scenes) => (
                 workloads::paper_video_job(),
                 JobInputs::videos(vec![MediaInfo {
                     file: "clip.mov".into(),
-                    scenes,
+                    scenes: scenes.clone(),
                 }]),
-            )
+            ),
+            JobShape::Newsfeed(posts) => workloads::newsfeed_job(tenant, *posts),
+            JobShape::ChainOfThought(paths) => workloads::cot_job(*paths),
+            JobShape::DocQa(docs) => workloads::doc_qa_job(*docs),
         }
-        Archetype::Newsfeed => workloads::newsfeed_job(tenant, rng.int_range(4, 10) as u32),
-        Archetype::ChainOfThought => workloads::cot_job(rng.int_range(2, 4) as u32),
-        Archetype::DocQa => workloads::doc_qa_job(rng.int_range(4, 12) as u32),
     }
+
+    /// The plan-memo key within one tenant: the archetype and its item
+    /// or scene count. Scene durations are left out; a memoized video
+    /// plan patches them in per request.
+    fn key(&self) -> (Archetype, u32) {
+        match self {
+            JobShape::Video(scenes) => (Archetype::VideoUnderstanding, scenes.len() as u32),
+            JobShape::Newsfeed(n) => (Archetype::Newsfeed, *n),
+            JobShape::ChainOfThought(n) => (Archetype::ChainOfThought, *n),
+            JobShape::DocQa(n) => (Archetype::DocQa, *n),
+        }
+    }
+}
+
+/// One request shape's plan, shared by every request of that shape.
+struct ShapePlan {
+    graph: Arc<CompiledGraph>,
+    est_service_s: f64,
+    /// Per-task idle latency under the run's routes; a video request
+    /// re-costs only its scene-dependent tasks.
+    task_s: Vec<SimDuration>,
+}
+
+/// Plans each distinct request shape once per run.
+///
+/// The key is the tenant (its name reaches the decomposer through the
+/// newsfeed description) plus the shape's archetype and item or scene
+/// count. The first request of a key runs the full path (decompose,
+/// expand, compile, estimate), so a plan that fails, fails at that
+/// request. Later requests share its graph. Video requests of one key
+/// differ only in their scenes' durations: `expand` adds the per-scene
+/// `FrameExtraction` and `SpeechToText` instances in scene order, so
+/// each video request gets a copy of the key's graph with the k-th task
+/// of each set to scene k's value, and a fresh estimate.
+struct PlanMemo<'a> {
+    library: &'a AgentLibrary,
+    costs: ServiceCosts<'a>,
+    plans: BTreeMap<String, BTreeMap<(Archetype, u32), ShapePlan>>,
+}
+
+impl<'a> PlanMemo<'a> {
+    /// An empty memo estimating service times under `routes`.
+    fn new(routes: &BTreeMap<Capability, RouteSpec>, library: &'a AgentLibrary) -> Self {
+        PlanMemo {
+            library,
+            costs: ServiceCosts::new(routes, library),
+            plans: BTreeMap::new(),
+        }
+    }
+
+    /// Draws one request's shape from its job stream `rng` (the same
+    /// draws [`fleet_job`] makes) and returns its compiled graph and
+    /// idle-system service estimate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decomposition, expansion and compilation errors of a
+    /// key's first request, and [`SimError::InvalidState`] if a video
+    /// plan does not carry one extraction and one transcription task
+    /// per scene.
+    fn plan(
+        &mut self,
+        archetype: Archetype,
+        tenant: &str,
+        rng: &mut SimRng,
+    ) -> Result<(Arc<CompiledGraph>, f64), SimError> {
+        let shape = JobShape::draw(archetype, rng);
+        let key = shape.key();
+        if !self.plans.get(tenant).is_some_and(|m| m.contains_key(&key)) {
+            let plan = self.plan_shape(&shape, tenant)?;
+            self.plans
+                .entry(tenant.to_owned())
+                .or_default()
+                .insert(key, plan);
+        }
+        let plan = &self.plans[tenant][&key];
+        let JobShape::Video(scenes) = &shape else {
+            return Ok((Arc::clone(&plan.graph), plan.est_service_s));
+        };
+        let mut graph = CompiledGraph::clone(&plan.graph);
+        let mut task_s = plan.task_s.clone();
+        let (mut extract, mut speech) = (scenes.iter(), scenes.iter());
+        for (i, latency) in task_s.iter_mut().enumerate() {
+            let work = match graph.tasks()[i].capability {
+                Capability::FrameExtraction => {
+                    extract.next().map(|s| Work::VideoSeconds(s.duration_s))
+                }
+                Capability::SpeechToText => speech.next().map(|s| Work::AudioSeconds(s.audio_s)),
+                _ => continue,
+            };
+            graph.set_work(i, work.ok_or_else(scene_mismatch)?);
+            *latency = self.costs.latency(&graph.tasks()[i]);
+        }
+        if extract.next().is_some() || speech.next().is_some() {
+            return Err(scene_mismatch());
+        }
+        let est_service_s = critical_path_s(&graph, &task_s)?;
+        Ok((Arc::new(graph), est_service_s))
+    }
+
+    /// The full planning path for a key's first request.
+    fn plan_shape(&self, shape: &JobShape, tenant: &str) -> Result<ShapePlan, SimError> {
+        let (job, inputs) = shape.job(tenant);
+        let (plan, _) = Planner.decompose(&job, self.library)?;
+        let graph = CompiledGraph::from_graph(&expand(&plan, &inputs)?)?;
+        let task_s = self.costs.latencies(&graph);
+        Ok(ShapePlan {
+            est_service_s: critical_path_s(&graph, &task_s)?,
+            graph: Arc::new(graph),
+            task_s,
+        })
+    }
+}
+
+fn scene_mismatch() -> SimError {
+    SimError::InvalidState(
+        "video plan does not carry one extraction and one transcription task per scene".into(),
+    )
 }
 
 /// Per-SLO-class serving statistics.
@@ -430,11 +583,11 @@ impl FleetReport {
 }
 
 /// A planned (decomposed + expanded) request waiting to execute. Only
-/// the compiled graph is kept: the expanded [`TaskGraph`] is dropped as
-/// soon as the admission estimate has read it.
+/// the compiled graph is kept, shared with every other request of the
+/// same shape (see [`PlanMemo`]).
 pub(crate) struct PlannedRequest {
     pub(crate) req: RequestSpec,
-    pub(crate) graph: CompiledGraph,
+    pub(crate) graph: Arc<CompiledGraph>,
     pub(crate) est_service_s: f64,
     /// Index into the interned per-class aggregation table (no
     /// per-task class-name clones on the hot path).
@@ -1221,7 +1374,8 @@ impl Runtime {
     ///
     /// Every request is planned up front (decomposition is input-size
     /// independent, so this is equivalent to planning on arrival and
-    /// keeps the serve loop allocation-free), with each SLO class
+    /// keeps the serve loop allocation-free), each distinct request
+    /// shape once ([`PlanMemo`]), with each SLO class
     /// interned into one dense table so requests carry an index instead
     /// of a name. Report order is fixed by the final (priority, name)
     /// sort, so first-seen insertion order is fine.
@@ -1245,13 +1399,10 @@ impl Runtime {
         let mut class_index: BTreeMap<String, usize> = BTreeMap::new();
         let mut classes: Vec<ClassAgg> = Vec::new();
         let mut planned = Vec::with_capacity(requests.len());
+        let mut memo = PlanMemo::new(&est_routes, self.library());
         for req in requests {
             let mut job_rng = fleet_rng.fork(&format!("job-{}", req.id));
-            let (job, inputs) = fleet_job(req.archetype, &req.tenant, &mut job_rng);
-            let (plan, _) = Planner.decompose(&job, self.library())?;
-            let graph = expand(&plan, &inputs)?;
-            let est_service_s = estimate_service_s(&graph, &est_routes, self.library())?;
-            let graph = CompiledGraph::from_graph(&graph)?;
+            let (graph, est_service_s) = memo.plan(req.archetype, &req.tenant, &mut job_rng)?;
             let class_idx = match class_index.get(&req.class.name) {
                 Some(&i) => i,
                 None => {
@@ -1788,38 +1939,283 @@ fn endpoint_capabilities(routes: &BTreeMap<Capability, RouteSpec>, agent: &str) 
         .collect()
 }
 
+/// The admission estimate's cost model: each routed capability's agent
+/// and hardware target, resolved once per run instead of once per task.
+pub(crate) struct ServiceCosts<'a> {
+    by_cap: [Option<(&'a AgentSpec, HardwareTarget)>; N_CAPS],
+}
+
+impl<'a> ServiceCosts<'a> {
+    /// Resolves every route in `routes` against `library`.
+    pub(crate) fn new(routes: &BTreeMap<Capability, RouteSpec>, library: &'a AgentLibrary) -> Self {
+        let mut by_cap = [None; N_CAPS];
+        for (&cap, route) in routes {
+            let target = match route {
+                RouteSpec::Pool { workers, .. } => workers
+                    .first()
+                    .copied()
+                    .unwrap_or(HardwareTarget::cpu_cores(1)),
+                RouteSpec::Endpoint { backend, .. } => HardwareTarget::gpus(backend.gpus_total()),
+                RouteSpec::External { .. } => HardwareTarget::cpu_cores(1),
+            };
+            by_cap[cap as usize] = library.get(route.agent()).ok().map(|spec| (spec, target));
+        }
+        ServiceCosts { by_cap }
+    }
+
+    /// Idle-system latency of one task: 5 s when its capability is
+    /// unrouted or its agent cannot cost the work.
+    fn latency(&self, task: &CompiledTask) -> SimDuration {
+        self.by_cap[task.capability as usize]
+            .and_then(|(spec, target)| spec.estimate_latency(&task.work, &target).ok())
+            .unwrap_or_else(|| SimDuration::from_secs(5))
+    }
+
+    /// Every task's idle-system latency, in local-index order.
+    fn latencies(&self, graph: &CompiledGraph) -> Vec<SimDuration> {
+        graph.tasks().iter().map(|t| self.latency(t)).collect()
+    }
+}
+
 /// Idle-system critical-path service estimate for a workflow under the
 /// fleet's routes (the admission controller's feasibility input).
+///
+/// # Errors
+///
+/// [`SimError::InvalidState`] if the graph has a cycle.
 pub(crate) fn estimate_service_s(
-    graph: &TaskGraph,
-    routes: &BTreeMap<Capability, RouteSpec>,
-    library: &murakkab_agents::AgentLibrary,
+    graph: &CompiledGraph,
+    costs: &ServiceCosts,
 ) -> Result<f64, SimError> {
-    let cp = graph.critical_path(|node| {
-        let Some(route) = routes.get(&node.capability) else {
-            return SimDuration::from_secs(5);
-        };
-        let target = match route {
-            RouteSpec::Pool { workers, .. } => workers
-                .first()
-                .copied()
-                .unwrap_or(HardwareTarget::cpu_cores(1)),
-            RouteSpec::Endpoint { backend, .. } => HardwareTarget::gpus(backend.gpus_total()),
-            RouteSpec::External { .. } => HardwareTarget::cpu_cores(1),
-        };
-        library
-            .get(route.agent())
-            .and_then(|spec| spec.estimate_latency(&node.work, &target))
-            .unwrap_or_else(|_| SimDuration::from_secs(5))
-    })?;
-    Ok(cp.as_secs_f64())
+    critical_path_s(graph, &costs.latencies(graph))
+}
+
+/// The latest finish over `graph` when task `i` takes `task_s[i]` and
+/// starts once all its predecessors finish: one Kahn pass over the
+/// compiled indegrees and successors. Durations are integer µs, so the
+/// result does not depend on the visit order.
+fn critical_path_s(graph: &CompiledGraph, task_s: &[SimDuration]) -> Result<f64, SimError> {
+    let mut indegree: Vec<u32> = graph.tasks().iter().map(|t| t.indegree).collect();
+    let mut start = vec![SimDuration::ZERO; graph.len()];
+    let mut ready: Vec<usize> = (0..graph.len()).filter(|&i| indegree[i] == 0).collect();
+    let (mut visited, mut best) = (0, SimDuration::ZERO);
+    while let Some(i) = ready.pop() {
+        visited += 1;
+        let finish = start[i] + task_s[i];
+        best = best.max(finish);
+        for &s in graph.successors(i) {
+            let s = s as usize;
+            start[s] = start[s].max(finish);
+            indegree[s] -= 1;
+            if indegree[s] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    if visited != graph.len() {
+        return Err(SimError::InvalidState("task graph has a cycle".into()));
+    }
+    Ok(best.as_secs_f64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ExecutionMode;
+    use crate::scenario::{ExecutionMode, Session};
     use murakkab_traffic::ArrivalProcess;
+    use proptest::prelude::*;
+
+    fn tenant(name: &str, mix: Vec<(Archetype, f64)>) -> TenantProfile {
+        TenantProfile {
+            name: name.into(),
+            mix: JobMix::new(mix),
+            class: SloClass::standard(),
+            weight: 1.0,
+        }
+    }
+
+    /// The stock tenants plus tenants named with decomposer keywords, a
+    /// video-only tenant, and one whose name turns its newsfeed into a
+    /// video plan that cannot expand.
+    fn memo_tenants() -> Vec<TenantProfile> {
+        let mut tenants = default_tenants();
+        tenants.extend([
+            tenant(
+                "video-feeds",
+                vec![
+                    (Archetype::Newsfeed, 0.5),
+                    (Archetype::VideoUnderstanding, 0.5),
+                ],
+            ),
+            tenant(
+                "solve-team",
+                vec![
+                    (Archetype::Newsfeed, 0.4),
+                    (Archetype::ChainOfThought, 0.3),
+                    (Archetype::DocQa, 0.3),
+                ],
+            ),
+            tenant("clips", vec![(Archetype::VideoUnderstanding, 1.0)]),
+            tenant("video-scene-desk", vec![(Archetype::Newsfeed, 1.0)]),
+        ]);
+        tenants
+    }
+
+    /// A session over [`memo_tenants`] and its first cell's routes.
+    fn memo_setup() -> (Session, BTreeMap<Capability, RouteSpec>) {
+        let scenario =
+            Scenario::open_loop("memo", ArrivalProcess::Poisson { rate_per_s: 0.1 }, 100.0)
+                .tenants(memo_tenants());
+        let session = Session::new(&scenario).expect("valid scenario");
+        let rt = session.runtime();
+        let prep = rt.serve_prep(&scenario).expect("prepares");
+        let clusters = rt.build_cluster().partition(1).expect("one cell");
+        let cells = rt
+            .build_cells(clusters, &prep, &mut BTreeMap::new())
+            .expect("builds");
+        let routes = cells[0].routes.clone();
+        (session, routes)
+    }
+
+    /// The unmemoized planning path: decompose, expand, a critical path
+    /// over the `TaskGraph` resolving every task's agent and target, then
+    /// compile. The reference the memo must reproduce bit for bit.
+    fn fresh_plan(
+        archetype: Archetype,
+        tenant: &str,
+        rng: &mut SimRng,
+        routes: &BTreeMap<Capability, RouteSpec>,
+        library: &AgentLibrary,
+    ) -> Result<(CompiledGraph, f64), SimError> {
+        let (job, inputs) = fleet_job(archetype, tenant, rng);
+        let (plan, _) = Planner.decompose(&job, library)?;
+        let graph = expand(&plan, &inputs)?;
+        let cp = graph.critical_path(|node| {
+            let Some(route) = routes.get(&node.capability) else {
+                return SimDuration::from_secs(5);
+            };
+            let target = match route {
+                RouteSpec::Pool { workers, .. } => workers
+                    .first()
+                    .copied()
+                    .unwrap_or(HardwareTarget::cpu_cores(1)),
+                RouteSpec::Endpoint { backend, .. } => HardwareTarget::gpus(backend.gpus_total()),
+                RouteSpec::External { .. } => HardwareTarget::cpu_cores(1),
+            };
+            library
+                .get(route.agent())
+                .and_then(|spec| spec.estimate_latency(&node.work, &target))
+                .unwrap_or_else(|_| SimDuration::from_secs(5))
+        })?;
+        Ok((CompiledGraph::from_graph(&graph)?, cp.as_secs_f64()))
+    }
+
+    /// Every task's capability, work (floats as bits), indegree and
+    /// successors.
+    fn graph_bits(g: &CompiledGraph) -> Vec<(Capability, [u64; 3], u32, Vec<u32>)> {
+        (0..g.len())
+            .map(|i| {
+                let t = g.tasks()[i];
+                let work = match t.work {
+                    Work::VideoSeconds(s) => [0, s.to_bits(), 0],
+                    Work::AudioSeconds(s) => [1, s.to_bits(), 0],
+                    Work::Frames(n) => [2, n.into(), 0],
+                    Work::Items(n) => [3, n.into(), 0],
+                    Work::Tokens { prompt, output } => [4, prompt.into(), output.into()],
+                };
+                (t.capability, work, t.indegree, g.successors(i).to_vec())
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// One memo across hundreds of `job-{id}` streams of every
+        /// tenant and archetype returns exactly what fresh planning
+        /// does, failures included.
+        #[test]
+        fn memoized_plans_equal_fresh_planning(seed in any::<u64>()) {
+            let (session, routes) = memo_setup();
+            let library = session.runtime().library();
+            let fleet_rng = SimRng::new(seed).fork("fleet");
+            let mut memo = PlanMemo::new(&routes, library);
+            let (mut planned, mut failed) = (0, 0);
+            for id in 0..200 {
+                let label = format!("job-{id}");
+                for t in memo_tenants() {
+                    for &(arch, _) in t.mix.weights() {
+                        let memoized = memo.plan(arch, &t.name, &mut fleet_rng.fork(&label));
+                        let fresh =
+                            fresh_plan(arch, &t.name, &mut fleet_rng.fork(&label), &routes, library);
+                        match (memoized, fresh) {
+                            (Ok((graph, est)), Ok((fresh_graph, fresh_est))) => {
+                                prop_assert_eq!(graph_bits(&graph), graph_bits(&fresh_graph));
+                                prop_assert_eq!(est.to_bits(), fresh_est.to_bits());
+                                planned += 1;
+                            }
+                            (Err(e), Err(fresh_e)) => {
+                                prop_assert_eq!(e.to_string(), fresh_e.to_string());
+                                failed += 1;
+                            }
+                            (m, f) => panic!("{label} {}/{arch:?}: memo {m:?} vs fresh {f:?}", t.name),
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(failed, 200, "every video-scene-desk newsfeed fails");
+            prop_assert!(planned > 2_000);
+        }
+    }
+
+    #[test]
+    fn video_requests_of_one_shape_keep_their_own_durations() {
+        let (session, routes) = memo_setup();
+        let library = session.runtime().library();
+        let fleet_rng = SimRng::new(42).fork("fleet");
+        let mut memo = PlanMemo::new(&routes, library);
+        let mut by_scenes: BTreeMap<usize, Vec<CompiledGraph>> = BTreeMap::new();
+        for id in 0..16 {
+            let label = format!("job-{id}");
+            let (graph, est) = memo
+                .plan(
+                    Archetype::VideoUnderstanding,
+                    "clips",
+                    &mut fleet_rng.fork(&label),
+                )
+                .expect("plans");
+            let (fresh, fresh_est) = fresh_plan(
+                Archetype::VideoUnderstanding,
+                "clips",
+                &mut fleet_rng.fork(&label),
+                &routes,
+                library,
+            )
+            .expect("plans");
+            assert_eq!(graph_bits(&graph), graph_bits(&fresh), "{label}");
+            assert_eq!(est.to_bits(), fresh_est.to_bits(), "{label}");
+            let scenes = graph
+                .tasks()
+                .iter()
+                .filter(|t| t.capability == Capability::SpeechToText)
+                .count();
+            by_scenes.entry(scenes).or_default().push(fresh);
+        }
+        for scenes in [1, 2] {
+            let graphs = &by_scenes[&scenes];
+            assert!(graphs.len() >= 2, "two {scenes}-scene requests");
+            let audio = |g: &CompiledGraph| -> Vec<u64> {
+                g.tasks()
+                    .iter()
+                    .filter_map(|t| match t.work {
+                        Work::AudioSeconds(s) => Some(s.to_bits()),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            assert_ne!(audio(&graphs[0]), audio(&graphs[1]), "audio draws differ");
+        }
+    }
 
     #[test]
     fn task_slots_reject_indices_that_do_not_fit_below_the_sentinel() {

@@ -197,7 +197,11 @@ pub trait ServingBackend: std::fmt::Debug + Send {
     /// Drains the backend synchronously, returning all completions.
     /// Test/measurement helper — production use goes through the event
     /// loop.
-    fn drain(&mut self, now: SimTime) -> (Vec<Completion>, SimTime);
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`on_step`](Self::on_step) errors.
+    fn drain(&mut self, now: SimTime) -> Result<(Vec<Completion>, SimTime), SimError>;
 }
 
 /// Smallest TP group of `sku` GPUs whose KV capacity for `model` reaches
@@ -339,8 +343,8 @@ impl ServingBackend for Endpoint {
         Endpoint::on_step(self, now, horizon)
     }
 
-    fn drain(&mut self, now: SimTime) -> (Vec<Completion>, SimTime) {
-        Endpoint::drain(self, now)
+    fn drain(&mut self, now: SimTime) -> Result<(Vec<Completion>, SimTime), SimError> {
+        Ok(Endpoint::drain(self, now))
     }
 }
 

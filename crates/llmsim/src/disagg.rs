@@ -331,11 +331,21 @@ impl DisaggEndpoint {
 
     /// Processes every internal event due at or before `now`, in time
     /// order, appending completions to `out`.
-    fn advance(&mut self, now: SimTime, out: &mut Vec<Completion>) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] when a due event's request
+    /// does not hold the KV reservation its phase implies.
+    fn advance(&mut self, now: SimTime, out: &mut Vec<Completion>) -> Result<(), SimError> {
         while let Some((t, due)) = self.next_due().filter(|&(t, _)| t <= now) {
             match due {
                 Due::Prefill => {
-                    let p = self.prefilling.take().expect("due event exists");
+                    let p = self.prefilling.take().ok_or_else(|| {
+                        SimError::InvalidState(format!(
+                            "{}: prefill completion due with no prefill running",
+                            self.name
+                        ))
+                    })?;
                     // The first output token leaves the prefill instance
                     // now; its KV pages start streaming to decode HBM.
                     let bytes =
@@ -354,9 +364,12 @@ impl DisaggEndpoint {
                 }
                 Due::Transfer(i) => {
                     let tr = self.transfers.remove(i);
-                    self.prefill_kv
-                        .release(tr.req.id)
-                        .expect("transferring request holds prefill KV");
+                    self.prefill_kv.release(tr.req.id).map_err(|e| {
+                        SimError::InvalidState(format!(
+                            "{}: transferring request holds no prefill KV: {e}",
+                            self.name
+                        ))
+                    })?;
                     self.waiting_decode.push_back(Staged {
                         req: tr.req,
                         submitted: tr.submitted,
@@ -376,9 +389,12 @@ impl DisaggEndpoint {
                         r.generated += 1;
                         self.stats.tokens_out.incr();
                         if r.generated >= r.req.output_tokens {
-                            self.decode_kv
-                                .release(r.req.id)
-                                .expect("decoding request holds decode KV");
+                            self.decode_kv.release(r.req.id).map_err(|e| {
+                                SimError::InvalidState(format!(
+                                    "{}: finishing request holds no decode KV: {e}",
+                                    self.name
+                                ))
+                            })?;
                             let c = Completion {
                                 id: r.req.id,
                                 submitted: r.submitted,
@@ -398,6 +414,7 @@ impl DisaggEndpoint {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -495,7 +512,7 @@ impl ServingBackend for DisaggEndpoint {
     /// instance does not fast-forward yet.
     fn on_step(&mut self, now: SimTime, _horizon: SimTime) -> Result<StepOutcome, SimError> {
         let mut completions = Vec::new();
-        self.advance(now, &mut completions);
+        self.advance(now, &mut completions)?;
         let next_step = self.next_due().map(|(t, _)| t);
         self.armed = next_step;
         Ok(StepOutcome {
@@ -505,16 +522,13 @@ impl ServingBackend for DisaggEndpoint {
         })
     }
 
-    fn drain(&mut self, mut now: SimTime) -> (Vec<Completion>, SimTime) {
+    fn drain(&mut self, mut now: SimTime) -> Result<(Vec<Completion>, SimTime), SimError> {
         let mut out = Vec::new();
         while let Some((t, _)) = self.next_due() {
             now = t.max(now);
-            let o = self
-                .on_step(now, now)
-                .expect("disaggregated steps are infallible");
-            out.extend(o.completions);
+            out.extend(self.on_step(now, now)?.completions);
         }
-        (out, now)
+        Ok((out, now))
     }
 }
 
@@ -545,7 +559,7 @@ mod tests {
             .unwrap()
             .expect("idle endpoint arms");
         assert!(next > SimTime::ZERO);
-        let (done, end) = ep.drain(SimTime::ZERO);
+        let (done, end) = ep.drain(SimTime::ZERO).expect("drains");
         assert_eq!(done.len(), 1);
         let c = done[0];
         assert_eq!(c.output_tokens, 32);
@@ -579,7 +593,7 @@ mod tests {
             co.on_submit(Request::new(i, 600, 48), SimTime::ZERO)
                 .unwrap();
         }
-        let (dis_done, _) = ServingBackend::drain(&mut dis, SimTime::ZERO);
+        let (dis_done, _) = ServingBackend::drain(&mut dis, SimTime::ZERO).expect("drains");
         let (co_done, _) = co.drain(SimTime::ZERO);
         let p95 = |mut v: Vec<f64>| {
             v.sort_by(f64::total_cmp);
@@ -612,8 +626,41 @@ mod tests {
         assert_eq!(ep.decoding.len(), 2);
         let expected: u64 = 2 * u64::from(Request::new(0, 256, 64).total_tokens());
         assert_eq!(ep.decode_kv().used(), expected);
-        ServingBackend::drain(&mut ep, now);
+        ServingBackend::drain(&mut ep, now).expect("drains");
         assert_eq!(ep.stats().completed.get(), 3);
+    }
+
+    #[test]
+    fn steps_over_lost_kv_reservations_are_typed_errors() {
+        // A transfer whose prefill KV is gone.
+        let mut ep = disagg(4);
+        ep.on_submit(Request::new(1, 512, 8), SimTime::ZERO)
+            .unwrap();
+        let (prefill_done, _) = ep.next_due().expect("prefill is due");
+        ep.on_step(prefill_done, prefill_done)
+            .expect("prefill steps");
+        let (transfer_done, _) = ep.next_due().expect("transfer is due");
+        ep.prefill_kv.release(1).expect("held by the transfer");
+        let err = ep
+            .on_step(transfer_done, transfer_done)
+            .expect_err("spurious transfer step");
+        assert!(matches!(err, SimError::InvalidState(_)), "{err}");
+        assert!(err.to_string().contains("prefill KV"), "{err}");
+
+        // A finishing decode whose KV is gone: the drain surfaces it.
+        let mut ep = disagg(4);
+        ep.on_submit(Request::new(2, 512, 1), SimTime::ZERO)
+            .unwrap();
+        let mut now = SimTime::ZERO;
+        while ep.decoding.is_empty() {
+            let (t, _) = ep.next_due().expect("work is due");
+            now = t;
+            ep.on_step(now, now).expect("steps");
+        }
+        ep.decode_kv.release(2).expect("held by the decode");
+        let err = ServingBackend::drain(&mut ep, now).expect_err("spurious decode step");
+        assert!(matches!(err, SimError::InvalidState(_)), "{err}");
+        assert!(err.to_string().contains("decode KV"), "{err}");
     }
 
     #[test]
@@ -642,7 +689,7 @@ mod tests {
                 ep.on_submit(Request::new(i, 2_048, 16), SimTime::ZERO)
                     .unwrap();
             }
-            let (_, end) = ServingBackend::drain(&mut ep, SimTime::ZERO);
+            let (_, end) = ServingBackend::drain(&mut ep, SimTime::ZERO).expect("drains");
             end
         };
         assert!(run(600.0) <= run(8.0), "NVLink must not lose to PCIe");
@@ -694,7 +741,7 @@ mod tests {
                 ep.on_submit(Request::new(i, 300 + 40 * i as u32, 24), SimTime::ZERO)
                     .unwrap();
             }
-            let (done, end) = ServingBackend::drain(&mut ep, SimTime::ZERO);
+            let (done, end) = ServingBackend::drain(&mut ep, SimTime::ZERO).expect("drains");
             (done, end)
         };
         let (a, ea) = run();
@@ -711,7 +758,7 @@ mod tests {
         let mut ep = disagg(4);
         ep.on_submit(Request::new(1, 1_024, 32), SimTime::ZERO)
             .unwrap();
-        let (done, _) = ServingBackend::drain(&mut ep, SimTime::ZERO);
+        let (done, _) = ServingBackend::drain(&mut ep, SimTime::ZERO).expect("drains");
         let lat = done[0].latency().as_secs_f64();
         let prefill = prefill_time(
             &model::nvlm_72b(),

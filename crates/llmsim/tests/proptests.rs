@@ -136,7 +136,7 @@ proptest! {
         for (i, &(p, o)) in reqs.iter().enumerate() {
             ep.on_submit(Request::new(i as u64, p, o), SimTime::ZERO).unwrap();
         }
-        let (done, end) = ep.drain(SimTime::ZERO);
+        let (done, end) = ep.drain(SimTime::ZERO).unwrap();
         prop_assert_eq!(done.len(), reqs.len());
         for c in &done {
             prop_assert_eq!(c.output_tokens, reqs[c.id as usize].1);
