@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use murakkab_hardware::{DeviceId, DeviceKind, EnergyScope, HardwareTarget, VmShape};
-use murakkab_sim::{define_id, SimDuration, SimError, SimTime};
+use murakkab_sim::{define_id, SeriesCursor, SimDuration, SimError, SimTime};
 
 use crate::node::{Node, NodeId};
 use crate::placement::{node_fits, PlacementPolicy};
@@ -697,41 +697,83 @@ impl ClusterManager {
         wh
     }
 
-    /// Cluster-wide utilization samples (fraction busy of all capacity of
-    /// `kind` on up nodes) — the CPU%/GPU% curves in Figure 3.
+    /// Cluster-wide utilization samples in percent of all `kind`
+    /// capacity — the CPU%/GPU% curves in Figure 3. One `(seconds,
+    /// percent)` sample per instant of `from`, `from + interval`, ...,
+    /// clamped to and including `to` (just `from` when `to <= from`);
+    /// none if the cluster has no `kind` capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidInput`] for a zero `interval`.
     pub fn aggregate_util(
         &self,
         kind: DeviceKind,
         from: SimTime,
         to: SimTime,
         interval: SimDuration,
-    ) -> Vec<(f64, f64)> {
-        let devices: Vec<&murakkab_hardware::Device> = self
+    ) -> Result<Vec<(f64, f64)>, SimError> {
+        Ok(self
+            .util_samples(kind, from, to, interval)?
+            .map(|(t, pct)| (t.as_secs_f64(), pct))
+            .collect())
+    }
+
+    /// The mean of the [`aggregate_util`](Self::aggregate_util) samples
+    /// over the same grid (zero when there are none), bit for bit,
+    /// without collecting them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidInput`] for a zero `interval`.
+    pub fn average_util(
+        &self,
+        kind: DeviceKind,
+        from: SimTime,
+        to: SimTime,
+        interval: SimDuration,
+    ) -> Result<f64, SimError> {
+        let mut n = 0usize;
+        let sum: f64 = self
+            .util_samples(kind, from, to, interval)?
+            .inspect(|_| n += 1)
+            .map(|(_, pct)| pct)
+            .sum();
+        Ok(if n == 0 { 0.0 } else { sum / n as f64 })
+    }
+
+    /// The sampler behind [`aggregate_util`](Self::aggregate_util) and
+    /// [`average_util`](Self::average_util).
+    fn util_samples(
+        &self,
+        kind: DeviceKind,
+        from: SimTime,
+        to: SimTime,
+        interval: SimDuration,
+    ) -> Result<UtilSamples<'_>, SimError> {
+        if interval.is_zero() {
+            return Err(SimError::InvalidInput(
+                "utilization sample interval must be non-zero".into(),
+            ));
+        }
+        let devices: Vec<(SeriesCursor<'_>, f64)> = self
             .nodes
             .iter()
             .flat_map(|n| match kind {
-                DeviceKind::Gpu => n.gpus.iter().collect::<Vec<_>>(),
-                DeviceKind::CpuPool => vec![&n.cpu],
+                DeviceKind::Gpu => n.gpus.as_slice(),
+                DeviceKind::CpuPool => std::slice::from_ref(&n.cpu),
             })
+            .map(|d| (d.util_series().cursor(), d.capacity()))
             .collect();
-        let total_cap: f64 = devices.iter().map(|d| d.capacity()).sum();
-        if total_cap == 0.0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut t = from;
-        loop {
-            let busy: f64 = devices
-                .iter()
-                .map(|d| d.util_series().value_at(t) * d.capacity())
-                .sum();
-            out.push((t.as_secs_f64(), 100.0 * busy / total_cap));
-            if t >= to {
-                break;
-            }
-            t = (t + interval).min(to);
-        }
-        out
+        let total_cap: f64 = devices.iter().map(|&(_, cap)| cap).sum();
+        Ok(UtilSamples {
+            devices,
+            total_cap,
+            next: (total_cap != 0.0).then_some(from),
+            to,
+            interval,
+            last: None,
+        })
     }
 
     /// Dollar cost of running the whole fleet over a window (on-demand or
@@ -751,6 +793,51 @@ impl ClusterManager {
     /// Live allocations in id order (vacant slab slots are skipped).
     pub fn allocations(&self) -> impl Iterator<Item = &Allocation> {
         self.allocations.iter().flatten()
+    }
+}
+
+/// Utilization samples over a fixed grid, walked forward once: each
+/// device series is read through a [`SeriesCursor`], and while no device
+/// changes between two sample instants the previous sample is emitted
+/// again (same inputs, same arithmetic, same bits).
+struct UtilSamples<'a> {
+    /// Each device's cursor and capacity, in node then device order.
+    devices: Vec<(SeriesCursor<'a>, f64)>,
+    total_cap: f64,
+    /// The next sample instant; `None` once the grid is exhausted.
+    next: Option<SimTime>,
+    to: SimTime,
+    interval: SimDuration,
+    /// The last computed sample and the earliest instant any device
+    /// changes after it (`None`: no device changes again).
+    last: Option<(f64, Option<SimTime>)>,
+}
+
+impl Iterator for UtilSamples<'_> {
+    type Item = (SimTime, f64);
+
+    fn next(&mut self) -> Option<(SimTime, f64)> {
+        let t = self.next?;
+        self.next = (t < self.to).then(|| (t + self.interval).min(self.to));
+        let pct = match self.last {
+            Some((pct, change)) if change.is_none_or(|c| t < c) => pct,
+            _ => {
+                let busy: f64 = self
+                    .devices
+                    .iter_mut()
+                    .map(|(cursor, cap)| cursor.value_at(t) * *cap)
+                    .sum();
+                let pct = 100.0 * busy / self.total_cap;
+                let change = self
+                    .devices
+                    .iter()
+                    .filter_map(|(cursor, _)| cursor.next_change())
+                    .min();
+                self.last = Some((pct, change));
+                pct
+            }
+        };
+        Some((t, pct))
     }
 }
 
@@ -888,10 +975,27 @@ mod tests {
         let mut cm = ClusterManager::paper_testbed();
         let a = cm.allocate(t(0), "x", HardwareTarget::gpus(8)).unwrap();
         cm.activity_start(t(0), a, 1.0).unwrap();
-        let samples = cm.aggregate_util(DeviceKind::Gpu, t(0), t(10), SimDuration::from_secs(5));
+        let samples = cm
+            .aggregate_util(DeviceKind::Gpu, t(0), t(10), SimDuration::from_secs(5))
+            .unwrap();
         // 8 of 16 GPUs fully busy: 50%.
         assert_eq!(samples.len(), 3);
         assert!((samples[0].1 - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_sample_interval_is_rejected() {
+        let cm = ClusterManager::paper_testbed();
+        for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
+            assert!(matches!(
+                cm.aggregate_util(kind, t(0), t(10), SimDuration::ZERO),
+                Err(SimError::InvalidInput(_))
+            ));
+            assert!(matches!(
+                cm.average_util(kind, t(0), t(10), SimDuration::ZERO),
+                Err(SimError::InvalidInput(_))
+            ));
+        }
     }
 
     #[test]
@@ -899,7 +1003,9 @@ mod tests {
         let mut cm = ClusterManager::paper_testbed();
         let a = cm.allocate(t(0), "ep", HardwareTarget::gpus(2)).unwrap();
         cm.set_gpu_activity_level(t(0), a, 0.5).unwrap();
-        let samples = cm.aggregate_util(DeviceKind::Gpu, t(0), t(1), SimDuration::from_secs(1));
+        let samples = cm
+            .aggregate_util(DeviceKind::Gpu, t(0), t(1), SimDuration::from_secs(1))
+            .unwrap();
         // 2 GPUs at 0.5 of 16 total: 6.25%.
         assert!((samples[0].1 - 6.25).abs() < 1e-9);
         cm.set_gpu_activity_level(t(5), a, 0.0).unwrap();

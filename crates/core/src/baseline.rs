@@ -106,13 +106,7 @@ pub fn run_baseline_video_understanding(seed: u64) -> Result<RunReport, SimError
         ("Embedding".into(), "NVLM-Embed@2xGPU".into()),
         ("VectorStore".into(), "VectorDB@1xCPU".into()),
     ]);
-    Ok(report_from_outcome(
-        "baseline",
-        outcome,
-        quality,
-        true,
-        &selections,
-    ))
+    report_from_outcome("baseline", outcome, quality, true, &selections)
 }
 
 /// Translates Listing 1's explicit components into engine routes: the

@@ -1352,7 +1352,8 @@ impl Runtime {
             ..
         } = region;
         let mut makespan = SimTime::ZERO;
-        let finished = settle_cells(cells, &mut makespan)?;
+        let mut finished = settle_cells(cells, &mut makespan)?;
+        settle_util(&mut finished, makespan)?;
         let params = ReportParams::new(
             scenario,
             scenario.label.clone(),
@@ -1603,6 +1604,10 @@ pub(crate) struct CellDone {
     pub(crate) phase: (f64, f64, f64, f64),
     /// The cell's dollar-cost multiplier (geo spot discount).
     pub(crate) cost_scale: f64,
+    /// Average `(GPU, CPU)` utilization in percent over the report
+    /// window, sampled once per simulated second; zero until
+    /// [`settle_util`] sets it.
+    pub(crate) util_pct: (f64, f64),
 }
 
 /// Finishes every cell's engine and folds the per-cell makespan into
@@ -1642,9 +1647,26 @@ pub(crate) fn settle_cells(
             events_processed,
             phase,
             cost_scale,
+            util_pct: (0.0, 0.0),
         });
     }
     Ok(finished)
+}
+
+/// Samples every settled cell's utilization over `[0, makespan]` — the
+/// *fleet* window, so idle tails count against a cell. Geo calls this
+/// once per cell with the global makespan, and the region and global
+/// reports both read the result.
+pub(crate) fn settle_util(finished: &mut [CellDone], makespan: SimTime) -> Result<(), SimError> {
+    let sample = SimDuration::from_secs(1);
+    for done in finished {
+        let cluster = &done.outcome.cluster;
+        done.util_pct = (
+            cluster.average_util(DeviceKind::Gpu, SimTime::ZERO, makespan, sample)?,
+            cluster.average_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, sample)?,
+        );
+    }
+    Ok(())
 }
 
 /// The report-identity fields [`assemble_fleet_report`] copies through
@@ -1770,27 +1792,18 @@ pub(crate) fn class_reports(classes: Vec<ClassAgg>) -> Vec<FleetClassReport> {
 }
 
 /// Assembles a [`FleetReport`] from settled cells and class
-/// aggregates. Utilization is sampled per cell over the window ending
-/// at `makespan` (the *fleet* window, so idle tails count against a
-/// cell), then capacity-weighted into the fleet aggregate — under geo,
-/// passing one region's cells yields that region's report and passing
-/// every region's cells yields the global one, with identical
-/// weighting rules.
+/// aggregates. Each cell's utilization (from [`settle_util`], over the
+/// window ending at `makespan`) is capacity-weighted into the fleet
+/// aggregate — under geo, passing one region's cells yields that
+/// region's report and passing every region's cells yields the global
+/// one, with identical weighting rules.
 pub(crate) fn assemble_fleet_report(
     params: ReportParams,
     classes: Vec<ClassAgg>,
     finished: &[CellDone],
     makespan: SimTime,
 ) -> FleetReport {
-    let sample = SimDuration::from_secs(1);
     let makespan_s = makespan.as_secs_f64();
-    let avg = |samples: &[(f64, f64)]| {
-        if samples.is_empty() {
-            0.0
-        } else {
-            samples.iter().map(|&(_, v)| v).sum::<f64>() / samples.len() as f64
-        }
-    };
     let mut cell_reports: Vec<FleetCellReport> = Vec::with_capacity(finished.len());
     let (mut gpu_w, mut gpu_cap, mut cpu_w, mut cpu_cap) = (0.0, 0.0, 0.0, 0.0);
     let (mut pf_busy, mut pf_cap, mut dc_busy, mut dc_cap) = (0.0, 0.0, 0.0, 0.0);
@@ -1801,18 +1814,7 @@ pub(crate) fn assemble_fleet_report(
     let mut rebalance_actions = 0u64;
     let mut events_processed = 0u64;
     for (i, done) in finished.iter().enumerate() {
-        let gpu = avg(&done.outcome.cluster.aggregate_util(
-            DeviceKind::Gpu,
-            SimTime::ZERO,
-            makespan,
-            sample,
-        ));
-        let cpu = avg(&done.outcome.cluster.aggregate_util(
-            DeviceKind::CpuPool,
-            SimTime::ZERO,
-            makespan,
-            sample,
-        ));
+        let (gpu, cpu) = done.util_pct;
         let cap = done.outcome.cluster.stats(SimTime::ZERO);
         gpu_w += gpu * cap.gpus_total;
         gpu_cap += cap.gpus_total;

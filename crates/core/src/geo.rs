@@ -47,8 +47,8 @@ use murakkab_sim::{SimDuration, SimError, SimRng, SimTime};
 use murakkab_traffic::AdmissionStats;
 
 use crate::fleet::{
-    advance_regions, assemble_fleet_report, settle_cells, steal_pass, CellDone, ClassAgg,
-    FleetReport, Region, ReportParams, ServeSetup, StepCtx,
+    advance_regions, assemble_fleet_report, settle_cells, settle_util, steal_pass, CellDone,
+    ClassAgg, FleetReport, Region, ReportParams, ServeSetup, StepCtx,
 };
 use crate::runtime::Runtime;
 use crate::scenario::Scenario;
@@ -410,14 +410,18 @@ pub(crate) fn execute_geo(
     }
 
     // Settlement: every region settles into the *global* makespan
-    // window so utilization samples agree, then each region gets its
-    // own fleet report and the global one merges everything in
-    // region-index order.
+    // window so utilization samples agree — each cell is sampled once,
+    // and both its region's report and the global one read it — then
+    // each region gets its own fleet report and the global one merges
+    // everything in region-index order.
     let mut makespan = SimTime::ZERO;
     let mut settled = Vec::with_capacity(regions.len());
     for rs in regions {
         let finished = settle_cells(rs.cells, &mut makespan)?;
         settled.push((finished, rs.ctrl.stats(), rs.classes, rs.steals));
+    }
+    for (finished, ..) in &mut settled {
+        settle_util(finished, makespan)?;
     }
 
     let mut region_reports = Vec::with_capacity(settled.len());

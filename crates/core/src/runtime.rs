@@ -252,7 +252,7 @@ impl Runtime {
         let quality = murakkab_agents::quality::compose(
             &selections.values().map(|s| s.quality).collect::<Vec<_>>(),
         );
-        Ok(report_from_outcome(
+        report_from_outcome(
             &prep.run_opts.label,
             outcome,
             quality,
@@ -261,7 +261,7 @@ impl Runtime {
                 .iter()
                 .map(|(c, s)| (c.to_string(), format!("{}@{}", s.agent, s.target)))
                 .collect(),
-        ))
+        )
     }
 
     /// Engine options for a run: the cluster's GPU SKU plus the
@@ -524,17 +524,18 @@ pub(crate) fn report_from_outcome(
     quality: f64,
     rigid: bool,
     selections: &BTreeMap<String, String>,
-) -> RunReport {
+) -> Result<RunReport, SimError> {
     let makespan = outcome.makespan;
     let sample = SimDuration::from_secs(1);
-    let gpu_util = outcome
-        .cluster
-        .aggregate_util(DeviceKind::Gpu, SimTime::ZERO, makespan, sample);
+    let gpu_util =
+        outcome
+            .cluster
+            .aggregate_util(DeviceKind::Gpu, SimTime::ZERO, makespan, sample)?;
     let cpu_util =
         outcome
             .cluster
-            .aggregate_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, sample);
-    RunReport {
+            .aggregate_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, sample)?;
+    Ok(RunReport {
         label: label.to_string(),
         makespan_s: makespan.as_secs_f64(),
         orchestration_s: outcome.orchestration.as_secs_f64(),
@@ -548,7 +549,7 @@ pub(crate) fn report_from_outcome(
         gpu_util,
         cpu_util,
         selections: selections.clone(),
-    }
+    })
 }
 
 #[cfg(test)]

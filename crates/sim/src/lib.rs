@@ -41,7 +41,7 @@ pub mod time;
 pub mod trace;
 
 pub use error::SimError;
-pub use metrics::{Counter, Histogram, TimeSeries, UtilizationTracker};
+pub use metrics::{Counter, Histogram, SeriesCursor, TimeSeries, UtilizationTracker};
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -71,11 +71,38 @@ impl TimeSeries {
     }
 
     /// The value at instant `t` (zero before the first change point).
+    ///
+    /// A binary search per call, for random access; forward scans walk a
+    /// [`cursor`](Self::cursor) instead.
     pub fn value_at(&self, t: SimTime) -> f64 {
         match self.points.binary_search_by(|&(pt, _)| pt.cmp(&t)) {
             Ok(i) => self.points[i].1,
             Err(0) => 0.0,
             Err(i) => self.points[i - 1].1,
+        }
+    }
+
+    /// A forward cursor over the series, positioned before the first
+    /// change point.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use murakkab_sim::{SimTime, TimeSeries};
+    ///
+    /// let mut ts = TimeSeries::new("x");
+    /// ts.record(SimTime::from_secs(5), 1.0);
+    /// let mut c = ts.cursor();
+    /// assert_eq!(c.value_at(SimTime::from_secs(1)), 0.0);
+    /// assert_eq!(c.next_change(), Some(SimTime::from_secs(5)));
+    /// assert_eq!(c.value_at(SimTime::from_secs(5)), 1.0);
+    /// assert_eq!(c.next_change(), None);
+    /// ```
+    pub fn cursor(&self) -> SeriesCursor<'_> {
+        SeriesCursor {
+            points: &self.points,
+            next: 0,
+            last_query: SimTime::ZERO,
         }
     }
 
@@ -125,9 +152,10 @@ impl TimeSeries {
     pub fn sample(&self, from: SimTime, to: SimTime, interval: SimDuration) -> Vec<(f64, f64)> {
         assert!(!interval.is_zero(), "sample interval must be non-zero");
         let mut out = Vec::new();
+        let mut cursor = self.cursor();
         let mut t = from;
         loop {
-            out.push((t.as_secs_f64(), self.value_at(t)));
+            out.push((t.as_secs_f64(), cursor.value_at(t)));
             if t >= to {
                 break;
             }
@@ -149,6 +177,53 @@ impl TimeSeries {
     /// True if no change points have been recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
+    }
+}
+
+/// A forward reader of a [`TimeSeries`]: answers the same question as
+/// [`TimeSeries::value_at`] in amortized O(1) per query, for queries at
+/// non-decreasing instants.
+///
+/// Created by [`TimeSeries::cursor`]. A walk of `q` queries over a series
+/// of `p` change points costs `O(p + q)` in total, against `O(q log p)`
+/// for one binary search per query.
+#[derive(Debug, Clone)]
+pub struct SeriesCursor<'a> {
+    points: &'a [(SimTime, f64)],
+    /// Index of the first change point after the last query.
+    next: usize,
+    last_query: SimTime,
+}
+
+impl SeriesCursor<'_> {
+    /// The value at instant `t`: that of the last change point at or
+    /// before `t`, else zero — bit for bit what
+    /// [`TimeSeries::value_at`] returns.
+    ///
+    /// Queries must come at non-decreasing instants (the same instant
+    /// twice is fine). Debug builds assert this; release builds answer an
+    /// earlier instant with the value at the latest query instead.
+    pub fn value_at(&mut self, t: SimTime) -> f64 {
+        debug_assert!(
+            t >= self.last_query,
+            "series cursor queried backwards ({t:?} after {:?})",
+            self.last_query
+        );
+        self.last_query = t;
+        while self.points.get(self.next).is_some_and(|&(pt, _)| pt <= t) {
+            self.next += 1;
+        }
+        match self.next {
+            0 => 0.0,
+            i => self.points[i - 1].1,
+        }
+    }
+
+    /// The first change point after the last query (the first point at
+    /// all before any query), or `None` once past the last one. The
+    /// value stays what the last query returned until this instant.
+    pub fn next_change(&self) -> Option<SimTime> {
+        self.points.get(self.next).map(|&(pt, _)| pt)
     }
 }
 
@@ -461,6 +536,17 @@ mod tests {
         assert_eq!(s[0], (0.0, 1.0));
         assert_eq!(s[2], (2.0, 3.0));
         assert_eq!(s[4], (4.0, 3.0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "queried backwards")]
+    fn series_cursor_rejects_backward_queries() {
+        let mut ts = TimeSeries::new("x");
+        ts.record(t(0), 1.0);
+        let mut c = ts.cursor();
+        c.value_at(t(5));
+        c.value_at(t(4));
     }
 
     #[test]

@@ -233,4 +233,45 @@ proptest! {
             last = est;
         }
     }
+
+    /// A forward cursor answers every non-decreasing query exactly as
+    /// the binary-search `value_at` does, bit for bit, and reports the
+    /// first change point after the query as the next change. Series
+    /// are built through `record`, so they include overwrites at one
+    /// instant, dropped repeats of the same value, and no points at all;
+    /// queries land before the first point, on change points (twice),
+    /// just either side of them, and anywhere else.
+    #[test]
+    fn series_cursor_matches_value_at(
+        start in 0u64..5_000_000,
+        steps in prop::collection::vec(
+            (
+                prop_oneof![Just(0u64), 1u64..3_000_000],
+                (0u8..4).prop_map(|v| f64::from(v) * 0.25),
+            ),
+            0..40,
+        ),
+        extra in prop::collection::vec(0u64..130_000_000, 0..30),
+    ) {
+        let mut ts = TimeSeries::new("x");
+        let mut at = start;
+        for &(dt, v) in &steps {
+            at += dt;
+            ts.record(SimTime::from_micros(at), v);
+        }
+        let mut queries = extra;
+        queries.push(0);
+        for &(pt, _) in ts.points() {
+            let us = pt.as_micros();
+            queries.extend([us.saturating_sub(1), us, us, us + 1]);
+        }
+        queries.sort_unstable();
+        let mut cursor = ts.cursor();
+        for us in queries {
+            let t = SimTime::from_micros(us);
+            prop_assert_eq!(cursor.value_at(t).to_bits(), ts.value_at(t).to_bits(), "t={}", us);
+            let next = ts.points().iter().map(|&(pt, _)| pt).find(|&pt| pt > t);
+            prop_assert_eq!(cursor.next_change(), next, "t={}", us);
+        }
+    }
 }
