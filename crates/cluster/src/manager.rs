@@ -1,8 +1,9 @@
 //! The cluster manager proper.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use murakkab_hardware::{DeviceId, DeviceKind, EnergyScope, HardwareTarget, VmShape};
 use murakkab_sim::{define_id, SeriesCursor, SimDuration, SimError, SimTime};
@@ -14,7 +15,7 @@ use crate::telemetry::ResourceStats;
 define_id!(AllocationId, "alloc");
 
 /// A granted resource allocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Allocation {
     /// Allocation id.
     pub id: AllocationId,
@@ -29,7 +30,9 @@ pub struct Allocation {
     /// CPU cores reserved from the node's pool.
     pub cores: u32,
     /// Caller label ("whisper", "nvlm-text", ...), used by telemetry.
-    pub label: String,
+    /// Shared, so a pool that re-provisions its workers again and again
+    /// hands every allocation the same string.
+    pub label: Arc<str>,
     /// Creation time.
     pub created: SimTime,
 }
@@ -160,7 +163,7 @@ impl ClusterManager {
     pub fn allocate(
         &mut self,
         now: SimTime,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         target: HardwareTarget,
     ) -> Result<AllocationId, SimError> {
         let node_id = self.policy.choose(&self.nodes, &target).ok_or_else(|| {
@@ -179,7 +182,7 @@ impl ClusterManager {
     fn allocate_on_node(
         &mut self,
         now: SimTime,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         target: HardwareTarget,
         node_id: NodeId,
     ) -> AllocationId {
@@ -248,7 +251,7 @@ impl ClusterManager {
     pub fn allocate_paired(
         &mut self,
         now: SimTime,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         prefill: HardwareTarget,
         decode: HardwareTarget,
     ) -> Result<PairedAllocation, SimError> {
@@ -318,6 +321,14 @@ impl ClusterManager {
             }
         }
         Ok(())
+    }
+
+    /// Whether `id` names a live allocation: granted and not yet
+    /// released, preempted or evicted.
+    pub fn is_live(&self, id: AllocationId) -> bool {
+        self.allocations
+            .get(id.raw() as usize)
+            .is_some_and(Option::is_some)
     }
 
     /// Looks up an allocation.
@@ -606,7 +617,7 @@ impl ClusterManager {
     pub fn stats(&self, now: SimTime) -> ResourceStats {
         let mut per_label: BTreeMap<String, f64> = BTreeMap::new();
         for a in self.allocations.iter().flatten() {
-            *per_label.entry(a.label.clone()).or_insert(0.0) +=
+            *per_label.entry(a.label.to_string()).or_insert(0.0) +=
                 a.gpu_share * a.gpu_devices.len() as f64;
         }
         ResourceStats {
@@ -876,6 +887,28 @@ mod tests {
         cm.release(t(10), b).unwrap();
         assert_eq!(cm.free_gpu_units(), 16.0);
         assert!(cm.release(t(10), a).is_err(), "double release");
+    }
+
+    #[test]
+    fn is_live_tracks_grants_releases_and_preemptions() {
+        let mut cm = ClusterManager::paper_testbed();
+        let a = cm.allocate(t(0), "a", HardwareTarget::ONE_GPU).unwrap();
+        let b = cm.allocate(t(0), "b", HardwareTarget::ONE_GPU).unwrap();
+        assert!(cm.is_live(a) && cm.is_live(b));
+        cm.release(t(1), a).unwrap();
+        assert!(!cm.is_live(a), "released");
+        assert!(cm.is_live(b), "its neighbour stays live");
+        let node = cm.allocation(b).unwrap().node;
+        cm.preempt_node(t(2), node).unwrap();
+        assert!(!cm.is_live(b), "preempted");
+        // Ids past the slab were never granted.
+        assert!(!cm.is_live(AllocationId::from_raw(2)));
+        assert!(!cm.is_live(AllocationId::from_raw(u64::MAX)));
+        // Liveness agrees with the fallible lookup everywhere.
+        for raw in 0..4 {
+            let id = AllocationId::from_raw(raw);
+            assert_eq!(cm.is_live(id), cm.allocation(id).is_ok(), "{id}");
+        }
     }
 
     #[test]

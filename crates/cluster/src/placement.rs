@@ -31,11 +31,10 @@ impl PlacementPolicy {
             let core_left = n.free_cores() - f64::from(target.cpu_cores_used());
             gpu_left + core_left / 12.0
         };
-        let candidates: Vec<&Node> = nodes.iter().filter(|n| fits(n)).collect();
+        let mut candidates = nodes.iter().filter(|n| fits(n));
         match self {
-            PlacementPolicy::FirstFit => candidates.first().map(|n| n.id),
+            PlacementPolicy::FirstFit => candidates.next().map(|n| n.id),
             PlacementPolicy::BestFit => candidates
-                .iter()
                 .min_by(|a, b| {
                     leftover(a)
                         .total_cmp(&leftover(b))
@@ -43,7 +42,6 @@ impl PlacementPolicy {
                 })
                 .map(|n| n.id),
             PlacementPolicy::Spread => candidates
-                .iter()
                 .max_by(|a, b| {
                     leftover(a)
                         .total_cmp(&leftover(b))

@@ -17,8 +17,6 @@ use serde::{Deserialize, Serialize};
 
 use murakkab_agents::Capability;
 
-use crate::telemetry::ResourceStats;
-
 /// A deployed serving endpoint / resident agent, as the rebalancer sees it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EndpointView {
@@ -73,12 +71,14 @@ impl Default for Rebalancer {
 }
 
 impl Rebalancer {
-    /// Plans actions from cluster stats, DAG lookahead and endpoint views.
+    /// Plans actions from the cluster's free GPU units (what
+    /// [`ClusterManager::free_gpu_units`](crate::ClusterManager::free_gpu_units)
+    /// reports), DAG lookahead and endpoint views.
     ///
     /// Deterministic: output ordering follows the (sorted) inputs.
     pub fn plan(
         &self,
-        stats: &ResourceStats,
+        gpus_free: f64,
         upcoming: &BTreeMap<Capability, usize>,
         endpoints: &[EndpointView],
     ) -> Vec<RebalanceAction> {
@@ -106,7 +106,7 @@ impl Rebalancer {
             })
             .map(|ep| ep.gpus)
             .sum();
-        let mut budget = stats.gpus_free + releasable;
+        let mut budget = gpus_free + releasable;
         for ep in endpoints {
             if ep.gpus == 0.0 {
                 continue;
@@ -141,20 +141,6 @@ impl Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use murakkab_sim::SimTime;
-
-    fn stats(free: f64) -> ResourceStats {
-        ResourceStats {
-            at: SimTime::ZERO,
-            gpus_total: 16.0,
-            gpus_free: free,
-            cores_total: 192.0,
-            cores_free: 100.0,
-            gpu_units_by_label: BTreeMap::new(),
-            nodes_up: 2,
-            nodes_pending: 0,
-        }
-    }
 
     fn ep(label: &str, cap: Capability, gpus: f64, load: usize) -> EndpointView {
         EndpointView {
@@ -174,7 +160,7 @@ mod tests {
             ep("whisper", Capability::SpeechToText, 1.0, 0),
             ep("nvlm-text", Capability::Summarization, 8.0, 48),
         ];
-        let actions = Rebalancer::default().plan(&stats(0.0), &upcoming, &endpoints);
+        let actions = Rebalancer::default().plan(0.0, &upcoming, &endpoints);
         assert!(actions.contains(&RebalanceAction::ReleaseIdle {
             label: "whisper".into()
         }));
@@ -187,25 +173,25 @@ mod tests {
     fn busy_or_demanded_agents_are_kept() {
         let upcoming = BTreeMap::from([(Capability::SpeechToText, 4usize)]);
         let endpoints = vec![ep("whisper", Capability::SpeechToText, 1.0, 0)];
-        let actions = Rebalancer::default().plan(&stats(2.0), &upcoming, &endpoints);
+        let actions = Rebalancer::default().plan(2.0, &upcoming, &endpoints);
         assert!(actions.is_empty(), "{actions:?}");
         // Same if it is loaded rather than demanded.
         let endpoints = vec![ep("whisper", Capability::SpeechToText, 1.0, 2)];
-        let actions = Rebalancer::default().plan(&stats(2.0), &BTreeMap::new(), &endpoints);
+        let actions = Rebalancer::default().plan(2.0, &BTreeMap::new(), &endpoints);
         assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
     fn no_budget_no_scaleup() {
         let endpoints = vec![ep("nvlm-text", Capability::Summarization, 8.0, 64)];
-        let actions = Rebalancer::default().plan(&stats(0.0), &BTreeMap::new(), &endpoints);
+        let actions = Rebalancer::default().plan(0.0, &BTreeMap::new(), &endpoints);
         assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
     fn prewarm_for_unserved_demand() {
         let upcoming = BTreeMap::from([(Capability::Embedding, 16usize)]);
-        let actions = Rebalancer::default().plan(&stats(4.0), &upcoming, &[]);
+        let actions = Rebalancer::default().plan(4.0, &upcoming, &[]);
         assert_eq!(
             actions,
             vec![RebalanceAction::Prewarm {
@@ -218,10 +204,37 @@ mod tests {
     #[test]
     fn scale_up_is_bounded_by_budget() {
         let endpoints = vec![ep("nvlm-text", Capability::Summarization, 2.0, 40)];
-        let actions = Rebalancer::default().plan(&stats(3.0), &BTreeMap::new(), &endpoints);
+        let actions = Rebalancer::default().plan(3.0, &BTreeMap::new(), &endpoints);
         let RebalanceAction::ScaleUp { add_gpus, .. } = &actions[0] else {
             panic!("expected scale-up, got {actions:?}");
         };
         assert!(*add_gpus >= 1.0 && *add_gpus <= 3.0);
+    }
+
+    #[test]
+    fn action_counts_follow_free_gpus_alone() {
+        // Three overloaded endpoints and one idle one: how many scale-ups
+        // fit depends only on the free-GPU budget passed in.
+        let upcoming = BTreeMap::from([(Capability::Summarization, 8usize)]);
+        let endpoints = vec![
+            ep("a", Capability::Summarization, 1.0, 40),
+            ep("b", Capability::Summarization, 1.0, 40),
+            ep("c", Capability::Summarization, 1.0, 40),
+            ep("whisper", Capability::SpeechToText, 1.0, 0),
+        ];
+        let counts: Vec<usize> = [0.0, 0.5, 1.0, 2.0, 9.0, 100.0]
+            .into_iter()
+            .map(|free| {
+                Rebalancer::default()
+                    .plan(free, &upcoming, &endpoints)
+                    .len()
+            })
+            .collect();
+        // The idle Whisper's release always fires and returns its GPU to
+        // the budget. Each overloaded endpoint wants 9 more GPUs (load 40
+        // per GPU against 4), taken greedily in order: a budget below 10
+        // feeds one scale-up, 9 free (budget 10) a second, and 100 free
+        // all three.
+        assert_eq!(counts, vec![2, 2, 2, 2, 3, 4]);
     }
 }

@@ -39,11 +39,12 @@
 //! recorded.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use murakkab_agents::{AgentLibrary, AgentSpec, Backend, Capability, Work};
 use murakkab_cluster::{AllocationId, ClusterManager};
 use murakkab_hardware::{catalog, EnergyScope, GpuSku, HardwareTarget};
-use murakkab_llmsim::{build_backend, BackendSpec, ModelSpec, Request, ServingBackend};
+use murakkab_llmsim::{build_backend, BackendSpec, Completion, ModelSpec, Request, ServingBackend};
 use murakkab_orchestrator::OrchestratorCost;
 use murakkab_sim::{Event, EventQueue, SimDuration, SimError, SimTime, TraceLog};
 use murakkab_workflow::{TaskGraph, TaskId};
@@ -335,9 +336,9 @@ struct Worker {
 
 #[derive(Debug)]
 struct Pool {
-    /// Library agent name (cluster allocation label; sort key of
-    /// [`Engine::pools`]).
-    agent: String,
+    /// Library agent name (sort key of [`Engine::pools`]), shared as the
+    /// cluster label of every worker allocation the pool takes.
+    agent: Arc<str>,
     /// Cost-model snapshot of the agent (taken once at construction —
     /// replaces the per-task-start spec clone of the map-keyed engine).
     spec: AgentSpec,
@@ -373,6 +374,9 @@ struct EndpointHandle {
     /// Bumped when the endpoint is re-placed after preemption; stale step
     /// events armed for an earlier incarnation are dropped on arrival.
     generation: u64,
+    /// Bits of the `(prefill, decode)` levels last written to this
+    /// incarnation's devices; `None` until the first write.
+    synced_levels: Option<(u64, u64)>,
 }
 
 impl EndpointHandle {
@@ -437,6 +441,9 @@ pub struct Engine {
     /// Recycled buffer for draining `ready_pending` without
     /// re-allocating every dispatch.
     ready_scratch: Vec<TaskId>,
+    /// Recycled buffer an endpoint step hands its completions out
+    /// through.
+    step_completions: Vec<Completion>,
     /// Not-yet-completed task counts per capability (incrementally
     /// maintained DAG lookahead for pool release and the rebalancer).
     upcoming: [usize; N_CAPS],
@@ -471,8 +478,8 @@ pub struct Engine {
 /// On-demand dollar rate of a hardware target under a given GPU SKU
 /// (CPU cores billed at the EPYC catalog rate).
 pub fn target_hourly_usd(target: &HardwareTarget, gpu: &murakkab_hardware::GpuSku) -> f64 {
-    let core = catalog::epyc_7v12().hourly_usd_per_core;
-    target.gpu_units() * gpu.hourly_usd + f64::from(target.cpu_cores_used()) * core
+    target.gpu_units() * gpu.hourly_usd
+        + f64::from(target.cpu_cores_used()) * catalog::EPYC_7V12_USD_PER_CORE_HOUR
 }
 
 /// Prompt and output tokens of an endpoint task's work — checked to be
@@ -557,7 +564,7 @@ impl Engine {
                         )));
                     }
                     let pool = pools.entry(agent.clone()).or_insert_with(|| Pool {
-                        agent: agent.clone(),
+                        agent: Arc::from(agent.as_str()),
                         spec: spec.clone(),
                         caps: Vec::new(),
                         workers: Vec::new(),
@@ -568,7 +575,7 @@ impl Engine {
                     pool.caps.push(cap);
                     if pool.workers.is_empty() {
                         for per_worker in workers {
-                            match cluster.allocate(start, agent.clone(), *per_worker) {
+                            match cluster.allocate(start, Arc::clone(&pool.agent), *per_worker) {
                                 Ok(alloc) => {
                                     alloc_meta_set(&mut alloc_meta, alloc, start, *per_worker);
                                     pool.workers.push(Worker {
@@ -616,6 +623,7 @@ impl Engine {
                                 submit_seq: 0,
                                 orchestration_req: None,
                                 generation: 0,
+                                synced_levels: None,
                             },
                         );
                     }
@@ -643,7 +651,7 @@ impl Engine {
             list.binary_search_by(|a| a.as_str().cmp(name))
                 .expect("route agent was provisioned") as u32
         };
-        let pool_names: Vec<String> = pools.iter().map(|p| p.agent.clone()).collect();
+        let pool_names: Vec<String> = pools.iter().map(|p| p.agent.to_string()).collect();
         let ep_names: Vec<String> = endpoints.iter().map(|h| h.agent.clone()).collect();
         let mut route_table: [Option<CompiledRoute>; N_CAPS] = [None; N_CAPS];
         for (cap, route) in &routes {
@@ -681,6 +689,7 @@ impl Engine {
             completed_count: 0,
             ready_pending: Vec::new(),
             ready_scratch: Vec::new(),
+            step_completions: Vec::new(),
             upcoming: [0; N_CAPS],
             alloc_meta,
             llm_metrics: Vec::new(),
@@ -831,9 +840,12 @@ impl Engine {
                     Some(next) => next.min(limit),
                     None => limit,
                 };
-                let outcome = self.endpoints[ei].backend.on_step(now, horizon)?;
+                let mut completions = std::mem::take(&mut self.step_completions);
+                let outcome = self.endpoints[ei]
+                    .backend
+                    .on_step(now, horizon, &mut completions)?;
                 self.events_processed += outcome.iterations.saturating_sub(1);
-                for c in &outcome.completions {
+                for c in &completions {
                     let h = &mut self.endpoints[ei];
                     if h.orchestration_req == Some(c.id) {
                         h.orchestration_req = None;
@@ -867,7 +879,15 @@ impl Engine {
                     );
                 }
                 self.sync_endpoint_activity(now, ei)?;
-                self.dispatch(now)?;
+                // A step that completed nothing readied no task and left
+                // pools and lookahead as the last dispatch did: at its
+                // fixed point.
+                let completed = !completions.is_empty();
+                completions.clear();
+                self.step_completions = completions;
+                if completed {
+                    self.dispatch(now)?;
+                }
             }
             EngineEvent::ExternalDone { task } => {
                 self.finish_task(task, now)?;
@@ -915,7 +935,7 @@ impl Engine {
                 continue;
             }
             let alloc = AllocationId::from_raw(i as u64);
-            if self.cluster.allocation(alloc).is_ok() {
+            if self.cluster.is_live(alloc) {
                 self.settle_allocation(alloc, makespan)?;
             }
         }
@@ -1017,9 +1037,10 @@ impl Engine {
             .collect()
     }
 
-    /// Live cluster stats at `now`.
-    pub fn cluster_stats(&self, now: SimTime) -> murakkab_cluster::ResourceStats {
-        self.cluster.stats(now)
+    /// Free GPU units across the cluster's up nodes — the telemetry the
+    /// advisory rebalancer plans against.
+    pub fn free_gpu_units(&self) -> f64 {
+        self.cluster.free_gpu_units()
     }
 
     /// Per-endpoint `(agent, gpus, queued + running requests)` snapshots.
@@ -1087,7 +1108,7 @@ impl Engine {
                 .sum();
             let load = pool.queue.len() + pool.workers.iter().filter(|w| w.busy && !w.dead).count();
             for &cap in &pool.caps {
-                out.push((pool.agent.clone(), cap, gpus, load));
+                out.push((pool.agent.to_string(), cap, gpus, load));
             }
         }
         out
@@ -1123,45 +1144,45 @@ impl Engine {
             if !needed {
                 continue;
             }
-            let mut fresh = Vec::new();
+            // Fresh workers take idle dead slots first (an idle dead
+            // worker can have no in-flight ToolDone carrying its index),
+            // so the worker list does not grow with every scale cycle of
+            // a long-running serve engine.
+            let (mut granted, mut slot) = (0, 0);
             for wi in 0..self.pools[pi].spec_workers.len() {
-                let target = self.pools[pi].spec_workers[wi];
-                match self
-                    .cluster
-                    .allocate(now, self.pools[pi].agent.clone(), target)
-                {
+                let pool = &self.pools[pi];
+                let target = pool.spec_workers[wi];
+                match self.cluster.allocate(now, Arc::clone(&pool.agent), target) {
                     Ok(alloc) => {
                         alloc_meta_set(&mut self.alloc_meta, alloc, now, target);
-                        fresh.push(Worker {
+                        let fresh = Worker {
                             alloc,
                             target,
                             busy: false,
                             dead: false,
-                        });
+                        };
+                        let workers = &mut self.pools[pi].workers;
+                        match workers[slot..].iter().position(|w| w.dead && !w.busy) {
+                            Some(offset) => {
+                                slot += offset;
+                                workers[slot] = fresh;
+                            }
+                            None => {
+                                slot = workers.len();
+                                workers.push(fresh);
+                            }
+                        }
+                        granted += 1;
                     }
                     Err(e) => {
-                        if fresh.is_empty() {
+                        if granted == 0 {
                             return Err(e);
                         }
                         break; // Partial pool: serve with what fits.
                     }
                 }
             }
-            // Reuse idle dead slots (an idle dead worker can have no
-            // in-flight ToolDone carrying its index) so the worker list
-            // does not grow with every scale cycle of a long-running
-            // serve engine.
             let pool = &mut self.pools[pi];
-            let mut fresh = fresh.into_iter();
-            for w in pool.workers.iter_mut() {
-                if w.dead && !w.busy {
-                    match fresh.next() {
-                        Some(nw) => *w = nw,
-                        None => break,
-                    }
-                }
-            }
-            pool.workers.extend(fresh);
             pool.released = false;
             self.pool_scale_ups += 1;
         }
@@ -1387,32 +1408,32 @@ impl Engine {
     /// Releases pools whose capabilities have no remaining work.
     fn release_idle_pools(&mut self, now: SimTime) -> Result<(), SimError> {
         for pi in 0..self.pools.len() {
-            let done = {
-                let pool = &self.pools[pi];
-                let no_demand = pool.caps.iter().all(|&c| self.upcoming[c as usize] == 0);
-                let idle = pool.queue.is_empty() && pool.workers.iter().all(|w| !w.busy || w.dead);
-                !pool.released && no_demand && idle
-            };
-            if done {
-                let workers: Vec<AllocationId> = self.pools[pi]
-                    .workers
-                    .iter()
-                    .filter(|w| !w.dead)
-                    .map(|w| w.alloc)
-                    .collect();
-                for alloc in workers {
+            // Cheapest checks first: the worker scan runs only for a
+            // live pool with no demand left.
+            let pool = &self.pools[pi];
+            let done = !pool.released
+                && pool.caps.iter().all(|&c| self.upcoming[c as usize] == 0)
+                && pool.queue.is_empty()
+                && pool.workers.iter().all(|w| !w.busy || w.dead);
+            if !done {
+                continue;
+            }
+            for wi in 0..self.pools[pi].workers.len() {
+                let w = &self.pools[pi].workers[wi];
+                if !w.dead {
+                    let alloc = w.alloc;
                     self.settle_allocation(alloc, now)?;
                 }
-                let pool = &mut self.pools[pi];
-                pool.released = true;
-                // The settled workers' allocations are gone; mark them dead
-                // so a later re-provision (open-loop admission) never pumps
-                // work onto a stale allocation.
-                for w in pool.workers.iter_mut() {
-                    w.dead = true;
-                }
-                self.pool_scale_downs += 1;
             }
+            let pool = &mut self.pools[pi];
+            pool.released = true;
+            // The settled workers' allocations are gone; mark them dead
+            // so a later re-provision (open-loop admission) never pumps
+            // work onto a stale allocation.
+            for w in pool.workers.iter_mut() {
+                w.dead = true;
+            }
+            self.pool_scale_downs += 1;
         }
         Ok(())
     }
@@ -1470,9 +1491,9 @@ impl Engine {
                 }
             }
             for target in replacements {
-                if let Ok(alloc) = self
-                    .cluster
-                    .allocate(now, self.pools[pi].agent.clone(), target)
+                if let Ok(alloc) =
+                    self.cluster
+                        .allocate(now, Arc::clone(&self.pools[pi].agent), target)
                 {
                     alloc_meta_set(&mut self.alloc_meta, alloc, now, target);
                     self.pools[pi].workers.push(Worker {
@@ -1501,7 +1522,7 @@ impl Engine {
             // mid-batch level would otherwise stick to the freed devices.
             for ai in 0..self.endpoints[ei].allocs.len() {
                 let alloc = self.endpoints[ei].allocs[ai];
-                if !killed.contains(&alloc) && self.cluster.allocation(alloc).is_ok() {
+                if !killed.contains(&alloc) && self.cluster.is_live(alloc) {
                     self.cluster.set_gpu_activity_level(now, alloc, 0.0)?;
                     self.settle_allocation(alloc, now)?;
                 }
@@ -1523,6 +1544,7 @@ impl Engine {
             h.free_slots.clear();
             h.submit_seq = 0;
             h.generation += 1;
+            h.synced_levels = None;
             // Resubmit lost work in original submission order (the old
             // monotonic-id iteration order): pending tasks map to fresh
             // request slots.
@@ -1586,21 +1608,31 @@ impl Engine {
     /// Mirrors an endpoint's utilization level onto its GPU devices —
     /// per phase for a disaggregated pair, combined for a colocated
     /// replica.
+    ///
+    /// Levels equal to the last ones written to this incarnation are
+    /// skipped: an endpoint holds whole GPUs, so nothing else writes
+    /// those devices, and their series would drop the repeat anyway.
     fn sync_endpoint_activity(&mut self, now: SimTime, ei: usize) -> Result<(), SimError> {
         // Disjoint field borrows: the handle is read while the cluster
         // mutates — no clone of the allocation list.
-        let h = &self.endpoints[ei];
-        match *h.allocs.as_slice() {
-            [one] => {
+        let h = &mut self.endpoints[ei];
+        let (first, second) = match *h.allocs.as_slice() {
+            [_] => {
                 let combined = h.backend.util_level();
-                self.cluster.set_gpu_activity_level(now, one, combined)
+                (combined, combined)
             }
+            _ => h.backend.phase_levels(),
+        };
+        let bits = Some((first.to_bits(), second.to_bits()));
+        if h.synced_levels == bits {
+            return Ok(());
+        }
+        h.synced_levels = bits;
+        match *h.allocs.as_slice() {
+            [one] => self.cluster.set_gpu_activity_level(now, one, first),
             [prefill, decode] => {
-                let (prefill_level, decode_level) = h.backend.phase_levels();
-                self.cluster
-                    .set_gpu_activity_level(now, prefill, prefill_level)?;
-                self.cluster
-                    .set_gpu_activity_level(now, decode, decode_level)
+                self.cluster.set_gpu_activity_level(now, prefill, first)?;
+                self.cluster.set_gpu_activity_level(now, decode, second)
             }
             ref other => {
                 debug_assert!(other.is_empty(), "endpoints hold one or two allocations");
@@ -1625,7 +1657,7 @@ impl Engine {
         match *spec {
             BackendSpec::Colocated { gpus, .. } => {
                 let target = HardwareTarget::gpus(gpus);
-                let alloc = cluster.allocate(now, agent.to_string(), target)?;
+                let alloc = cluster.allocate(now, agent, target)?;
                 alloc_meta_set(alloc_meta, alloc, now, target);
                 let be = build_backend(
                     agent,
@@ -1643,7 +1675,7 @@ impl Engine {
             } => {
                 let prefill = HardwareTarget::gpus(prefill_gpus);
                 let decode = HardwareTarget::gpus(decode_gpus);
-                let pair = cluster.allocate_paired(now, agent.to_string(), prefill, decode)?;
+                let pair = cluster.allocate_paired(now, agent, prefill, decode)?;
                 alloc_meta_set(alloc_meta, pair.prefill, now, prefill);
                 alloc_meta_set(alloc_meta, pair.decode, now, decode);
                 let bw = if pair.same_node {

@@ -1333,9 +1333,9 @@ impl Runtime {
                             load,
                         });
                     }
-                    let cluster_stats = cell.engine.cluster_stats(next_rebalance);
-                    cell.rebalance_actions +=
-                        rebalancer.plan(&cluster_stats, &upcoming, &views).len() as u64;
+                    cell.rebalance_actions += rebalancer
+                        .plan(cell.engine.free_gpu_units(), &upcoming, &views)
+                        .len() as u64;
                 }
                 steal_pass(&mut region, &planned, &ctx, now, &mut capture);
                 next_rebalance += rebalance_every;

@@ -68,6 +68,10 @@ pub fn t4() -> GpuSku {
     }
 }
 
+/// On-demand dollar rate of one [`epyc_7v12`] core-hour: the CPU rate
+/// every engine bills, readable without building the SKU.
+pub const EPYC_7V12_USD_PER_CORE_HOUR: f64 = 0.048;
+
 /// AMD EPYC 7V12 vCPU pool — the ND96amsr host CPU.
 ///
 /// The 200 W pool TDP encodes the paper's "GPU rated 16× higher than the
@@ -79,7 +83,7 @@ pub fn epyc_7v12() -> CpuSku {
         gflops_per_core: 39.2,
         pool_tdp_w: 200.0,
         pool_idle_w: 35.0,
-        hourly_usd_per_core: 0.048,
+        hourly_usd_per_core: EPYC_7V12_USD_PER_CORE_HOUR,
     }
 }
 

@@ -182,7 +182,9 @@ pub trait ServingBackend: std::fmt::Debug + Send {
     /// Returns [`SimError::InvalidInput`] if the request can never fit.
     fn on_submit(&mut self, req: Request, now: SimTime) -> Result<Option<SimTime>, SimError>;
 
-    /// Handles a step event scheduled for `now`. `horizon` is the
+    /// Handles a step event scheduled for `now`, appending the requests
+    /// that finish at `now` to `completions` — a buffer the host owns and
+    /// reuses across steps. `horizon` is the
     /// exclusive instant before which nothing else touches the backend;
     /// a backend may run follow-on iterations that end before it in
     /// place and report them in [`StepOutcome::iterations`]. Passing
@@ -192,7 +194,12 @@ pub trait ServingBackend: std::fmt::Debug + Send {
     ///
     /// Returns [`SimError::InvalidState`] when the step breaks the
     /// backend's bookkeeping (e.g. no step was outstanding).
-    fn on_step(&mut self, now: SimTime, horizon: SimTime) -> Result<StepOutcome, SimError>;
+    fn on_step(
+        &mut self,
+        now: SimTime,
+        horizon: SimTime,
+        completions: &mut Vec<Completion>,
+    ) -> Result<StepOutcome, SimError>;
 
     /// Drains the backend synchronously, returning all completions.
     /// Test/measurement helper — production use goes through the event
@@ -339,8 +346,13 @@ impl ServingBackend for Endpoint {
         Endpoint::on_submit(self, req, now)
     }
 
-    fn on_step(&mut self, now: SimTime, horizon: SimTime) -> Result<StepOutcome, SimError> {
-        Endpoint::on_step(self, now, horizon)
+    fn on_step(
+        &mut self,
+        now: SimTime,
+        horizon: SimTime,
+        completions: &mut Vec<Completion>,
+    ) -> Result<StepOutcome, SimError> {
+        Endpoint::on_step(self, now, horizon, completions)
     }
 
     fn drain(&mut self, now: SimTime) -> Result<(Vec<Completion>, SimTime), SimError> {

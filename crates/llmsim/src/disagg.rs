@@ -384,32 +384,44 @@ impl DisaggEndpoint {
                 }
                 Due::Decode => {
                     self.decode_deadline = None;
-                    let mut still = Vec::with_capacity(self.decoding.len());
-                    for mut r in self.decoding.drain(..) {
+                    // Finished requests are retained out in place
+                    // (order-preserving): no batch-sized Vec per step.
+                    let mut fault = None;
+                    let Self {
+                        decoding,
+                        decode_kv,
+                        stats,
+                        name,
+                        ..
+                    } = self;
+                    decoding.retain_mut(|r| {
                         r.generated += 1;
-                        self.stats.tokens_out.incr();
-                        if r.generated >= r.req.output_tokens {
-                            self.decode_kv.release(r.req.id).map_err(|e| {
-                                SimError::InvalidState(format!(
-                                    "{}: finishing request holds no decode KV: {e}",
-                                    self.name
-                                ))
-                            })?;
-                            let c = Completion {
-                                id: r.req.id,
-                                submitted: r.submitted,
-                                started: r.started,
-                                first_token: r.first_token,
-                                finished: t,
-                                output_tokens: r.generated,
-                            };
-                            self.stats.observe_completion(&c);
-                            out.push(c);
-                        } else {
-                            still.push(r);
+                        stats.tokens_out.incr();
+                        if r.generated < r.req.output_tokens {
+                            return true;
                         }
+                        if let Err(e) = decode_kv.release(r.req.id) {
+                            fault.get_or_insert_with(|| {
+                                SimError::InvalidState(format!(
+                                    "{name}: finishing request holds no decode KV: {e}"
+                                ))
+                            });
+                        }
+                        let c = Completion {
+                            id: r.req.id,
+                            submitted: r.submitted,
+                            started: r.started,
+                            first_token: r.first_token,
+                            finished: t,
+                            output_tokens: r.generated,
+                        };
+                        stats.observe_completion(&c);
+                        out.push(c);
+                        false
+                    });
+                    if let Some(e) = fault {
+                        return Err(e);
                     }
-                    self.decoding = still;
                     self.arm_decode(t);
                 }
             }
@@ -510,13 +522,16 @@ impl ServingBackend for DisaggEndpoint {
 
     /// Runs one step per event: `horizon` is ignored, since the decode
     /// instance does not fast-forward yet.
-    fn on_step(&mut self, now: SimTime, _horizon: SimTime) -> Result<StepOutcome, SimError> {
-        let mut completions = Vec::new();
-        self.advance(now, &mut completions)?;
+    fn on_step(
+        &mut self,
+        now: SimTime,
+        _horizon: SimTime,
+        completions: &mut Vec<Completion>,
+    ) -> Result<StepOutcome, SimError> {
+        self.advance(now, completions)?;
         let next_step = self.next_due().map(|(t, _)| t);
         self.armed = next_step;
         Ok(StepOutcome {
-            completions,
             next_step,
             iterations: 1,
         })
@@ -526,7 +541,7 @@ impl ServingBackend for DisaggEndpoint {
         let mut out = Vec::new();
         while let Some((t, _)) = self.next_due() {
             now = t.max(now);
-            out.extend(self.on_step(now, now)?.completions);
+            self.on_step(now, now, &mut out)?;
         }
         Ok((out, now))
     }
@@ -621,7 +636,7 @@ mod tests {
         while ep.decoding.len() < 2 {
             let Some((t, _)) = ep.next_due() else { break };
             now = t;
-            ep.on_step(now, now).expect("steps");
+            ep.on_step(now, now, &mut Vec::new()).expect("steps");
         }
         assert_eq!(ep.decoding.len(), 2);
         let expected: u64 = 2 * u64::from(Request::new(0, 256, 64).total_tokens());
@@ -637,12 +652,12 @@ mod tests {
         ep.on_submit(Request::new(1, 512, 8), SimTime::ZERO)
             .unwrap();
         let (prefill_done, _) = ep.next_due().expect("prefill is due");
-        ep.on_step(prefill_done, prefill_done)
+        ep.on_step(prefill_done, prefill_done, &mut Vec::new())
             .expect("prefill steps");
         let (transfer_done, _) = ep.next_due().expect("transfer is due");
         ep.prefill_kv.release(1).expect("held by the transfer");
         let err = ep
-            .on_step(transfer_done, transfer_done)
+            .on_step(transfer_done, transfer_done, &mut Vec::new())
             .expect_err("spurious transfer step");
         assert!(matches!(err, SimError::InvalidState(_)), "{err}");
         assert!(err.to_string().contains("prefill KV"), "{err}");
@@ -655,7 +670,7 @@ mod tests {
         while ep.decoding.is_empty() {
             let (t, _) = ep.next_due().expect("work is due");
             now = t;
-            ep.on_step(now, now).expect("steps");
+            ep.on_step(now, now, &mut Vec::new()).expect("steps");
         }
         ep.decode_kv.release(2).expect("held by the decode");
         let err = ServingBackend::drain(&mut ep, now).expect_err("spurious decode step");

@@ -11,7 +11,8 @@
 //! 1. [`Endpoint::on_submit`] when a request arrives — if the engine was
 //!    idle, the returned time must be scheduled as the next step event;
 //! 2. [`Endpoint::on_step`] when that event fires — completions are
-//!    returned and the next step time (if any) must be scheduled.
+//!    appended to a buffer the caller owns and the next step time (if
+//!    any) must be scheduled.
 //!
 //! A step may run more than one iteration. When the iteration ending at
 //! `now` completes nothing, the iterations after it are pure functions
@@ -81,11 +82,10 @@ impl Completion {
     }
 }
 
-/// Result of one step event.
-#[derive(Debug, Clone)]
+/// Result of one step event. The requests that finished at the step's
+/// instant go to the completions buffer the caller passed in.
+#[derive(Debug, Clone, Copy)]
 pub struct StepOutcome {
-    /// Requests that finished at the step's instant.
-    pub completions: Vec<Completion>,
     /// When the next iteration ends, if the engine still has work.
     pub next_step: Option<SimTime>,
     /// Iterations the step ran: the one ending at its instant plus the
@@ -317,7 +317,9 @@ impl Endpoint {
         self.arm_next_step(now)
     }
 
-    /// Handles the step event that was scheduled for `now`.
+    /// Handles the step event that was scheduled for `now`, appending
+    /// the requests that finish at `now` to `completions` (a buffer the
+    /// caller owns, so steady-state stepping allocates nothing).
     ///
     /// `horizon` is the exclusive instant before which nothing else
     /// touches this endpoint: no submission and no other event the host
@@ -334,7 +336,12 @@ impl Endpoint {
     /// Returns [`SimError::InvalidState`] if no step event was
     /// outstanding (an event-loop bug) or a finishing request held no KV
     /// reservation.
-    pub fn on_step(&mut self, now: SimTime, horizon: SimTime) -> Result<StepOutcome, SimError> {
+    pub fn on_step(
+        &mut self,
+        now: SimTime,
+        horizon: SimTime,
+        completions: &mut Vec<Completion>,
+    ) -> Result<StepOutcome, SimError> {
         if !self.step_pending {
             return Err(SimError::InvalidState(format!(
                 "{}: spurious step event",
@@ -349,7 +356,7 @@ impl Endpoint {
         // first token at the boundary. Finished requests are retained
         // out in place (order-preserving) — no batch-sized scratch Vec
         // per iteration.
-        let mut completions = Vec::new();
+        let finished_before = completions.len();
         let mut fault = None;
         let Self {
             running, kv, stats, ..
@@ -385,13 +392,12 @@ impl Endpoint {
 
         let mut next_step = self.arm_next_step(now)?;
         let mut iterations = 1;
-        if let Some(deadline) = next_step.filter(|_| completions.is_empty()) {
+        if let Some(deadline) = next_step.filter(|_| completions.len() == finished_before) {
             let (skipped, next) = self.fast_forward(deadline, horizon);
             iterations += skipped;
             next_step = Some(next);
         }
         Ok(StepOutcome {
-            completions,
             next_step,
             iterations,
         })
@@ -536,11 +542,10 @@ impl Endpoint {
         };
         while let Some(t) = next {
             now = t.max(now);
-            let o = self
-                .on_step(now, SimTime::MAX)
-                .expect("drain steps only armed iterations");
-            out.extend(o.completions);
-            next = o.next_step;
+            next = self
+                .on_step(now, SimTime::MAX, &mut out)
+                .expect("drain steps only armed iterations")
+                .next_step;
         }
         (out, now)
     }
@@ -570,8 +575,7 @@ mod tests {
         let mut now = next;
         let mut done = Vec::new();
         loop {
-            let o = ep.on_step(now, now).unwrap();
-            done.extend(o.completions);
+            let o = ep.on_step(now, now, &mut done).unwrap();
             match o.next_step {
                 Some(t) => now = t,
                 None => break,
@@ -660,7 +664,7 @@ mod tests {
     fn spurious_step_is_a_typed_error() {
         let mut ep = endpoint(8);
         let err = ep
-            .on_step(SimTime::ZERO, SimTime::MAX)
+            .on_step(SimTime::ZERO, SimTime::MAX, &mut Vec::new())
             .expect_err("no step was armed");
         assert!(matches!(err, SimError::InvalidState(_)), "{err}");
         assert!(err.to_string().contains("spurious step event"), "{err}");

@@ -36,9 +36,8 @@ fn drive(
             (Some(t), _) if sub_at.is_none_or(|s| t < s) => {
                 let cap = sub_at.unwrap_or(SimTime::MAX);
                 let h = horizon(out.steps.len(), t).min(cap);
-                let o = ep.on_step(t, h).expect("armed step");
+                let o = ep.on_step(t, h, &mut out.completions).expect("armed step");
                 assert!(o.iterations >= 1);
-                out.completions.extend(o.completions);
                 out.steps.push((t, o.iterations, o.next_step));
                 armed = o.next_step;
             }
@@ -159,15 +158,16 @@ fn lone_request_fast_forwards_to_its_completion() {
         .on_submit(Request::new(0, 512, 64), SimTime::ZERO)
         .expect("fits")
         .expect("idle endpoint arms");
-    let o = ep.on_step(first, SimTime::MAX).expect("armed");
-    assert!(o.completions.is_empty());
+    let mut done = Vec::new();
+    let o = ep.on_step(first, SimTime::MAX, &mut done).expect("armed");
+    assert!(done.is_empty());
     assert_eq!(o.iterations, 63, "tokens 2..=63 run in place");
     let last = o.next_step.expect("one iteration left");
-    let o = ep.on_step(last, SimTime::MAX).expect("armed");
+    let o = ep.on_step(last, SimTime::MAX, &mut done).expect("armed");
     assert_eq!(o.iterations, 1);
     assert_eq!(o.next_step, None);
-    assert_eq!(o.completions.len(), 1);
-    assert_eq!(o.completions[0].first_token, first);
-    assert_eq!(o.completions[0].finished, last);
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].first_token, first);
+    assert_eq!(done[0].finished, last);
     assert_eq!(ep.stats().tokens_out.get(), 64);
 }

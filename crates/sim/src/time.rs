@@ -178,7 +178,20 @@ fn secs_to_micros(secs: f64) -> u64 {
     if micros >= u64::MAX as f64 {
         u64::MAX
     } else {
-        micros.round() as u64
+        round_positive(micros)
+    }
+}
+
+/// `x.round() as u64` for `0 < x < 2^64`, without `f64::round` (a libm
+/// call on the baseline x86-64 target). Below 2^53 the subtraction is
+/// exact (Sterbenz), so the comparison sees the true fraction; from 2^52
+/// up every f64 is an integer, the fraction is 0 and `whole` stands.
+fn round_positive(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole + 1
+    } else {
+        whole
     }
 }
 
@@ -327,6 +340,109 @@ mod tests {
         assert_eq!(a.min(b), a);
         assert_eq!(format!("{a}"), "1.000s");
         assert_eq!(format!("{}", SimDuration::from_millis(1500)), "1.500s");
+    }
+
+    /// The conversion `secs_to_micros` replaced, built on `f64::round`.
+    fn round_reference(secs: f64) -> u64 {
+        if secs <= 0.0 || secs.is_nan() {
+            return 0;
+        }
+        let micros = secs * MICROS_PER_SEC as f64;
+        if micros >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            micros.round() as u64
+        }
+    }
+
+    fn assert_secs_match(secs: f64) {
+        assert_eq!(
+            secs_to_micros(secs),
+            round_reference(secs),
+            "secs {secs:e} (bits {:#018x})",
+            secs.to_bits()
+        );
+    }
+
+    fn assert_rounds_like_f64_round(x: f64) {
+        assert_eq!(
+            round_positive(x),
+            x.round() as u64,
+            "x {x:e} (bits {:#018x})",
+            x.to_bits()
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn secs_to_micros_matches_f64_round_on_random_bits(
+            bits in proptest::prelude::any::<u64>(),
+        ) {
+            assert_secs_match(f64::from_bits(bits));
+        }
+
+        /// Exact `.5` ties below 2^52 and their one-ulp neighbours.
+        #[test]
+        fn rounding_matches_f64_round_at_exact_ties(whole in 0u64..(1 << 52)) {
+            let tie = whole as f64 + 0.5;
+            proptest::prop_assert_eq!(tie - whole as f64, 0.5);
+            for x in [tie.next_down(), tie, tie.next_up()] {
+                assert_rounds_like_f64_round(x);
+            }
+        }
+
+        /// From 2^52 up every f64 is an integer.
+        #[test]
+        fn rounding_matches_f64_round_on_integral_values(n in (1u64 << 52)..u64::MAX) {
+            let x = n as f64;
+            if x < u64::MAX as f64 {
+                assert_rounds_like_f64_round(x);
+            }
+            assert_secs_match(x / MICROS_PER_SEC as f64);
+        }
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_at_the_edges() {
+        for x in [
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64,
+            (1u64 << 53) as f64,
+            (u64::MAX as f64).next_down(),
+        ] {
+            assert_rounds_like_f64_round(x);
+        }
+        assert_eq!(round_positive(0.49999999999999994), 0);
+
+        let near_max = u64::MAX as f64 / MICROS_PER_SEC as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-300,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            0.49999999999999994,
+        ];
+        let (mut up, mut down) = (near_max, near_max);
+        for _ in 0..64 {
+            cases.extend([up, down]);
+            up = up.next_up();
+            down = down.next_down();
+        }
+        for secs in cases {
+            assert_secs_match(secs);
+        }
     }
 
     #[test]

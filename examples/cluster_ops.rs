@@ -68,7 +68,7 @@ fn main() {
             load: 48,
         },
     ];
-    let plan = Rebalancer::default().plan(&cm.stats(first_preempt), &upcoming, &endpoints);
+    let plan = Rebalancer::default().plan(cm.free_gpu_units(), &upcoming, &endpoints);
     println!("\nrebalancer plan (the paper's Whisper -> Llama example):");
     for action in &plan {
         match action {

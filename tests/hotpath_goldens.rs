@@ -240,3 +240,204 @@ fn keyword_tenant_plans_are_keyed_by_tenant() {
         other => panic!("expected the clashing tenant to fail planning, got {other:?}"),
     }
 }
+
+/// Golden digest of [`preempted_disagg_serve`], recorded before the
+/// serve loop skipped no-op dispatches and repeated endpoint levels.
+const PREEMPTED_DISAGG_GOLDEN: u64 = 0x3f1e_510c_3e9b_4c3e;
+
+/// FNV-1a over 64-bit words.
+fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A serve engine on four A100 nodes: a disaggregated NVLM pair, CPU,
+/// GPU and fractional-GPU tool pools, and an external search, fed 30
+/// workflows with lulls long enough for the pools to release and
+/// re-provision. Spot preemptions take the GPU tool pools' node mid-run
+/// and later the endpoint's node, in the middle of a prefill with decode
+/// idle: the re-placed pair restarts that prefill at the very levels the
+/// dead one last wrote, on devices that are still idle.
+fn preempted_disagg_serve() -> murakkab::engine::EngineOutcome {
+    use murakkab::engine::{CompiledGraph, Engine, EngineOptions, RouteSpec};
+    use murakkab_agents::{library::stock_library, Capability, Work};
+    use murakkab_cluster::{ClusterManager, PlacementPolicy};
+    use murakkab_hardware::{catalog, HardwareTarget};
+    use murakkab_llmsim::BackendSpec;
+    use murakkab_sim::SimTime;
+    use murakkab_workflow::TaskGraph;
+    use std::collections::BTreeMap;
+
+    let mut cluster = ClusterManager::new(PlacementPolicy::BestFit);
+    for _ in 0..4 {
+        cluster.add_node(catalog::nd96amsr_a100_v4());
+    }
+    let pool = |agent: &str, workers: Vec<HardwareTarget>| RouteSpec::Pool {
+        agent: agent.into(),
+        workers,
+    };
+    let routes = BTreeMap::from([
+        (
+            Capability::FrameExtraction,
+            pool("OpenCV", vec![HardwareTarget::cpu_cores(16); 2]),
+        ),
+        (
+            Capability::SpeechToText,
+            pool("Whisper", vec![HardwareTarget::ONE_GPU; 2]),
+        ),
+        (
+            Capability::ObjectDetection,
+            pool(
+                "CLIP",
+                vec![HardwareTarget::Hybrid {
+                    gpus: 1,
+                    gpu_share: 0.5,
+                    cores: 8,
+                }],
+            ),
+        ),
+        (
+            Capability::Summarization,
+            RouteSpec::Endpoint {
+                agent: "NVLM".into(),
+                backend: BackendSpec::Disaggregated {
+                    prefill_gpus: 3,
+                    decode_gpus: 5,
+                    max_batch: 8,
+                },
+            },
+        ),
+        (
+            Capability::WebSearch,
+            RouteSpec::External {
+                agent: "WebSearch".into(),
+            },
+        ),
+    ]);
+    let options = EngineOptions {
+        preemptions: vec![
+            (SimTime::from_secs(25), 1),
+            (SimTime::from_micros(74_050_000), 0),
+        ],
+        record_spans: false,
+        ..EngineOptions::default()
+    };
+    let mut engine = Engine::new(
+        cluster,
+        &stock_library(),
+        TaskGraph::new(),
+        routes,
+        options,
+        SimTime::ZERO,
+    )
+    .expect("the serve engine builds");
+    engine.start(SimTime::ZERO).expect("starts");
+
+    // Each workflow: frames and audio of `scenes` scenes feed detection
+    // and transcription, a per-scene summary, and a final summary that
+    // also waits on a web search.
+    let workflow = |i: u32| {
+        let mut g = TaskGraph::new();
+        let scenes = 1 + i % 3;
+        let fin = g.add_task(
+            "final",
+            "final",
+            Capability::Summarization,
+            Work::Tokens {
+                prompt: 700 + 40 * i,
+                output: 30 + 7 * (i % 5),
+            },
+        );
+        let search = g.add_task("search", "search", Capability::WebSearch, Work::Items(1));
+        g.add_edge(search, fin).expect("acyclic");
+        for s in 0..scenes {
+            let frames = g.add_task(
+                format!("frames/{s}"),
+                "frames",
+                Capability::FrameExtraction,
+                Work::VideoSeconds(20.0 + f64::from(s * 5)),
+            );
+            let detect = g.add_task(
+                format!("detect/{s}"),
+                "detect",
+                Capability::ObjectDetection,
+                Work::Frames(12 + s),
+            );
+            let stt = g.add_task(
+                format!("stt/{s}"),
+                "stt",
+                Capability::SpeechToText,
+                Work::AudioSeconds(15.0 + f64::from((i + s) % 4) * 6.0),
+            );
+            let sum = g.add_task(
+                format!("sum/{s}"),
+                "sum",
+                Capability::Summarization,
+                Work::Tokens {
+                    prompt: 400 + 25 * s,
+                    output: 20 + 3 * ((i + s) % 7),
+                },
+            );
+            for (a, b) in [(frames, detect), (detect, sum), (stt, sum), (sum, fin)] {
+                g.add_edge(a, b).expect("acyclic");
+            }
+        }
+        CompiledGraph::from_graph(&g).expect("compiles")
+    };
+    let mut at = SimTime::ZERO;
+    for i in 0..30u32 {
+        // Bursts of five, then a lull.
+        at += SimDuration::from_secs(if i % 5 == 4 { 60 } else { 3 });
+        while engine.step_while(at, false).expect("steps").is_some() {}
+        engine.admit_graph_into(at, &workflow(i)).expect("admits");
+    }
+    while engine
+        .step_while(SimTime::MAX, true)
+        .expect("steps")
+        .is_some()
+    {}
+    engine.finish(SimTime::ZERO).expect("settles")
+}
+
+#[test]
+fn preempted_disagg_serve_matches_its_golden() {
+    let outcome = preempted_disagg_serve();
+    assert_eq!(
+        outcome.cluster.nodes().iter().filter(|n| !n.up).count(),
+        2,
+        "both spot preemptions landed"
+    );
+    assert!(
+        outcome.pool_scale_downs > 0 && outcome.pool_scale_ups > 0,
+        "pools released and came back: {} down, {} up",
+        outcome.pool_scale_downs,
+        outcome.pool_scale_ups
+    );
+    let mut words = Vec::new();
+    for node in outcome.cluster.nodes() {
+        for device in node.gpus.iter().chain(std::iter::once(&node.cpu)) {
+            let points = device.util_series().points();
+            words.push(points.len() as u64);
+            for &(t, v) in points {
+                words.extend([t.as_micros(), v.to_bits()]);
+            }
+        }
+    }
+    words.extend([
+        outcome.energy_allocated_wh.to_bits(),
+        outcome.cost_usd.to_bits(),
+        outcome.makespan.as_micros(),
+        outcome.tasks_completed as u64,
+    ]);
+    let digest = fnv_words(words);
+    assert_eq!(
+        digest, PREEMPTED_DISAGG_GOLDEN,
+        "preempted disaggregated serve: digest {digest:#018x} diverged from its golden {PREEMPTED_DISAGG_GOLDEN:#018x}"
+    );
+}
