@@ -1,17 +1,13 @@
-//! Shared harness for the benchmark binaries and criterion benches.
+//! Shared harness for the benchmark binaries.
 //!
 //! One function per evaluation artifact: each returns the full set of
-//! reports the corresponding table/figure is built from, so the
-//! `figure3`/`table2`/`table1`/`overheads`/`fleet` binaries and the
-//! criterion benches measure exactly the same runs. Every binary also
+//! reports the corresponding table/figure is built from, for the
+//! `figure3`/`table2`/`table1`/`overheads`/`fleet` binaries; the
+//! integration tests reuse the sweep scenarios. Every binary also
 //! writes its results to `BENCH_<name>.json` via [`write_bench_json`].
 
-pub mod engine_hotpath;
 pub mod geo;
-pub mod simspeed;
-pub use engine_hotpath::{engine_hotpath_main, HotpathRow};
 pub use geo::{geo_main, run_geo_sweep, GeoRow};
-pub use simspeed::{run_simspeed_grid, simspeed_main, SimSpeedRow};
 
 use std::path::PathBuf;
 
@@ -308,6 +304,26 @@ pub fn run_disagg_sweep(seed: u64, horizon_s: f64) -> Result<Vec<FleetReport>, S
             session.execute(&scenario)?.into_open_loop()
         })
         .collect()
+}
+
+/// Parses the `[seed] [--quick]` arguments every root bench binary
+/// takes: the seed defaults to [`SEED`], `--quick` trims the run to CI
+/// size. Any other argument prints `usage: <name> [seed] [--quick]` and
+/// exits with status 2.
+pub fn bench_args(name: &str) -> (u64, bool) {
+    let mut seed = SEED;
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        if arg == "--quick" {
+            quick = true;
+        } else if let Ok(s) = arg.parse() {
+            seed = s;
+        } else {
+            eprintln!("usage: {name} [seed] [--quick]");
+            std::process::exit(2);
+        }
+    }
+    (seed, quick)
 }
 
 /// Writes a machine-readable results file `BENCH_<name>.json` next to the

@@ -5,20 +5,7 @@
 //! `cargo run --release --bin fleet [seed] [--quick]` resolves.
 //! `--quick` trims every axis to its smallest point (CI mode).
 
-use murakkab_bench::SEED;
-
 fn main() {
-    let mut seed = SEED;
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if let Ok(s) = arg.parse() {
-            seed = s;
-        } else {
-            eprintln!("usage: fleet [seed] [--quick]");
-            std::process::exit(2);
-        }
-    }
+    let (seed, quick) = murakkab_bench::bench_args("fleet");
     murakkab_bench::fleet_main(seed, quick);
 }

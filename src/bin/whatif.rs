@@ -6,20 +6,7 @@
 //! `cargo run --release --bin whatif [seed] [--quick]` resolves.
 //! `--quick` shortens the horizon (CI mode).
 
-use murakkab_bench::SEED;
-
 fn main() {
-    let mut seed = SEED;
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if let Ok(s) = arg.parse() {
-            seed = s;
-        } else {
-            eprintln!("usage: whatif [seed] [--quick]");
-            std::process::exit(2);
-        }
-    }
+    let (seed, quick) = murakkab_bench::bench_args("whatif");
     murakkab_bench::whatif_main(seed, quick);
 }

@@ -4,21 +4,19 @@
 //! arenas, compiled route table, calendar event queue, allocation
 //! slab). The digests below were recorded by running each input at
 //! that commit; any divergence means the refactor changed simulation
-//! behaviour, not just its speed. The engine hot-path scoreboard's
-//! simspeed workload is pinned here too, at both of its horizons, and so
-//! are two open-loop runs that break if the serve path's per-shape plan
-//! memo drops the tenant or the scene draws from its key.
+//! behaviour, not just its speed. The simspeed workload (the shard
+//! sweep's log with the front door open and wide workflows) is pinned
+//! here too, at every shard count and both horizons, and so are two
+//! open-loop runs that break if the serve path's per-shape plan memo
+//! drops the tenant or the scene draws from its key.
 
 use murakkab::fleet::fleet_job;
 use murakkab::scenario::{Scenario, Session};
-use murakkab_bench::engine_hotpath::{
-    HOTPATH_GOLDEN_DIGEST_FULL, HOTPATH_GOLDEN_DIGEST_QUICK, HOTPATH_QUICK_HORIZON_S,
-};
-use murakkab_bench::simspeed::{simspeed_log, simspeed_scenario, SIMSPEED_HORIZON_S};
-use murakkab_bench::SEED;
+use murakkab_bench::{shard_sweep_log, shard_sweep_scenario, FLEET_SHARD_NODES, SEED};
 use murakkab_sim::{SimDuration, SimError, SimRng};
 use murakkab_traffic::{
-    Archetype, ArrivalProcess, JobMix, RequestSpec, SloClass, TenantProfile, TrafficSpec,
+    AdmissionConfig, Archetype, ArrivalProcess, JobMix, RequestSpec, SloClass, TenantProfile,
+    TrafficSpec,
 };
 
 /// `(committed scenario, pre-arena golden digest)`.
@@ -70,21 +68,35 @@ fn trace_fixture_replay_matches_pre_arena_golden() {
     );
 }
 
+/// Arrival horizons of the simspeed workload, seconds.
+const SIMSPEED_HORIZON_FULL_S: f64 = 1800.0;
+const SIMSPEED_HORIZON_QUICK_S: f64 = 240.0;
+
+/// Pre-arena golden digests of the simspeed workload at `shards = 1`.
+const HOTPATH_GOLDEN_DIGEST_FULL: u64 = 0xea62_6496_fa46_806f;
+const HOTPATH_GOLDEN_DIGEST_QUICK: u64 = 0x1633_34b3_c5b0_74d3;
+
 #[test]
 fn simspeed_workload_matches_hotpath_goldens() {
-    for (horizon_s, golden) in [
-        (SIMSPEED_HORIZON_S, HOTPATH_GOLDEN_DIGEST_FULL),
-        (HOTPATH_QUICK_HORIZON_S, HOTPATH_GOLDEN_DIGEST_QUICK),
+    for (horizon_s, shards, golden) in [
+        (SIMSPEED_HORIZON_FULL_S, 1, HOTPATH_GOLDEN_DIGEST_FULL),
+        (SIMSPEED_HORIZON_FULL_S, 2, 0xe886_24f5_ca10_8855),
+        (SIMSPEED_HORIZON_FULL_S, 4, 0x9bbb_b01b_8f3c_c3e9),
+        (SIMSPEED_HORIZON_FULL_S, 8, 0x1cf5_d221_2cc9_c2cd),
+        (SIMSPEED_HORIZON_QUICK_S, 1, HOTPATH_GOLDEN_DIGEST_QUICK),
     ] {
-        let log = simspeed_log(SEED, horizon_s);
-        let scenario = simspeed_scenario(SEED, &log, 1, horizon_s);
+        let log = shard_sweep_log(SEED, horizon_s);
+        let scenario = shard_sweep_scenario(SEED, &log, shards, horizon_s, FLEET_SHARD_NODES)
+            .max_inflight(64)
+            .parallelism(24)
+            .admission(AdmissionConfig::disabled());
         let digest = Session::new(&scenario)
             .and_then(|session| session.execute(&scenario))
-            .unwrap_or_else(|e| panic!("simspeed over {horizon_s} s runs: {e}"))
+            .unwrap_or_else(|e| panic!("simspeed at shards={shards} over {horizon_s} s runs: {e}"))
             .digest();
         assert_eq!(
             digest, golden,
-            "simspeed over {horizon_s} s: digest {digest:#018x} diverged from its golden {golden:#018x}"
+            "simspeed at shards={shards} over {horizon_s} s: digest {digest:#018x} diverged from its golden {golden:#018x}"
         );
     }
 }

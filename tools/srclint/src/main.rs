@@ -19,8 +19,10 @@
 //!
 //! Scans `crates/` and `src/` (not `vendor/`, whose shims wrap these
 //! idioms deliberately, and not `tools/`). Legitimate uses are recorded
-//! in `tools/srclint/allowlist.txt` as `<path> <code>` lines. Exits 0
-//! when clean, 1 on findings, 2 on IO failures.
+//! in `tools/srclint/allowlist.txt` as `<path> <code>` lines; an entry
+//! that suppresses nothing is itself an error, so entries cannot outlive
+//! the code they excuse. Exits 0 when clean, 1 on findings or unused
+//! entries, 2 on IO failures.
 //!
 //! Run with `cargo run -p srclint`.
 
@@ -82,10 +84,11 @@ fn main() {
             .unwrap_or(file)
             .display()
             .to_string();
-        scan(&rel, &source, &allowlist, &mut findings);
+        scan(&rel, &source, &mut findings);
     }
+    let (findings, unused) = apply_allowlist(findings, &allowlist);
 
-    if findings.is_empty() {
+    if findings.is_empty() && unused.is_empty() {
         println!("srclint: {} file(s) clean", files.len());
         return;
     }
@@ -102,12 +105,20 @@ fn main() {
             f.message
         );
     }
+    for (path, code) in &unused {
+        let _ = writeln!(
+            out,
+            "tools/srclint/allowlist.txt: unused entry `{path} {code}` suppresses nothing; \
+             delete it"
+        );
+    }
     let _ = write!(
         out,
-        "srclint: {} finding(s) in {} file(s); allowlist legitimate uses in \
-         tools/srclint/allowlist.txt",
+        "srclint: {} finding(s) in {} file(s), {} unused allowlist entry(ies); allowlist \
+         legitimate uses in tools/srclint/allowlist.txt",
         findings.len(),
-        files.len()
+        files.len(),
+        unused.len()
     );
     println!("{out}");
     std::process::exit(1);
@@ -117,19 +128,13 @@ fn rule_for(code: &str) -> &'static Rule {
     RULES.iter().find(|r| r.code == code).expect("known code")
 }
 
-fn scan(rel: &str, source: &str, allowlist: &[(String, String)], findings: &mut Vec<Finding>) {
+fn scan(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     for (i, raw) in source.lines().enumerate() {
         // Strip line comments so prose mentioning an idiom doesn't trip
         // the lint (string literals can still match — allowlist those).
         let line = raw.split("//").next().unwrap_or(raw);
         for rule in RULES {
             if !rule.needles.iter().any(|n| line.contains(n)) {
-                continue;
-            }
-            if allowlist
-                .iter()
-                .any(|(path, code)| path == rel && code == rule.code)
-            {
                 continue;
             }
             findings.push(Finding {
@@ -141,6 +146,33 @@ fn scan(rel: &str, source: &str, allowlist: &[(String, String)], findings: &mut 
             });
         }
     }
+}
+
+/// Drops the findings an allowlist entry covers. Returns the findings
+/// left and the entries that covered none.
+fn apply_allowlist(
+    findings: Vec<Finding>,
+    allowlist: &[(String, String)],
+) -> (Vec<Finding>, Vec<&(String, String)>) {
+    let mut used = vec![false; allowlist.len()];
+    let kept = findings
+        .into_iter()
+        .filter(|f| {
+            let hit = allowlist
+                .iter()
+                .position(|(path, code)| *path == f.path && code == f.code);
+            if let Some(i) = hit {
+                used[i] = true;
+            }
+            hit.is_none()
+        })
+        .collect();
+    let unused = allowlist
+        .iter()
+        .zip(used)
+        .filter_map(|(entry, used)| (!used).then_some(entry))
+        .collect();
+    (kept, unused)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -181,4 +213,24 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("tools/srclint sits two levels below the workspace root")
         .to_path_buf()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn allowlist_suppresses_used_entries_and_reports_unused_ones() {
+        let mut findings = Vec::new();
+        scan("src/clock.rs", "let t = Instant::now();\n", &mut findings);
+        scan("src/map.rs", "let m: HashMap<u32, u32>;\n", &mut findings);
+        let allowlist = [
+            ("src/clock.rs".to_string(), "SL003".to_string()),
+            ("src/gone.rs".to_string(), "SL003".to_string()),
+        ];
+        let (kept, unused) = apply_allowlist(findings, &allowlist);
+        let kept: Vec<_> = kept.iter().map(|f| (f.path.as_str(), f.code)).collect();
+        assert_eq!(kept, [("src/map.rs", "SL002")]);
+        assert_eq!(unused, [&allowlist[1]]);
+    }
 }
