@@ -102,11 +102,6 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// A profiler over a custom target menu.
-    pub fn with_targets(targets: Vec<HardwareTarget>) -> Self {
-        Profiler { targets }
-    }
-
     /// The reference workload used to profile a capability.
     pub fn reference_work(capability: Capability) -> Work {
         match capability {

@@ -1,10 +1,12 @@
 //! Regenerates Figure 3 of the paper: per-component execution timelines
 //! and cluster CPU/GPU utilization for the baseline and the three
-//! Murakkab configurations.
+//! Murakkab configurations. The runs are `table2`'s, whose results
+//! file carries their reports; this binary prints the timelines and
+//! writes one chrome-trace file per configuration.
 //!
 //! Run with `cargo run -p murakkab-bench --bin figure3 [seed]`.
 
-use murakkab_bench::{run_table2_configs, write_bench_json, SEED};
+use murakkab_bench::{run_table2_configs, SEED};
 
 fn main() {
     let seed = std::env::args()
@@ -39,7 +41,6 @@ fn main() {
                 .fold(0.0, f64::max)
     );
 
-    let path = write_bench_json("figure3", &reports).expect("results file writes");
     for report in &reports {
         let name = format!(
             "figure3-{}.trace.json",
@@ -47,9 +48,5 @@ fn main() {
         );
         std::fs::write(&name, report.trace.to_chrome_trace()).ok();
     }
-    println!(
-        "(wrote {} and per-config *.trace.json files — open the latter in \
-         chrome://tracing or Perfetto)",
-        path.display()
-    );
+    println!("(wrote per-config *.trace.json files — open them in chrome://tracing or Perfetto)");
 }

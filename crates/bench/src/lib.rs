@@ -3,8 +3,9 @@
 //! One function per evaluation artifact: each returns the full set of
 //! reports the corresponding table/figure is built from, for the
 //! `figure3`/`table2`/`table1`/`overheads`/`fleet` binaries; the
-//! integration tests reuse the sweep scenarios. Every binary also
-//! writes its results to `BENCH_<name>.json` via [`write_bench_json`].
+//! integration tests reuse the sweep scenarios. Every binary but
+//! `figure3` (which renders `table2`'s runs) also writes its results to
+//! `BENCH_<name>.json` via [`write_bench_json`].
 
 pub mod geo;
 pub use geo::{geo_main, run_geo_sweep, GeoRow};
@@ -127,16 +128,6 @@ pub fn run_fleet_sweep_with(
         }
     }
     Ok(reports)
-}
-
-/// Runs the full fleet sweep: every arrival process × every offered-load
-/// factor, admission control on.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_fleet_sweep(seed: u64) -> Result<Vec<FleetReport>, SimError> {
-    run_fleet_sweep_with(seed, &FLEET_LOAD_FACTORS, FLEET_HORIZON_S, usize::MAX)
 }
 
 /// Nodes in the shard-scaling sweep's cluster — fixed across shard

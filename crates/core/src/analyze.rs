@@ -235,11 +235,6 @@ impl AnalysisReport {
         self.warnings().next().is_some()
     }
 
-    /// The worst severity present, if any finding exists at all.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// Human-readable rendering, one finding per line (empty string for
     /// a clean report).
     pub fn render_human(&self) -> String {
@@ -608,7 +603,7 @@ pub(crate) fn scenario_structural(scenario: &Scenario) -> Vec<Diagnostic> {
         }
         if geo.elastic.is_some() {
             for (i, r) in geo.regions.iter().enumerate() {
-                let cell_nodes = (r.nodes / r.shards.max(1)).max(1);
+                let cell_nodes = r.cell_nodes();
                 if r.spot_nodes % cell_nodes != 0 {
                     out.push(
                         Diagnostic::warning(
@@ -618,7 +613,7 @@ pub(crate) fn scenario_structural(scenario: &Scenario) -> Vec<Diagnostic> {
                                 "spot pool of {} node(s) materializes {} cell(s) of {} node(s); \
                                  {} node(s) stay idle",
                                 r.spot_nodes,
-                                r.spot_nodes / cell_nodes,
+                                r.spot_slots(),
                                 cell_nodes,
                                 r.spot_nodes % cell_nodes
                             ),

@@ -2,21 +2,24 @@
 //! subsystem.
 //!
 //! An open-loop serve run is more than its [`FleetReport`](crate::fleet::FleetReport)
-//! aggregate: every request arrives, is routed to a cell, passes (or
-//! fails) the admission gates, produces its first token, completes —
-//! and queued work occasionally migrates between cells. [`RunCapture`]
-//! records those per-request events while
+//! aggregate: every request arrives, is routed to a region and a cell,
+//! passes (or fails) the admission gates, produces its first token,
+//! completes — and queued work occasionally migrates between cells.
+//! [`RunCapture`] records those per-request events while
 //! [`Session::execute_captured`](crate::scenario::Session::execute_captured)
-//! runs the scenario, so a *run* becomes a durable, transformable
-//! artifact instead of a transient aggregate. The `murakkab_trace`
-//! crate packages a capture together with its scenario and report into
-//! a versioned [`RunTrace`], with bit-identical replay, counterfactual
+//! runs the scenario, in every serving mode (one region or a geo
+//! federation), so a *run* becomes a durable, transformable artifact
+//! instead of a transient aggregate. The `murakkab_trace` crate
+//! packages a capture together with its scenario and report into a
+//! versioned [`RunTrace`], with bit-identical replay, counterfactual
 //! what-if replay and trace transforms on top.
 //!
-//! Capture is observation only: recording is gated behind an
-//! `Option<&mut RunCapture>` in the serve loop and touches no
-//! scheduling state, so a captured run and an uncaptured run of the
-//! same scenario produce bit-identical reports.
+//! Each serving region records into its own `CaptureShard`, a field
+//! of the region the serve loop already steps, so a region stepped on a
+//! worker thread captures without sharing state. `settle` merges the
+//! shards once the run ends. Capture is observation only: recording
+//! touches no scheduling state, so a captured run and an uncaptured run
+//! of the same scenario produce bit-identical reports.
 //!
 //! [`RunTrace`]: https://docs.rs/murakkab_trace
 
@@ -24,13 +27,18 @@ use serde::{Deserialize, Serialize};
 
 use murakkab_traffic::{AdmissionDecision, Archetype};
 
+use crate::fleet::PlannedRequest;
+
 /// What happened to one captured request after it arrived.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestOutcome {
     /// The admission front door's verdict at the arrival instant.
     pub verdict: AdmissionDecision,
-    /// Engine cell the router assigned the request to (admitted
-    /// requests only).
+    /// Region that routed the request (always written by capture;
+    /// `None` on version-1 traces, which means region 0).
+    pub region: Option<usize>,
+    /// Engine cell of that region the router assigned the request to
+    /// (admitted requests only).
     pub cell: Option<usize>,
     /// Simulated instant the request's first token-producing LLM task
     /// delivered its first token, seconds (absolute; `None` when the
@@ -72,6 +80,9 @@ pub struct StealRecord {
     pub at_s: f64,
     /// The moved request.
     pub request_id: u64,
+    /// Region whose cells the workflow moved between (always written
+    /// by capture; `None` on version-1 traces, which means region 0).
+    pub region: Option<usize>,
     /// Cell the workflow was queued on (the hot cell).
     pub from_cell: usize,
     /// Cell it was moved to (the cold cell).
@@ -88,74 +99,45 @@ pub struct RunCapture {
     pub steals: Vec<StealRecord>,
 }
 
-impl RunCapture {
-    /// Requests whose verdict was [`AdmissionDecision::Admitted`].
-    pub fn admitted(&self) -> u64 {
-        self.requests
-            .iter()
-            .filter(|r| {
-                r.outcome
-                    .as_ref()
-                    .is_some_and(|o| o.verdict == AdmissionDecision::Admitted)
-            })
-            .count() as u64
-    }
+/// One region's share of a capture: the outcome of every request the
+/// region routed (indexed by planned request, `None` for requests
+/// served elsewhere) and its steal records in event order.
+pub(crate) struct CaptureShard {
+    pub(crate) region: usize,
+    pub(crate) outcomes: Vec<Option<RequestOutcome>>,
+    pub(crate) steals: Vec<StealRecord>,
+}
 
-    /// Requests with a recorded completion instant.
-    pub fn completed(&self) -> u64 {
-        self.requests
-            .iter()
-            .filter(|r| r.outcome.as_ref().is_some_and(|o| o.completed_s.is_some()))
-            .count() as u64
-    }
-
-    /// Requests rejected by any admission gate.
-    pub fn rejected(&self) -> u64 {
-        self.requests
-            .iter()
-            .filter(|r| {
-                r.outcome
-                    .as_ref()
-                    .is_some_and(|o| o.verdict != AdmissionDecision::Admitted)
-            })
-            .count() as u64
+impl CaptureShard {
+    /// An empty shard for region `region` of a run of `requests`.
+    pub(crate) fn new(region: usize, requests: usize) -> Self {
+        CaptureShard {
+            region,
+            outcomes: vec![None; requests],
+            steals: Vec::new(),
+        }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_partition_the_capture() {
-        let outcome = |verdict, completed_s| {
-            Some(RequestOutcome {
-                verdict,
-                cell: None,
-                first_token_s: None,
-                completed_s,
-                slo_met: completed_s.map(|_| true),
-            })
-        };
-        let record = |id, o| RequestRecord {
-            id,
-            at_s: id as f64,
-            tenant: "t".into(),
-            archetype: Archetype::DocQa,
-            class: "standard".into(),
-            outcome: o,
-        };
-        let cap = RunCapture {
-            requests: vec![
-                record(0, outcome(AdmissionDecision::Admitted, Some(5.0))),
-                record(1, outcome(AdmissionDecision::RejectedRate, None)),
-                record(2, outcome(AdmissionDecision::Admitted, Some(9.0))),
-                record(3, None),
-            ],
-            steals: Vec::new(),
-        };
-        assert_eq!(cap.admitted(), 2);
-        assert_eq!(cap.completed(), 2);
-        assert_eq!(cap.rejected(), 1);
-    }
+/// Builds the run's capture from every region's shard: the
+/// arrival-side fields come from `planned` (record index == planned
+/// index == request id), each request takes its one outcome, and the
+/// steals are concatenated in region-index order and then stably
+/// sorted by instant — exactly the order a sequential loop emits them.
+pub(crate) fn settle(planned: &[PlannedRequest], mut shards: Vec<CaptureShard>) -> RunCapture {
+    let requests = planned
+        .iter()
+        .enumerate()
+        .map(|(i, p)| RequestRecord {
+            id: p.req.id,
+            at_s: p.req.at.as_secs_f64(),
+            tenant: p.req.tenant.clone(),
+            archetype: p.req.archetype,
+            class: p.req.class.name.clone(),
+            outcome: shards.iter_mut().find_map(|s| s.outcomes[i].take()),
+        })
+        .collect();
+    let mut steals: Vec<StealRecord> = shards.into_iter().flat_map(|s| s.steals).collect();
+    steals.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
+    RunCapture { requests, steals }
 }

@@ -19,8 +19,8 @@
 //! stack per model — cells scale the fleet out while the front door
 //! (admission) stays global.
 //!
-//! A `Region` — cells, admission controller, class aggregates and an
-//! epoch's arrivals — is the unit both serve loops step: the
+//! A `Region` — cells, admission controller, class aggregates, capture
+//! shard and an epoch's arrivals — is the unit both serve loops step: the
 //! single-region fleet drives one through `advance_region`, and the geo
 //! layer ([`mod@crate::geo`]) drives one per region through
 //! `advance_regions`, the only place worker threads fan out. Inside a
@@ -49,7 +49,7 @@ use murakkab_traffic::{
 };
 use murakkab_workflow::{Job, TaskGraph};
 
-use crate::capture::{RequestOutcome, RequestRecord, RunCapture, StealRecord};
+use crate::capture::{CaptureShard, RequestOutcome, RunCapture, StealRecord};
 use crate::engine::{CompiledGraph, CompiledTask, Engine, RouteSpec, N_CAPS};
 use crate::runtime::{RoutePlan, RoutePrep, Runtime};
 use crate::scenario::Scenario;
@@ -876,8 +876,8 @@ fn inject_ready(
 }
 
 /// Drains the cell engine's finished-task metrics and completions
-/// straight into the region's class aggregates (and the capture, if
-/// any). `t` is the engine instant that produced them (the latency
+/// straight into its region's class aggregates and capture shard (if
+/// capturing). `t` is the engine instant that produced them (the latency
 /// clock for workflows completing now). A request's WAN charge
 /// ([`PlannedRequest::wan_s`]) lands here: on its end-to-end latency,
 /// its SLO verdict and its TTFT — the user-observed clocks — but not
@@ -886,8 +886,8 @@ fn inject_ready(
 fn harvest_cell(
     cell: &mut Cell,
     classes: &mut [ClassAgg],
+    capture: &mut Option<CaptureShard>,
     planned: &[PlannedRequest],
-    capture: &mut Option<&mut RunCapture>,
     t: SimTime,
 ) {
     let Cell {
@@ -903,10 +903,7 @@ fn harvest_cell(
             let idx = task_slot_get(task_job, tid).expect("classed task has a job slot");
             classes[class_idx].ttfts.push(ttft + planned[idx].wan_s);
             classes[class_idx].tpots.push(tpot);
-            if let Some(o) = capture
-                .as_deref_mut()
-                .and_then(|cap| cap.requests[idx].outcome.as_mut())
-            {
+            if let Some(o) = capture.as_mut().and_then(|c| c.outcomes[idx].as_mut()) {
                 // Earliest first token across the workflow's endpoint
                 // tasks.
                 o.first_token_s = Some(o.first_token_s.map_or(first_abs, |v| v.min(first_abs)));
@@ -935,10 +932,7 @@ fn harvest_cell(
         agg.completed += 1;
         agg.slo_met += u64::from(met);
         agg.latencies.push(latency);
-        if let Some(o) = capture
-            .as_deref_mut()
-            .and_then(|cap| cap.requests[idx].outcome.as_mut())
-        {
+        if let Some(o) = capture.as_mut().and_then(|c| c.outcomes[idx].as_mut()) {
             o.completed_s = Some(t.as_secs_f64());
             o.slo_met = Some(met);
         }
@@ -955,19 +949,23 @@ fn advance_cells(
     region: &mut Region,
     planned: &[PlannedRequest],
     per_cell_inflight: usize,
-    capture: &mut Option<&mut RunCapture>,
     start: SimTime,
     bound: SimTime,
     inclusive: bool,
 ) -> Result<(), SimError> {
-    let Region { cells, classes, .. } = region;
+    let Region {
+        cells,
+        classes,
+        capture,
+        ..
+    } = region;
     for cell in cells.iter_mut() {
         let mut now = start;
         loop {
             inject_ready(cell, planned, per_cell_inflight, now)?;
             match cell.engine.step_while(bound, inclusive)? {
                 Some(t) => {
-                    harvest_cell(cell, classes, planned, capture, t);
+                    harvest_cell(cell, classes, capture, planned, t);
                     now = t;
                 }
                 None => break,
@@ -978,11 +976,11 @@ fn advance_cells(
 }
 
 /// One admission domain: its engine cells, its admission controller,
-/// its per-class aggregates and the arrivals routed to it for the
-/// current epoch. The single-region fleet is one region; the geo layer
-/// runs one per federated region. A region touches only its own state
-/// between epochs, which is what lets [`advance_regions`] step several
-/// on worker threads.
+/// its per-class aggregates, its capture shard and the arrivals routed
+/// to it for the current epoch. The single-region fleet is one region;
+/// the geo layer runs one per federated region. A region touches only
+/// its own state between epochs, which is what lets [`advance_regions`]
+/// step several on worker threads.
 pub(crate) struct Region {
     pub(crate) cells: Vec<Cell>,
     pub(crate) ctrl: AdmissionController<()>,
@@ -992,6 +990,9 @@ pub(crate) struct Region {
     /// This epoch's arrivals, `(instant, planned index)` in arrival
     /// order; drained by [`advance_region`], capacity kept.
     pub(crate) arrivals: Vec<(SimTime, usize)>,
+    /// What this region routes and steals, recorded only when the run
+    /// is captured.
+    pub(crate) capture: Option<CaptureShard>,
 }
 
 impl Region {
@@ -1000,6 +1001,7 @@ impl Region {
         cells: Vec<Cell>,
         admission: &AdmissionConfig,
         classes: Vec<ClassAgg>,
+        capture: Option<CaptureShard>,
     ) -> Result<Self, SimError> {
         Ok(Region {
             cells,
@@ -1008,6 +1010,7 @@ impl Region {
             next_seq: 0,
             steals: 0,
             arrivals: Vec::new(),
+            capture,
         })
     }
 }
@@ -1027,8 +1030,8 @@ pub(crate) struct StepCtx {
 /// buffered arrivals with its cells' engine events (events at an
 /// arrival's instant beat the arrival, so every cell steps to it
 /// inclusively before it routes), then steps the cells to `bound`
-/// itself. Region-local only — safe to run on a worker thread when
-/// `capture` is `None`.
+/// itself. Region-local only (capture included) — safe to run on a
+/// worker thread.
 pub(crate) fn advance_region(
     region: &mut Region,
     planned: &[PlannedRequest],
@@ -1036,21 +1039,20 @@ pub(crate) fn advance_region(
     start: SimTime,
     bound: SimTime,
     inclusive: bool,
-    capture: &mut Option<&mut RunCapture>,
 ) -> Result<(), SimError> {
     let inflight = ctx.per_cell_inflight;
     let mut now = start;
     let arrivals = std::mem::take(&mut region.arrivals);
     for &(at, idx) in &arrivals {
-        advance_cells(region, planned, inflight, capture, now, at, true)?;
-        process_arrival(region, planned, ctx, at, idx, capture);
+        advance_cells(region, planned, inflight, now, at, true)?;
+        process_arrival(region, planned, ctx, at, idx);
         now = at;
     }
     // Hand the (now empty) buffer back so the next epoch reuses its
     // capacity.
     region.arrivals = arrivals;
     region.arrivals.clear();
-    advance_cells(region, planned, inflight, capture, now, bound, inclusive)
+    advance_cells(region, planned, inflight, now, bound, inclusive)
 }
 
 /// Steps every region to the inclusive sync-epoch boundary `bound` —
@@ -1069,7 +1071,7 @@ pub(crate) fn advance_regions(
 ) -> Result<(), SimError> {
     let run_slice = |slice: &mut [Region]| {
         for region in slice.iter_mut() {
-            advance_region(region, planned, ctx, start, bound, true, &mut None)?;
+            advance_region(region, planned, ctx, start, bound, true)?;
         }
         Ok::<(), SimError>(())
     };
@@ -1111,7 +1113,6 @@ fn process_arrival(
     ctx: &StepCtx,
     at: SimTime,
     arr_idx: usize,
-    capture: &mut Option<&mut RunCapture>,
 ) {
     let p = &planned[arr_idx];
     let cells = &mut region.cells;
@@ -1130,9 +1131,10 @@ fn process_arrival(
         cells[cell_idx].queue.len(),
     );
     let admitted = decision == murakkab_traffic::AdmissionDecision::Admitted;
-    if let Some(cap) = capture.as_deref_mut() {
-        cap.requests[arr_idx].outcome = Some(RequestOutcome {
+    if let Some(cap) = &mut region.capture {
+        cap.outcomes[arr_idx] = Some(RequestOutcome {
             verdict: decision,
+            region: Some(cap.region),
             cell: admitted.then_some(cell_idx),
             first_token_s: None,
             completed_s: None,
@@ -1157,11 +1159,10 @@ fn step_trigger(
     region: &mut Region,
     i: usize,
     planned: &[PlannedRequest],
-    capture: &mut Option<&mut RunCapture>,
 ) -> Result<SimTime, SimError> {
     let cell = &mut region.cells[i];
     let t = cell.engine.step()?.expect("peeked event exists");
-    harvest_cell(cell, &mut region.classes, planned, capture, t);
+    harvest_cell(cell, &mut region.classes, &mut region.capture, planned, t);
     Ok(t)
 }
 
@@ -1186,11 +1187,12 @@ impl Runtime {
     /// rebalancer cadence lets hot cells shed queued-but-unstarted
     /// workflows to cold ones.
     ///
-    /// When `capture` is `Some`, every arrival's admission verdict, cell
-    /// assignment, first-token/completion instants and every inter-cell
-    /// steal are recorded into it. Recording is observation only — a
-    /// captured run produces a report bit-identical to the uncaptured
-    /// run of the same scenario.
+    /// When `capture` is set, the region records every arrival's
+    /// admission verdict, cell assignment, first-token/completion
+    /// instants and every inter-cell steal, returned as the run's
+    /// [`RunCapture`]. Recording is observation only — a captured run
+    /// produces a report bit-identical to the uncaptured run of the
+    /// same scenario.
     ///
     /// Deterministic: the same runtime seed and scenario (including the
     /// shard count and router policy) produce a bit-identical
@@ -1202,11 +1204,11 @@ impl Runtime {
     /// Propagates planning, placement and execution errors, rejects more
     /// shards than cluster nodes, and fails on a stalled serve loop (a
     /// scheduling bug).
-    pub(crate) fn serve_captured(
+    pub(crate) fn serve(
         &self,
         scenario: &Scenario,
-        mut capture: Option<&mut RunCapture>,
-    ) -> Result<FleetReport, SimError> {
+        capture: bool,
+    ) -> Result<(FleetReport, Option<RunCapture>), SimError> {
         let (spec, _, _) = scenario.open_loop_parts()?;
         // Partition the cluster into cells, each with its own
         // resource-aware route selection (against the cell's capacity,
@@ -1220,25 +1222,8 @@ impl Runtime {
             Ok((cells, est_routes))
         })?;
         let planned = setup.planned;
-        if let Some(cap) = capture.as_deref_mut() {
-            cap.requests.clear();
-            cap.steals.clear();
-            cap.requests.reserve(planned.len());
-            // Record index == planned index == request id: the arrival
-            // stream is generated in id order.
-            for p in &planned {
-                cap.requests.push(RequestRecord {
-                    id: p.req.id,
-                    at_s: p.req.at.as_secs_f64(),
-                    tenant: p.req.tenant.clone(),
-                    archetype: p.req.archetype,
-                    class: p.req.class.name.clone(),
-                    outcome: None,
-                });
-            }
-        }
-
-        let mut region = Region::new(setup.built, &spec.admission, setup.classes)?;
+        let shard = capture.then(|| CaptureShard::new(0, planned.len()));
+        let mut region = Region::new(setup.built, &spec.admission, setup.classes, shard)?;
         let ctx = StepCtx {
             per_cell_inflight: spec.max_inflight.max(1).div_ceil(spec.shards),
             router: spec.router,
@@ -1258,15 +1243,7 @@ impl Runtime {
                 region.arrivals.push((p.req.at, arr_idx));
                 arr_idx += 1;
             }
-            advance_region(
-                &mut region,
-                &planned,
-                &ctx,
-                now,
-                next_rebalance,
-                false,
-                &mut capture,
-            )?;
+            advance_region(&mut region, &planned, &ctx, now, next_rebalance, false)?;
 
             // Then exactly the one merged-stream item that crosses the
             // tick is processed (earliest first; engine events beat
@@ -1294,15 +1271,15 @@ impl Runtime {
                     ));
                 }
                 (Some(at), Some((ev, i))) if ev <= at => {
-                    now = step_trigger(&mut region, i, &planned, &mut capture)?;
+                    now = step_trigger(&mut region, i, &planned)?;
                 }
                 (Some(at), _) => {
                     now = at;
-                    process_arrival(&mut region, &planned, &ctx, at, arr_idx, &mut capture);
+                    process_arrival(&mut region, &planned, &ctx, at, arr_idx);
                     arr_idx += 1;
                 }
                 (None, Some((_, i))) => {
-                    now = step_trigger(&mut region, i, &planned, &mut capture)?;
+                    now = step_trigger(&mut region, i, &planned)?;
                 }
             }
 
@@ -1337,7 +1314,7 @@ impl Runtime {
                         .plan(cell.engine.free_gpu_units(), &upcoming, &views)
                         .len() as u64;
                 }
-                steal_pass(&mut region, &planned, &ctx, now, &mut capture);
+                steal_pass(&mut region, &planned, &ctx, now);
                 next_rebalance += rebalance_every;
             }
         }
@@ -1349,6 +1326,7 @@ impl Runtime {
             ctrl,
             classes,
             steals,
+            capture,
             ..
         } = region;
         let mut makespan = SimTime::ZERO;
@@ -1362,7 +1340,11 @@ impl Runtime {
             ctrl.stats(),
             steals,
         )?;
-        Ok(assemble_fleet_report(params, classes, &finished, makespan))
+        let capture = capture.map(|shard| crate::capture::settle(&planned, vec![shard]));
+        Ok((
+            assemble_fleet_report(params, classes, &finished, makespan),
+            capture,
+        ))
     }
 
     /// The setup both serve loops share: generates the request stream,
@@ -1536,7 +1518,6 @@ pub(crate) fn steal_pass(
     planned: &[PlannedRequest],
     ctx: &StepCtx,
     now: SimTime,
-    capture: &mut Option<&mut RunCapture>,
 ) {
     let cells = &mut region.cells;
     loop {
@@ -1570,10 +1551,11 @@ pub(crate) fn steal_pass(
             cells[cold].stolen_in += 1;
             cells[cold].note_backlog();
             region.steals += 1;
-            if let Some(cap) = capture.as_deref_mut() {
+            if let Some(cap) = &mut region.capture {
                 cap.steals.push(StealRecord {
                     at_s: now.as_secs_f64(),
                     request_id: planned[idx].req.id,
+                    region: Some(cap.region),
                     from_cell: hot,
                     to_cell: cold,
                 });

@@ -24,8 +24,11 @@
 //! region-index order, so the report is bit-identical at every
 //! region-worker count.
 //!
-//! Elastic capacity: each region's spot pool is one single-node cell
-//! per spot slot, flipped active/inactive at epoch boundaries by the
+//! Capture needs nothing geo-specific: each region records into its
+//! own capture shard, merged at settlement like the single-region one.
+//!
+//! Elastic capacity: each region's spot pool is one whole cell per spot
+//! slot, flipped active/inactive at epoch boundaries by the
 //! conjunction of a seeded availability trace (alternating renewal
 //! process from `murakkab_hardware`) and a *predictive* autoscaler that
 //! provisions for the diurnal origin curve `lead_s` ahead of now. The
@@ -46,6 +49,7 @@ use murakkab_hardware::SpotTrace;
 use murakkab_sim::{SimDuration, SimError, SimRng, SimTime};
 use murakkab_traffic::AdmissionStats;
 
+use crate::capture::{CaptureShard, RunCapture};
 use crate::fleet::{
     advance_regions, assemble_fleet_report, settle_cells, settle_util, steal_pass, CellDone,
     ClassAgg, FleetReport, Region, ReportParams, ServeSetup, StepCtx,
@@ -221,13 +225,15 @@ fn elastic_pass(
     }
 }
 
-/// Executes an open-loop scenario federated across `geo`'s regions.
-/// See the [module docs](self) for the epoch protocol.
+/// Executes an open-loop scenario federated across `geo`'s regions,
+/// capturing per-request records when `capture` is set. See the
+/// [module docs](self) for the epoch protocol.
 pub(crate) fn execute_geo(
     runtime: &Runtime,
     scenario: &Scenario,
     geo: &GeoSpec,
-) -> Result<GeoReport, SimError> {
+    capture: bool,
+) -> Result<(GeoReport, Option<RunCapture>), SimError> {
     let (spec, _, _) = scenario.open_loop_parts()?;
     let horizon = SimDuration::from_secs_f64(spec.horizon_s);
 
@@ -247,17 +253,13 @@ pub(crate) fn execute_geo(
                 .build_cluster_of(region.nodes)
                 .partition(region.shards)?;
             let mut cells = runtime.build_cells(clusters, prep, &mut routes_by_nodes)?;
-            // A spot slot is a whole cell sized like the region's
-            // on-demand cells (a fractional cell cannot host the agent
-            // set); a spot pool smaller than one cell never materializes
-            // — the analyzer warns about the idle remainder.
-            let cell_nodes = (region.nodes / region.shards.max(1)).max(1);
-            let slots = region.spot_nodes / cell_nodes;
+            // A spot pool smaller than one cell never materializes — the
+            // analyzer warns about the idle remainder.
             let mut ledger = Ledger::default();
             if let Some(elastic) = &geo.elastic {
-                for s in 0..slots {
+                for s in 0..region.spot_slots() {
                     let mut spot_cells = runtime.build_cells(
-                        vec![runtime.build_cluster_of(cell_nodes)],
+                        vec![runtime.build_cluster_of(region.cell_nodes())],
                         prep,
                         &mut routes_by_nodes,
                     )?;
@@ -301,8 +303,14 @@ pub(crate) fn execute_geo(
         .collect();
     let mut regions: Vec<Region> = Vec::with_capacity(built.len());
     let mut ledgers: Vec<Ledger> = Vec::with_capacity(built.len());
-    for (cells, ledger) in built {
-        regions.push(Region::new(cells, &spec.admission, skeleton.clone())?);
+    for (r, (cells, ledger)) in built.into_iter().enumerate() {
+        let shard = capture.then(|| CaptureShard::new(r, planned.len()));
+        regions.push(Region::new(
+            cells,
+            &spec.admission,
+            skeleton.clone(),
+            shard,
+        )?);
         ledgers.push(ledger);
     }
 
@@ -369,7 +377,7 @@ pub(crate) fn execute_geo(
 
         // 5. Within-region work stealing rides the sync cadence.
         for (rs, ledger) in regions.iter_mut().zip(&mut ledgers) {
-            steal_pass(rs, &planned, &ctx, epoch_end, &mut None);
+            steal_pass(rs, &planned, &ctx, epoch_end);
             // The spot bill covers the offered-load horizon only. The
             // drain tail's length depends on where the routing policy
             // put the last requests, so billing it would break the
@@ -416,9 +424,11 @@ pub(crate) fn execute_geo(
     // everything in region-index order.
     let mut makespan = SimTime::ZERO;
     let mut settled = Vec::with_capacity(regions.len());
+    let mut shards = Vec::new();
     for rs in regions {
         let finished = settle_cells(rs.cells, &mut makespan)?;
         settled.push((finished, rs.ctrl.stats(), rs.classes, rs.steals));
+        shards.extend(rs.capture);
     }
     for (finished, ..) in &mut settled {
         settle_util(finished, makespan)?;
@@ -486,7 +496,8 @@ pub(crate) fn execute_geo(
     );
     let sum = |f: fn(&GeoRegionReport) -> f64| region_reports.iter().map(f).sum::<f64>();
     let wan_usd = sum(|r| r.wan_egress_usd);
-    Ok(GeoReport {
+    let capture = capture.then(|| crate::capture::settle(&planned, shards));
+    let report = GeoReport {
         policy: geo.policy.tag().into(),
         sync_epoch_s: geo.sync_epoch_s,
         cross_region_requests: region_reports.iter().map(|r| r.escaped_in).sum(),
@@ -497,5 +508,6 @@ pub(crate) fn execute_geo(
         cost_usd: global.cost_usd + wan_usd,
         global,
         regions: region_reports,
-    })
+    };
+    Ok((report, capture))
 }

@@ -119,13 +119,6 @@ impl CatalogRef {
         self.size = Some(size);
         self
     }
-
-    /// Overrides the user parameter.
-    #[must_use]
-    pub fn for_user(mut self, user: &str) -> Self {
-        self.user = Some(user.into());
-        self
-    }
 }
 
 /// An explicit, fully specified job.
@@ -981,11 +974,6 @@ impl Session {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (register custom workloads).
-    pub fn catalog_mut(&mut self) -> &mut WorkloadCatalog {
-        &mut self.catalog
-    }
-
     /// Executes a scenario through the shared plan → expand → select →
     /// engine pipeline and returns the unified [`Report`].
     ///
@@ -997,13 +985,13 @@ impl Session {
     ///
     /// Propagates validation, planning, placement and execution errors.
     pub fn execute(&self, scenario: &Scenario) -> Result<Report, SimError> {
-        self.execute_inner(scenario, None)
+        Ok(self.execute_inner(scenario, false)?.0)
     }
 
-    /// Executes an open-loop scenario while capturing per-request
-    /// events (arrival, admission verdict, cell assignment,
-    /// first-token/completion instants, inter-cell steals) into a
-    /// [`RunCapture`](crate::capture::RunCapture).
+    /// Executes an open-loop scenario — single-region or geo-federated —
+    /// while capturing per-request events (arrival, admission verdict,
+    /// serving region and cell, first-token/completion instants,
+    /// inter-cell steals) into a [`RunCapture`](crate::capture::RunCapture).
     ///
     /// Capture is observation only: the returned [`Report`] is
     /// bit-identical to [`execute`](Self::execute) on the same
@@ -1024,23 +1012,15 @@ impl Session {
                 "per-request capture needs an open-loop scenario".into(),
             ));
         }
-        if scenario.geo.is_some() {
-            return Err(SimError::InvalidInput(
-                "per-request capture is single-region; capture without `geo`, \
-                 then replay the capture across regions with a what-if geo knob"
-                    .into(),
-            ));
-        }
-        let mut capture = crate::capture::RunCapture::default();
-        let report = self.execute_inner(scenario, Some(&mut capture))?;
-        Ok((report, capture))
+        let (report, capture) = self.execute_inner(scenario, true)?;
+        Ok((report, capture.expect("open-loop runs capture on request")))
     }
 
     fn execute_inner(
         &self,
         scenario: &Scenario,
-        capture: Option<&mut crate::capture::RunCapture>,
-    ) -> Result<Report, SimError> {
+        capture: bool,
+    ) -> Result<(Report, Option<crate::capture::RunCapture>), SimError> {
         scenario.validate()?;
         if self.runtime.seed() != scenario.seed
             || self.runtime.shape() != &scenario.cluster.shape
@@ -1080,14 +1060,16 @@ impl Session {
             (ExecutionMode::ClosedLoop, _) => {
                 let jobs = closed_loop_jobs(scenario, &self.catalog)?;
                 let report = self.runtime.run_jobs(&jobs, scenario.run_options())?;
-                Ok(Report::from_run(scenario.seed, report))
+                Ok((Report::from_run(scenario.seed, report), None))
             }
-            (ExecutionMode::OpenLoop(_), Some(geo)) => Ok(Report::from_geo(
-                crate::geo::execute_geo(&self.runtime, scenario, geo)?,
-            )),
-            (ExecutionMode::OpenLoop(_), None) => Ok(Report::from_fleet(
-                self.runtime.serve_captured(scenario, capture)?,
-            )),
+            (ExecutionMode::OpenLoop(_), Some(geo)) => {
+                let (report, cap) = crate::geo::execute_geo(&self.runtime, scenario, geo, capture)?;
+                Ok((Report::from_geo(report), cap))
+            }
+            (ExecutionMode::OpenLoop(_), None) => {
+                let (report, cap) = self.runtime.serve(scenario, capture)?;
+                Ok((Report::from_fleet(report), cap))
+            }
         }
     }
 

@@ -181,9 +181,10 @@ pub struct RegionSpec {
     pub nodes: usize,
     /// Engine cells the on-demand nodes are partitioned into.
     pub shards: usize,
-    /// Spot/preemptible nodes this region may flex up to, each run as a
-    /// single-node cell that the elastic controller activates ahead of
-    /// the local diurnal peak and the availability trace may reclaim.
+    /// Spot/preemptible nodes this region may flex up to, run as
+    /// [`spot_slots`](Self::spot_slots) whole cells that the elastic
+    /// controller activates ahead of the local diurnal peak and the
+    /// availability trace may reclaim.
     pub spot_nodes: usize,
     /// Local-time offset from the simulation clock in hours: the
     /// region's diurnal activity peaks mid-local-day.
@@ -226,6 +227,19 @@ impl RegionSpec {
     pub fn spot_nodes(mut self, n: usize) -> Self {
         self.spot_nodes = n;
         self
+    }
+
+    /// Nodes per engine cell: the on-demand nodes split over the shards
+    /// (at least one). A spot slot is a whole cell of this size.
+    pub fn cell_nodes(&self) -> usize {
+        (self.nodes / self.shards.max(1)).max(1)
+    }
+
+    /// Spot cells the pool materializes under an elastic spec: whole
+    /// cells only (a fractional cell cannot host the agent set), so a
+    /// remainder of [`spot_nodes`](Self::spot_nodes) stays idle.
+    pub fn spot_slots(&self) -> usize {
+        self.spot_nodes / self.cell_nodes()
     }
 }
 

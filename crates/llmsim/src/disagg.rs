@@ -227,11 +227,6 @@ impl DisaggEndpoint {
         self.transfer_bytes
     }
 
-    /// Per-phase utilization series.
-    pub fn phase_series(&self) -> (&TimeSeries, &TimeSeries) {
-        (&self.prefill_util, &self.decode_util)
-    }
-
     /// The earliest due internal event, with the fixed tie-break order
     /// prefill → transfer → decode.
     fn next_due(&self) -> Option<(SimTime, Due)> {

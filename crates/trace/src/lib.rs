@@ -4,9 +4,10 @@
 //! versioned, JSON-serializable artifact: the scenario that produced
 //! it, the per-request event records
 //! ([`RequestRecord`]: arrival instant,
-//! tenant, SLO class, admission verdict, cell assignment, first-token
-//! and completion timestamps), the inter-cell steal events, and the
-//! report digest the run produced. Three things fall out:
+//! tenant, SLO class, admission verdict, serving region and cell,
+//! first-token and completion timestamps), the inter-cell steal
+//! events, and the report digest the run produced. Any open-loop run
+//! captures, single-region or geo-federated. Three things fall out:
 //!
 //! - **Bit-identical replay** ([`RunTrace::replay`] /
 //!   [`RunTrace::verify_replay`]): the embedded scenario re-executes to
@@ -66,8 +67,10 @@ pub use diff::{ClassDiff, CountDelta, Delta, TraceDiff};
 pub use transform::{synthesize, SynthSpec, TraceTransform};
 pub use whatif::{whatif, WhatIf, WhatIfReport};
 
-/// The trace schema version this build reads and writes.
-pub const TRACE_VERSION: u32 = 1;
+/// The trace schema version this build writes. Version 2 records the
+/// serving region on every request outcome and steal; version-1
+/// traces, which carry no region (region 0), still read.
+pub const TRACE_VERSION: u32 = 2;
 
 /// One serve run as a durable artifact: the scenario, the per-request
 /// event records, the steal events, and (for executed traces) the
@@ -173,18 +176,19 @@ impl RunTrace {
     /// The analyzer-style rules, each a typed
     /// [`SimError::InvalidInput`]:
     ///
-    /// - the version must be [`TRACE_VERSION`];
+    /// - the version must be 1 or [`TRACE_VERSION`];
     /// - the scenario must validate, be open-loop and carry a traffic
     ///   source;
     /// - request ids must equal their index (arrival order), arrival
     ///   instants must be finite, non-negative and non-decreasing;
     /// - outcome timestamps must be finite and causally ordered
-    ///   (arrival ≤ first token ≤ completion), cell assignments only
-    ///   on admitted requests and within the shard count, `slo_met`
-    ///   only on completed requests;
+    ///   (arrival ≤ first token ≤ completion), regions within the
+    ///   scenario's, cell assignments only on admitted requests and
+    ///   within their region's cell count, `slo_met` only on completed
+    ///   requests;
     /// - steal events must be finite, time-ordered, reference a
-    ///   captured request and move between two distinct in-range
-    ///   cells;
+    ///   captured request, stay in the region that routed it and move
+    ///   between two distinct cells of that region;
     /// - a recorded digest must match the embedded baseline report's.
     ///
     /// # Errors
@@ -192,9 +196,9 @@ impl RunTrace {
     /// [`SimError::InvalidInput`] naming the first offending field.
     pub fn validate(&self) -> Result<(), SimError> {
         let fail = |msg: String| Err(SimError::InvalidInput(msg));
-        if self.version != TRACE_VERSION {
+        if !(1..=TRACE_VERSION).contains(&self.version) {
             return fail(format!(
-                "trace version {} is not supported (this build reads version {TRACE_VERSION})",
+                "trace version {} is not supported (this build reads versions 1 to {TRACE_VERSION})",
                 self.version
             ));
         }
@@ -205,7 +209,32 @@ impl RunTrace {
         if !matches!(self.scenario.workload, WorkloadSource::Traffic { .. }) {
             return fail("trace scenario must carry a traffic workload source".into());
         }
-        let shards = spec.shards;
+        // Engine cells per region: the shards of a single-region run, or
+        // each federated region's on-demand plus spot cells.
+        let region_cells: Vec<usize> = match &self.scenario.geo {
+            None => vec![spec.shards],
+            Some(geo) => geo
+                .regions
+                .iter()
+                .map(|r| {
+                    r.shards
+                        + if geo.elastic.is_some() {
+                            r.spot_slots()
+                        } else {
+                            0
+                        }
+                })
+                .collect(),
+        };
+        let cells_of = |what: &str, i: usize, region: Option<usize>| {
+            let r = region.unwrap_or(0);
+            region_cells.get(r).copied().ok_or_else(|| {
+                SimError::InvalidInput(format!(
+                    "{what} {i} names region {r}, but the scenario has {} region(s)",
+                    region_cells.len()
+                ))
+            })
+        };
         let mut prev_at = 0.0_f64;
         for (i, r) in self.requests.iter().enumerate() {
             if r.id != i as u64 {
@@ -227,13 +256,14 @@ impl RunTrace {
             prev_at = r.at_s;
             let Some(o) = &r.outcome else { continue };
             let admitted = o.verdict == AdmissionDecision::Admitted;
+            let cells = cells_of("request", i, o.region)?;
             match o.cell {
                 Some(c) if !admitted => {
                     return fail(format!("request {i} was rejected but assigned to cell {c}"));
                 }
-                Some(c) if c >= shards => {
+                Some(c) if c >= cells => {
                     return fail(format!(
-                        "request {i} assigned to cell {c}, but the scenario has {shards} shard(s)"
+                        "request {i} assigned to cell {c}, but its region has {cells} cell(s)"
                     ));
                 }
                 _ => {}
@@ -286,11 +316,22 @@ impl RunTrace {
                     self.requests.len()
                 ));
             }
-            if s.from_cell == s.to_cell || s.from_cell >= shards || s.to_cell >= shards {
+            let cells = cells_of("steal", i, s.region)?;
+            if s.from_cell == s.to_cell || s.from_cell >= cells || s.to_cell >= cells {
                 return fail(format!(
-                    "steal {i} moves cell {} → {}, invalid for {shards} shard(s)",
+                    "steal {i} moves cell {} → {}, invalid for its region's {cells} cell(s)",
                     s.from_cell, s.to_cell
                 ));
+            }
+            if let Some(o) = &self.requests[s.request_id as usize].outcome {
+                let (routed, stolen) = (o.region.unwrap_or(0), s.region.unwrap_or(0));
+                if routed != stolen {
+                    return fail(format!(
+                        "steal {i} moves request {} in region {stolen}, but region {routed} \
+                         routed it",
+                        s.request_id
+                    ));
+                }
             }
         }
         if let (Some(digest), Some(baseline)) = (self.digest, &self.baseline) {

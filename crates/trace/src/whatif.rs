@@ -42,8 +42,8 @@ pub struct WhatIf {
     pub max_inflight: Option<usize>,
     /// Swap the admission configuration.
     pub admission: Option<AdmissionConfig>,
-    /// Federate the replay across regions: the captured (single-region)
-    /// traffic re-served by a multi-region fleet under a WAN model.
+    /// Federate the replay across regions: the captured traffic
+    /// re-served by a multi-region fleet under a WAN model.
     pub geo: Option<GeoSpec>,
 }
 

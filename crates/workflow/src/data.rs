@@ -2,10 +2,8 @@
 //!
 //! The simulator never touches real pixels or audio samples; a
 //! [`DataItem`] carries the *metadata* the cost models and the scheduler
-//! need (durations, counts, token lengths) plus an optional opaque payload
-//! for applications that want to thread real bytes through.
+//! need (durations, counts, token lengths).
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Typed metadata for a value produced/consumed by a task.
@@ -72,30 +70,6 @@ impl DataItem {
     }
 }
 
-/// A data item paired with an optional opaque payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Payload {
-    /// Metadata the scheduler understands.
-    pub item: DataItem,
-    /// Raw bytes for applications (never inspected by the runtime).
-    pub bytes: Option<Bytes>,
-}
-
-impl Payload {
-    /// A payload with metadata only.
-    pub fn meta(item: DataItem) -> Self {
-        Payload { item, bytes: None }
-    }
-
-    /// A payload carrying real bytes.
-    pub fn with_bytes(item: DataItem, bytes: Bytes) -> Self {
-        Payload {
-            item,
-            bytes: Some(bytes),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +88,5 @@ mod tests {
             .prompt_tokens(),
             0
         );
-    }
-
-    #[test]
-    fn payload_carries_bytes_untouched() {
-        let p = Payload::with_bytes(DataItem::Items { count: 1 }, Bytes::from_static(b"abc"));
-        assert_eq!(p.bytes.unwrap().as_ref(), b"abc");
-        assert!(Payload::meta(DataItem::Items { count: 1 }).bytes.is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! Multi-region federation invariants: accounting identities on the
 //! geo report, bit-identical digests across worker-thread counts and
-//! region counts, and the capture/geo exclusion.
+//! region counts, and per-request capture of federated runs.
 
 use murakkab::scenario::{Report, Scenario, Session};
 use murakkab::{GeoPolicy, GeoSpec};
@@ -12,20 +12,20 @@ const HORIZON_S: f64 = 120.0;
 const DAY_S: f64 = 600.0;
 
 fn geo_scenario(label: &str, seed: u64, spec: GeoSpec) -> Scenario {
+    geo_scenario_at(label, seed, spec, 0.4)
+}
+
+fn geo_scenario_at(label: &str, seed: u64, spec: GeoSpec, rate_per_s: f64) -> Scenario {
     let nodes = spec.regions.iter().map(|r| r.nodes).sum::<usize>()
         + if spec.elastic.is_some() {
             spec.regions.iter().map(|r| r.spot_nodes).sum::<usize>()
         } else {
             0
         };
-    Scenario::open_loop(
-        label,
-        ArrivalProcess::Poisson { rate_per_s: 0.4 },
-        HORIZON_S,
-    )
-    .seed(seed)
-    .cluster(murakkab_hardware::catalog::nd96amsr_a100_v4(), nodes)
-    .geo(spec)
+    Scenario::open_loop(label, ArrivalProcess::Poisson { rate_per_s }, HORIZON_S)
+        .seed(seed)
+        .cluster(murakkab_hardware::catalog::nd96amsr_a100_v4(), nodes)
+        .geo(spec)
 }
 
 fn run(scenario: &Scenario) -> Report {
@@ -168,14 +168,62 @@ fn whatif_federates_a_single_region_capture() {
     );
 }
 
-/// Per-request capture stays single-region: a geo scenario must be
-/// captured without its `geo` spec and replayed across regions via a
-/// what-if knob instead.
+/// A federated run captures like a single-region one: every request
+/// gets one outcome naming its serving region, steals stay in time
+/// order, capture moves no digest, and the trace replays bit-identically
+/// — at every region-worker count, with the same capture.
 #[test]
-fn capture_rejects_geo_scenarios() {
-    let spec = GeoSpec::three_region(2, 1, 0).day_s(DAY_S);
-    let scenario = geo_scenario("geo-capture", 3, spec);
-    let session = Session::new(&scenario).expect("session builds");
-    let err = session.execute_captured(&scenario);
-    assert!(err.is_err(), "capture must reject federated scenarios");
+fn geo_capture_replays() {
+    use murakkab_trace::RunTrace;
+
+    let spec = GeoSpec::three_region(4, 2, 4)
+        .policy(GeoPolicy::LatencyWeighted)
+        .day_s(DAY_S)
+        .sync_epoch_s(30.0);
+    let base = geo_scenario_at("geo-capture", 3, spec, 2.0);
+    let mut first = None;
+    for threads in [1, 3] {
+        let scenario = base.clone().threads(threads);
+        let session = Session::new(&scenario).expect("session builds");
+        let trace = RunTrace::capture_with(&session, &scenario).expect("geo scenario captures");
+        let uncaptured = session.execute(&scenario).expect("geo scenario serves");
+        assert_eq!(
+            trace.digest,
+            Some(uncaptured.digest()),
+            "capture moved the digest"
+        );
+        trace
+            .verify_replay()
+            .expect("geo trace replays bit-identically");
+
+        let offered = uncaptured.open_loop().expect("global roll-up").offered;
+        assert_eq!(trace.requests.len() as u64, offered);
+        let mut routed = [0u64; 3];
+        for r in &trace.requests {
+            let o = r.outcome.as_ref().expect("every request has one outcome");
+            match o.region {
+                Some(g) if g < 3 => routed[g] += 1,
+                g => panic!("request {} names region {g:?}", r.id),
+            }
+        }
+        let geo = uncaptured.geo().expect("geo detail");
+        for (g, region) in geo.regions.iter().enumerate() {
+            assert_eq!(routed[g], region.served_requests, "region {g}'s outcomes");
+        }
+        // Steals in several regions, so the merge has to interleave.
+        let stolen_in = |g| trace.steals.iter().any(|s| s.region == Some(g));
+        assert!(
+            (0..3).filter(|&g| stolen_in(g)).count() > 1,
+            "the scenario should steal in more than one region"
+        );
+        assert!(
+            trace.steals.windows(2).all(|w| w[0].at_s <= w[1].at_s),
+            "steals are time-ordered"
+        );
+        let capture = (trace.requests, trace.steals);
+        match &first {
+            None => first = Some(capture),
+            Some(prev) => assert_eq!(prev, &capture, "threads={threads} moved the capture"),
+        }
+    }
 }

@@ -152,19 +152,26 @@ fn counterfactuals_conserve_arrivals() {
     }
 }
 
+fn invalid(trace: &RunTrace, what: &str) {
+    let err = trace.validate().expect_err(&format!("{what} must fail"));
+    assert!(
+        matches!(err, SimError::InvalidInput(_)),
+        "{what}: expected InvalidInput, got {err:?}"
+    );
+}
+
 #[test]
 fn validator_rejects_malformed_traces() {
-    let invalid = |trace: &RunTrace, what: &str| {
-        let err = trace.validate().expect_err(&format!("{what} must fail"));
-        assert!(
-            matches!(err, SimError::InvalidInput(_)),
-            "{what}: expected InvalidInput, got {err:?}"
-        );
-    };
-
-    let mut t = fixture();
-    t.version = 99;
-    invalid(&t, "unknown schema version");
+    assert_eq!(
+        fixture().version,
+        1,
+        "the fixture pins the version-1 schema"
+    );
+    for version in [0, 3, 99] {
+        let mut t = fixture();
+        t.version = version;
+        invalid(&t, &format!("schema version {version}"));
+    }
 
     let mut t = fixture();
     t.requests[0].at_s = f64::NAN;
@@ -184,4 +191,49 @@ fn validator_rejects_malformed_traces() {
         o.cell = Some(usize::MAX);
     }
     invalid(&t, "cell assignment beyond the shard count");
+}
+
+/// A geo trace validates each record against its own region: the
+/// region must exist, a cell must lie within that region's on-demand
+/// plus spot cells, and a steal stays in the region that routed the
+/// request.
+#[test]
+fn validator_checks_geo_regions() {
+    let spec = murakkab::GeoSpec::three_region(4, 2, 4)
+        .day_s(600.0)
+        .sync_epoch_s(30.0);
+    let scenario = Scenario::open_loop(
+        "geo-validate",
+        ArrivalProcess::Poisson { rate_per_s: 2.0 },
+        120.0,
+    )
+    .seed(3)
+    .cluster(murakkab_hardware::catalog::nd96amsr_a100_v4(), 24)
+    .geo(spec);
+    let trace = RunTrace::capture(&scenario).expect("geo scenario captures");
+    trace.validate().expect("a captured geo trace validates");
+    assert!(!trace.steals.is_empty(), "the scenario should steal");
+    let admitted = trace
+        .requests
+        .iter()
+        .position(|r| r.outcome.as_ref().is_some_and(|o| o.cell.is_some()))
+        .expect("an admitted request");
+
+    let mut t = trace.clone();
+    t.requests[admitted].outcome.as_mut().unwrap().region = Some(3);
+    invalid(&t, "region beyond the federation");
+
+    // Each region runs two on-demand cells plus two spot cells.
+    let mut t = trace.clone();
+    t.requests[admitted].outcome.as_mut().unwrap().cell = Some(3);
+    t.validate().expect("a spot cell is in range");
+    t.requests[admitted].outcome.as_mut().unwrap().cell = Some(4);
+    invalid(&t, "cell beyond its region's cell count");
+
+    let mut t = trace.clone();
+    let region = t.steals[0]
+        .region
+        .expect("captured steals name their region");
+    t.steals[0].region = Some((region + 1) % 3);
+    invalid(&t, "steal across two regions");
 }
