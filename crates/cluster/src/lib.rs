@@ -27,5 +27,5 @@ pub mod telemetry;
 pub use manager::{Allocation, AllocationId, ClusterManager, PairedAllocation};
 pub use node::{Node, NodeId};
 pub use placement::PlacementPolicy;
-pub use rebalance::{EndpointView, RebalanceAction, Rebalancer};
+pub use rebalance::{EndpointView, RebalanceAction, Rebalancer, Upcoming};
 pub use telemetry::ResourceStats;

@@ -11,17 +11,21 @@
 //! [`RebalanceAction`]s. The runtime decides whether and when to apply
 //! them — keeping policy (here) separate from mechanism (the manager).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use murakkab_agents::Capability;
 
+/// DAG lookahead: pending task counts indexed by `capability as usize`.
+pub type Upcoming = [usize; Capability::ALL.len()];
+
 /// A deployed serving endpoint / resident agent, as the rebalancer sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EndpointView {
-    /// Allocation label ("whisper", "nvlm-text", ...).
-    pub label: String,
+    /// Allocation label ("whisper", "nvlm-text", ...), shared with the
+    /// deployment that owns it.
+    pub label: Arc<str>,
     /// Capability it serves.
     pub capability: Capability,
     /// GPU units it holds.
@@ -31,17 +35,17 @@ pub struct EndpointView {
 }
 
 /// A recommended resource move.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum RebalanceAction {
     /// Release an idle agent's resources (no load, no upcoming demand).
     ReleaseIdle {
         /// The idle endpoint's label.
-        label: String,
+        label: Arc<str>,
     },
     /// Grow an overloaded endpoint using free GPUs.
     ScaleUp {
         /// The endpoint's label.
-        label: String,
+        label: Arc<str>,
         /// Additional GPU units to grant.
         add_gpus: f64,
     },
@@ -75,35 +79,32 @@ impl Rebalancer {
     /// [`ClusterManager::free_gpu_units`](crate::ClusterManager::free_gpu_units)
     /// reports), DAG lookahead and endpoint views.
     ///
-    /// Deterministic: output ordering follows the (sorted) inputs.
+    /// Deterministic: output ordering follows the inputs (endpoints in
+    /// slice order, demand in `Capability` order).
     pub fn plan(
         &self,
         gpus_free: f64,
-        upcoming: &BTreeMap<Capability, usize>,
+        upcoming: &Upcoming,
         endpoints: &[EndpointView],
     ) -> Vec<RebalanceAction> {
         let mut actions = Vec::new();
+        let idle = |ep: &EndpointView| {
+            ep.load == 0 && upcoming[ep.capability as usize] == 0 && ep.gpus > 0.0
+        };
 
         // 1. Idle agents with no upcoming demand: release (the paper's
         //    Whisper example).
-        for ep in endpoints {
-            let demand = upcoming.get(&ep.capability).copied().unwrap_or(0);
-            if ep.load == 0 && demand == 0 && ep.gpus > 0.0 {
-                actions.push(RebalanceAction::ReleaseIdle {
-                    label: ep.label.clone(),
-                });
-            }
+        for ep in endpoints.iter().filter(|ep| idle(ep)) {
+            actions.push(RebalanceAction::ReleaseIdle {
+                label: Arc::clone(&ep.label),
+            });
         }
 
         // 2. Overloaded endpoints: grow into free GPUs (plus whatever the
         //    releases above will return to the pool).
         let releasable: f64 = endpoints
             .iter()
-            .filter(|ep| {
-                ep.load == 0
-                    && upcoming.get(&ep.capability).copied().unwrap_or(0) == 0
-                    && ep.gpus > 0.0
-            })
+            .filter(|ep| idle(ep))
             .map(|ep| ep.gpus)
             .sum();
         let mut budget = gpus_free + releasable;
@@ -117,7 +118,7 @@ impl Rebalancer {
                     .max(1.0)
                     .min(budget.floor());
                 actions.push(RebalanceAction::ScaleUp {
-                    label: ep.label.clone(),
+                    label: Arc::clone(&ep.label),
                     add_gpus: want,
                 });
                 budget -= want;
@@ -125,7 +126,8 @@ impl Rebalancer {
         }
 
         // 3. Upcoming demand with no resident agent: prewarm.
-        for (&cap, &count) in upcoming {
+        for cap in Capability::ALL {
+            let count = upcoming[cap as usize];
             if count > 0 && !endpoints.iter().any(|ep| ep.capability == cap) {
                 actions.push(RebalanceAction::Prewarm {
                     capability: cap,
@@ -151,11 +153,19 @@ mod tests {
         }
     }
 
+    fn demand(counts: &[(Capability, usize)]) -> Upcoming {
+        let mut upcoming = [0; Capability::ALL.len()];
+        for &(cap, n) in counts {
+            upcoming[cap as usize] = n;
+        }
+        upcoming
+    }
+
     #[test]
     fn paper_example_whisper_to_llama() {
         // Whisper idle with no upcoming STT; NVLM overloaded. The plan
         // should release Whisper and scale up the LLM.
-        let upcoming = BTreeMap::from([(Capability::Summarization, 24usize)]);
+        let upcoming = demand(&[(Capability::Summarization, 24)]);
         let endpoints = vec![
             ep("whisper", Capability::SpeechToText, 1.0, 0),
             ep("nvlm-text", Capability::Summarization, 8.0, 48),
@@ -164,33 +174,33 @@ mod tests {
         assert!(actions.contains(&RebalanceAction::ReleaseIdle {
             label: "whisper".into()
         }));
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, RebalanceAction::ScaleUp { label, .. } if label == "nvlm-text")));
+        assert!(actions.iter().any(
+            |a| matches!(a, RebalanceAction::ScaleUp { label, .. } if &**label == "nvlm-text")
+        ));
     }
 
     #[test]
     fn busy_or_demanded_agents_are_kept() {
-        let upcoming = BTreeMap::from([(Capability::SpeechToText, 4usize)]);
+        let upcoming = demand(&[(Capability::SpeechToText, 4)]);
         let endpoints = vec![ep("whisper", Capability::SpeechToText, 1.0, 0)];
         let actions = Rebalancer::default().plan(2.0, &upcoming, &endpoints);
         assert!(actions.is_empty(), "{actions:?}");
         // Same if it is loaded rather than demanded.
         let endpoints = vec![ep("whisper", Capability::SpeechToText, 1.0, 2)];
-        let actions = Rebalancer::default().plan(2.0, &BTreeMap::new(), &endpoints);
+        let actions = Rebalancer::default().plan(2.0, &demand(&[]), &endpoints);
         assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
     fn no_budget_no_scaleup() {
         let endpoints = vec![ep("nvlm-text", Capability::Summarization, 8.0, 64)];
-        let actions = Rebalancer::default().plan(0.0, &BTreeMap::new(), &endpoints);
+        let actions = Rebalancer::default().plan(0.0, &demand(&[]), &endpoints);
         assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
     fn prewarm_for_unserved_demand() {
-        let upcoming = BTreeMap::from([(Capability::Embedding, 16usize)]);
+        let upcoming = demand(&[(Capability::Embedding, 16)]);
         let actions = Rebalancer::default().plan(4.0, &upcoming, &[]);
         assert_eq!(
             actions,
@@ -204,7 +214,7 @@ mod tests {
     #[test]
     fn scale_up_is_bounded_by_budget() {
         let endpoints = vec![ep("nvlm-text", Capability::Summarization, 2.0, 40)];
-        let actions = Rebalancer::default().plan(3.0, &BTreeMap::new(), &endpoints);
+        let actions = Rebalancer::default().plan(3.0, &demand(&[]), &endpoints);
         let RebalanceAction::ScaleUp { add_gpus, .. } = &actions[0] else {
             panic!("expected scale-up, got {actions:?}");
         };
@@ -215,7 +225,7 @@ mod tests {
     fn action_counts_follow_free_gpus_alone() {
         // Three overloaded endpoints and one idle one: how many scale-ups
         // fit depends only on the free-GPU budget passed in.
-        let upcoming = BTreeMap::from([(Capability::Summarization, 8usize)]);
+        let upcoming = demand(&[(Capability::Summarization, 8)]);
         let endpoints = vec![
             ep("a", Capability::Summarization, 1.0, 40),
             ep("b", Capability::Summarization, 1.0, 40),

@@ -115,7 +115,8 @@ pub mod codes {
     /// A knob the selected execution mode ignores.
     pub const IGNORED_KNOB: &str = "ANZ205";
     /// An open-loop knob the geo federation layer overrides (cell
-    /// layout comes from the per-region specs, not `shards`).
+    /// layout comes from the per-region specs, not `shards`; regions
+    /// tick at `sync_epoch_s`, not `rebalance_every_s`).
     pub const GEO_IGNORED_KNOB: &str = "ANZ206";
 }
 
@@ -639,6 +640,13 @@ pub(crate) fn scenario_structural(scenario: &Scenario) -> Vec<Diagnostic> {
                     codes::GEO_IGNORED_KNOB,
                     "mode.OpenLoop.shards",
                     "geo federation lays out cells per region; the global shards knob is ignored",
+                ));
+            }
+            if spec.rebalance_every_s != OpenLoopSpec::over_horizon(0.0).rebalance_every_s {
+                out.push(Diagnostic::info(
+                    codes::GEO_IGNORED_KNOB,
+                    "mode.OpenLoop.rebalance_every_s",
+                    "geo regions tick at geo.sync_epoch_s; the rebalance cadence is ignored",
                 ));
             }
         }

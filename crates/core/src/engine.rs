@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use murakkab_agents::{AgentLibrary, AgentSpec, Backend, Capability, Work};
-use murakkab_cluster::{AllocationId, ClusterManager};
+use murakkab_cluster::{AllocationId, ClusterManager, EndpointView, Upcoming};
 use murakkab_hardware::{catalog, EnergyScope, GpuSku, HardwareTarget};
 use murakkab_llmsim::{build_backend, BackendSpec, Completion, ModelSpec, Request, ServingBackend};
 use murakkab_orchestrator::OrchestratorCost;
@@ -353,8 +353,9 @@ struct Pool {
 
 #[derive(Debug)]
 struct EndpointHandle {
-    /// Library agent name (sort key of [`Engine::endpoints`]).
-    agent: String,
+    /// Library agent name (sort key of [`Engine::endpoints`]), shared
+    /// as the label of the endpoint's rebalancer views.
+    agent: Arc<str>,
     backend: Box<dyn ServingBackend>,
     /// Deployment shape from the route — consulted when a preemption
     /// forces a re-placement.
@@ -614,7 +615,7 @@ impl Engine {
                         endpoints.insert(
                             agent.clone(),
                             EndpointHandle {
-                                agent: agent.clone(),
+                                agent: Arc::from(agent.as_str()),
                                 backend: be,
                                 spec_backend: *backend,
                                 allocs,
@@ -652,7 +653,7 @@ impl Engine {
                 .expect("route agent was provisioned") as u32
         };
         let pool_names: Vec<String> = pools.iter().map(|p| p.agent.to_string()).collect();
-        let ep_names: Vec<String> = endpoints.iter().map(|h| h.agent.clone()).collect();
+        let ep_names: Vec<String> = endpoints.iter().map(|h| h.agent.to_string()).collect();
         let mut route_table: [Option<CompiledRoute>; N_CAPS] = [None; N_CAPS];
         for (cap, route) in &routes {
             route_table[*cap as usize] = Some(match route {
@@ -745,7 +746,7 @@ impl Engine {
             let ei = self
                 .endpoints
                 .iter()
-                .position(|h| h.agent == *agent)
+                .position(|h| *h.agent == **agent)
                 .ok_or_else(|| SimError::not_found("orchestrator endpoint", agent.clone()))?;
             let req = Request::new(u64::MAX, prompt.max(1), output.max(1));
             let armed = {
@@ -1026,29 +1027,47 @@ impl Engine {
         self.tasks.len()
     }
 
-    /// Not-yet-completed task counts per capability (the DAG lookahead the
-    /// rebalancer consumes; maintained incrementally, materialized to a
-    /// map only at this advisory-cadence call).
-    pub fn upcoming_by_capability(&self) -> BTreeMap<Capability, usize> {
-        Capability::ALL
-            .iter()
-            .filter(|&&c| self.upcoming[c as usize] > 0)
-            .map(|&c| (c, self.upcoming[c as usize]))
-            .collect()
-    }
-
-    /// Free GPU units across the cluster's up nodes — the telemetry the
-    /// advisory rebalancer plans against.
-    pub fn free_gpu_units(&self) -> f64 {
-        self.cluster.free_gpu_units()
-    }
-
-    /// Per-endpoint `(agent, gpus, queued + running requests)` snapshots.
-    pub fn endpoint_loads(&self) -> Vec<(String, u32, usize)> {
-        self.endpoints
-            .iter()
-            .map(|h| (h.agent.clone(), h.backend.gpu_count(), h.backend.load()))
-            .collect()
+    /// The advisory rebalancer's inputs, read in one pass: refills
+    /// `views` with every resident agent and returns the cluster's free
+    /// GPU units (O(nodes)) with the incrementally maintained DAG
+    /// lookahead (not-yet-completed tasks per capability). Endpoints come
+    /// first, sorted by agent, once per capability the route table gives
+    /// them in `Capability` order; then each live (non-released) pool
+    /// once per capability it serves, so advisory policies see tool
+    /// agents as resident too. Labels are refcounts of the agents' own
+    /// names — nothing is allocated once `views` has grown.
+    pub fn rebalance_inputs(&self, views: &mut Vec<EndpointView>) -> (f64, &Upcoming) {
+        views.clear();
+        for (ei, h) in self.endpoints.iter().enumerate() {
+            let (gpus, load) = (f64::from(h.backend.gpu_count()), h.backend.load());
+            let serves = |c: Capability| {
+                let route = self.route_table[c as usize];
+                matches!(route, Some(CompiledRoute::Endpoint(e)) if e as usize == ei)
+            };
+            views.extend(
+                Capability::ALL
+                    .into_iter()
+                    .filter(|&c| serves(c))
+                    .map(|capability| EndpointView {
+                        label: Arc::clone(&h.agent),
+                        capability,
+                        gpus,
+                        load,
+                    }),
+            );
+        }
+        for pool in self.pools.iter().filter(|p| !p.released) {
+            let live = || pool.workers.iter().filter(|w| !w.dead);
+            let gpus: f64 = live().map(|w| w.target.gpu_units()).sum();
+            let load = pool.queue.len() + live().filter(|w| w.busy).count();
+            views.extend(pool.caps.iter().map(|&capability| EndpointView {
+                label: Arc::clone(&pool.agent),
+                capability,
+                gpus,
+                load,
+            }));
+        }
+        (self.cluster.free_gpu_units(), &self.upcoming)
     }
 
     /// The hottest admission-gating KV pool across this engine's
@@ -1086,30 +1105,6 @@ impl Engine {
             out.1 += f64::from(pg);
             out.2 += db.as_secs_f64() * f64::from(dg);
             out.3 += f64::from(dg);
-        }
-        out
-    }
-
-    /// Per-pool `(agent, capability, GPU units held, queued + running
-    /// tasks)` snapshots of live (non-released) pools, one entry per
-    /// capability the pool serves — so advisory policies see tool agents
-    /// as resident, not just LLM endpoints.
-    pub fn pool_views(&self) -> Vec<(String, Capability, f64, usize)> {
-        let mut out = Vec::new();
-        for pool in &self.pools {
-            if pool.released {
-                continue;
-            }
-            let gpus: f64 = pool
-                .workers
-                .iter()
-                .filter(|w| !w.dead)
-                .map(|w| w.target.gpu_units())
-                .sum();
-            let load = pool.queue.len() + pool.workers.iter().filter(|w| w.busy && !w.dead).count();
-            for &cap in &pool.caps {
-                out.push((pool.agent.to_string(), cap, gpus, load));
-            }
         }
         out
     }

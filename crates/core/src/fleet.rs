@@ -13,11 +13,11 @@
 //! cells, each owning a slice of nodes and running its own incremental
 //! [`Engine`] (own LLM endpoints, own tool pools, own event queue). A
 //! fleet-level router ([`CellPolicy`]) assigns each admitted workflow to
-//! a cell, and a periodic migration pass at the rebalancer cadence lets
-//! hot cells shed queued-but-unstarted workflows to cold ones (work
-//! stealing). One monolithic scheduler cannot grow past a single serving
-//! stack per model — cells scale the fleet out while the front door
-//! (admission) stays global.
+//! a cell, and a periodic migration pass lets hot cells shed
+//! queued-but-unstarted workflows to cold ones (work stealing). One
+//! monolithic scheduler cannot grow past a single serving stack per
+//! model — cells scale the fleet out while the front door (admission)
+//! stays global.
 //!
 //! A `Region` — cells, admission controller, class aggregates, capture
 //! shard and an epoch's arrivals — is the unit both serve loops step: the
@@ -28,10 +28,12 @@
 //! by time (engine events beat simultaneous arrivals; ties across cells
 //! go to the lowest cell index) and cells step inline. Tool pools
 //! autoscale per cell (the engine releases them when the DAG lookahead
-//! shows no demand and re-provisions them on admission), long-lived LLM
-//! endpoints multiplex every tenant's token work, and the advisory
-//! [`Rebalancer`] is polled per cell on a fixed cadence against live
-//! backlog telemetry.
+//! shows no demand and re-provisions them on admission) and long-lived
+//! LLM endpoints multiplex every tenant's token work. Both loops run one
+//! periodic `region_tick` per region — the advisory [`Rebalancer`] per
+//! cell against live backlog telemetry, then the steal pass — the
+//! single-region fleet every `rebalance_every_s`, the geo layer at each
+//! sync epoch.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -993,6 +995,8 @@ pub(crate) struct Region {
     /// What this region routes and steals, recorded only when the run
     /// is captured.
     pub(crate) capture: Option<CaptureShard>,
+    /// [`region_tick`]'s rebalancer views, refilled per cell.
+    views: Vec<EndpointView>,
 }
 
 impl Region {
@@ -1011,6 +1015,7 @@ impl Region {
             steals: 0,
             arrivals: Vec::new(),
             capture,
+            views: Vec::new(),
         })
     }
 }
@@ -1183,8 +1188,9 @@ impl Runtime {
     /// from its process, gates them through the admission controller,
     /// routes admitted workflows to one of its `shards` engine cells,
     /// injects them mid-flight and measures per-class latency
-    /// percentiles and SLO attainment. A periodic migration pass at the
-    /// rebalancer cadence lets hot cells shed queued-but-unstarted
+    /// percentiles and SLO attainment. Every `rebalance_every_s` the
+    /// region ticks ([`region_tick`]): the advisory rebalancer counts
+    /// its recommendations and hot cells shed queued-but-unstarted
     /// workflows to cold ones.
     ///
     /// When `capture` is set, the region records every arrival's
@@ -1230,7 +1236,6 @@ impl Runtime {
             priority_ranks: setup.priority_ranks,
             steal_margin: spec.steal_margin,
         };
-        let rebalancer = Rebalancer::default();
         let rebalance_every = SimDuration::from_secs_f64(spec.rebalance_every_s.max(1.0));
         let mut next_rebalance = SimTime::ZERO + rebalance_every;
         let mut now = SimTime::ZERO;
@@ -1248,8 +1253,8 @@ impl Runtime {
             // Then exactly the one merged-stream item that crosses the
             // tick is processed (earliest first; engine events beat
             // simultaneous arrivals; cross-cell ties go to the lowest
-            // cell index) — the rebalancer fires after that item, not at
-            // the tick instant.
+            // cell index) — the region tick fires after that item, not
+            // at the tick instant.
             let next_arr = planned.get(arr_idx).map(|p| p.req.at);
             let next_event = region
                 .cells
@@ -1283,38 +1288,8 @@ impl Runtime {
                 }
             }
 
-            // Advisory rebalancer on its cadence, per cell: plan against
-            // live backlog telemetry, count the recommendations. Resident
-            // views cover every capability an endpoint serves plus the
-            // live tool pools, so Prewarm hints fire only for genuinely
-            // unserved demand (e.g. a pool scaled down during a lull).
             while now >= next_rebalance {
-                for cell in region.cells.iter_mut() {
-                    let upcoming = cell.engine.upcoming_by_capability();
-                    let mut views: Vec<EndpointView> = Vec::new();
-                    for (agent, gpus, load) in cell.engine.endpoint_loads() {
-                        for cap in endpoint_capabilities(&cell.routes, &agent) {
-                            views.push(EndpointView {
-                                label: agent.clone(),
-                                capability: cap,
-                                gpus: f64::from(gpus),
-                                load,
-                            });
-                        }
-                    }
-                    for (agent, capability, gpus, load) in cell.engine.pool_views() {
-                        views.push(EndpointView {
-                            label: agent,
-                            capability,
-                            gpus,
-                            load,
-                        });
-                    }
-                    cell.rebalance_actions += rebalancer
-                        .plan(cell.engine.free_gpu_units(), &upcoming, &views)
-                        .len() as u64;
-                }
-                steal_pass(&mut region, &planned, &ctx, now);
+                region_tick(&mut region, &planned, &ctx, now);
                 next_rebalance += rebalance_every;
             }
         }
@@ -1502,7 +1477,29 @@ impl Runtime {
     }
 }
 
-/// The migration pass riding the telemetry tick: hot cells shed
+/// The region's periodic tick, the one both serve loops run: the
+/// single-region fleet every `rebalance_every_s`, the geo layer per
+/// region at each sync epoch. The advisory [`Rebalancer`] plans per cell
+/// against live backlog telemetry and its recommendations are counted,
+/// not applied; resident views cover every capability an endpoint serves
+/// plus the live tool pools, so Prewarm hints fire only for genuinely
+/// unserved demand (e.g. a pool scaled down during a lull). Then
+/// [`steal_pass`] migrates queued work.
+pub(crate) fn region_tick(
+    region: &mut Region,
+    planned: &[PlannedRequest],
+    ctx: &StepCtx,
+    now: SimTime,
+) {
+    let rebalancer = Rebalancer::default();
+    for cell in &mut region.cells {
+        let (gpus_free, upcoming) = cell.engine.rebalance_inputs(&mut region.views);
+        cell.rebalance_actions += rebalancer.plan(gpus_free, upcoming, &region.views).len() as u64;
+    }
+    steal_pass(region, planned, ctx, now);
+}
+
+/// The migration pass closing [`region_tick`]: hot cells shed
 /// queued-but-unstarted workflows to cold ones until no eligible gap
 /// exceeds the steal margin. The shed item is the hot cell's
 /// *last-to-run* queued workflow (lowest priority, youngest) — it
@@ -1511,24 +1508,24 @@ impl Runtime {
 /// item's priority stripe, so stealing never mixes interactive and
 /// batch traffic; a hot cell whose stripe is already balanced is
 /// skipped so other stripes still drain. Every move re-scores, so the
-/// pass converges (each steal shrinks some gap by two). Shared with
-/// the geo layer, which runs it per region at sync-epoch boundaries.
-pub(crate) fn steal_pass(
-    region: &mut Region,
-    planned: &[PlannedRequest],
-    ctx: &StepCtx,
-    now: SimTime,
-) {
+/// pass converges (each steal shrinks some gap by two).
+fn steal_pass(region: &mut Region, planned: &[PlannedRequest], ctx: &StepCtx, now: SimTime) {
     let cells = &mut region.cells;
-    loop {
+    'pass: loop {
         // Hot candidates in descending backlog order, ties to the
-        // lowest index; take the first that can shed.
-        let mut order: Vec<usize> = (0..cells.len())
-            .filter(|&i| !cells[i].queue.is_empty())
-            .collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(cells[i].backlog()), i));
-        let mut moved = false;
-        for &hot in &order {
+        // lowest index, each found by a scan for the next key after the
+        // last one tried; take the first that can shed, then re-score.
+        let mut tried: Option<(std::cmp::Reverse<usize>, usize)> = None;
+        while let Some(key) = cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.queue.is_empty())
+            .map(|(i, c)| (std::cmp::Reverse(c.backlog()), i))
+            .filter(|&k| tried.is_none_or(|t| k > t))
+            .min()
+        {
+            tried = Some(key);
+            let hot = key.1;
             let priority = cells[hot]
                 .queue
                 .last_priority()
@@ -1560,12 +1557,9 @@ pub(crate) fn steal_pass(
                     to_cell: cold,
                 });
             }
-            moved = true;
-            break;
+            continue 'pass;
         }
-        if !moved {
-            break;
-        }
+        return;
     }
 }
 
@@ -1909,18 +1903,6 @@ pub(crate) fn assemble_fleet_report(
         steals: params.steals,
         cells: cell_reports,
     }
-}
-
-/// Every capability a routed endpoint agent serves (endpoints are
-/// deduplicated per model, so one agent can cover several capabilities).
-fn endpoint_capabilities(routes: &BTreeMap<Capability, RouteSpec>, agent: &str) -> Vec<Capability> {
-    routes
-        .iter()
-        .filter_map(|(&cap, r)| match r {
-            RouteSpec::Endpoint { agent: a, .. } if a == agent => Some(cap),
-            _ => None,
-        })
-        .collect()
 }
 
 /// The admission estimate's cost model: each routed capability's agent

@@ -15,10 +15,16 @@
 //!
 //! Each region is a `Region` stepped by the same `advance_region` as the
 //! single-region fleet ([`mod@crate::fleet`]), with inclusive sync-epoch
-//! bounds. Regions only interact at
-//! sync-epoch boundaries (route snapshots, elastic transitions, steal
-//! passes), so between epochs every region advances on its own engine
-//! state alone. `advance_regions` steps them concurrently on the
+//! bounds. Regions only interact at sync-epoch boundaries (route
+//! snapshots, elastic transitions), so between epochs every region
+//! advances on its own engine state alone. Each epoch runs five steps:
+//! (1) elastic spot transitions, (2) the load snapshot, (3) geo-routing
+//! the epoch's arrivals, (4) stepping every region to the boundary and
+//! (5) each region's `region_tick` — the same tick the single-region
+//! fleet runs every `rebalance_every_s` (advisory rebalancer per cell,
+//! then the steal pass) — plus the spot bill. Geo ticks at
+//! `sync_epoch_s` and ignores `rebalance_every_s`. `advance_regions`
+//! steps regions concurrently on the
 //! [`OpenLoopSpec::threads`](crate::scenario::OpenLoopSpec) region
 //! workers — cells within a region step inline — and all merging is in
 //! region-index order, so the report is bit-identical at every
@@ -51,7 +57,7 @@ use murakkab_traffic::AdmissionStats;
 
 use crate::capture::{CaptureShard, RunCapture};
 use crate::fleet::{
-    advance_regions, assemble_fleet_report, settle_cells, settle_util, steal_pass, CellDone,
+    advance_regions, assemble_fleet_report, region_tick, settle_cells, settle_util, CellDone,
     ClassAgg, FleetReport, Region, ReportParams, ServeSetup, StepCtx,
 };
 use crate::runtime::Runtime;
@@ -375,9 +381,10 @@ pub(crate) fn execute_geo(
         // 4. Every region advances to the boundary independently.
         advance_regions(&mut regions, &planned, &ctx, threads, now, epoch_end)?;
 
-        // 5. Within-region work stealing rides the sync cadence.
+        // 5. Each region's tick (advisory rebalancer, then work
+        //    stealing) rides the sync cadence.
         for (rs, ledger) in regions.iter_mut().zip(&mut ledgers) {
-            steal_pass(rs, &planned, &ctx, epoch_end);
+            region_tick(rs, &planned, &ctx, epoch_end);
             // The spot bill covers the offered-load horizon only. The
             // drain tail's length depends on where the routing policy
             // put the last requests, so billing it would break the

@@ -177,7 +177,9 @@ pub struct OpenLoopSpec {
     pub shards: usize,
     /// How admitted workflows are assigned to cells.
     pub router: CellPolicy,
-    /// Rebalancer / work-stealing cadence in simulated seconds.
+    /// Single-region cadence of the region tick (advisory rebalancer,
+    /// then work stealing) in simulated seconds. A geo run ignores it:
+    /// its regions tick at every `sync_epoch_s`.
     pub rebalance_every_s: f64,
     /// Backlog gap above which the migration pass steals queued work.
     pub steal_margin: usize,

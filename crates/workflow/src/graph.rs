@@ -262,23 +262,6 @@ impl TaskGraph {
         Ok(best)
     }
 
-    /// Counts not-yet-completed tasks per capability — the DAG lookahead
-    /// the workflow-aware cluster manager consumes (§3.2: "it exposes
-    /// workflow DAGs to the Cluster Manager, providing visibility into
-    /// completed and upcoming tasks").
-    pub fn upcoming_by_capability(
-        &self,
-        completed: &BTreeSet<TaskId>,
-    ) -> BTreeMap<Capability, usize> {
-        let mut out = BTreeMap::new();
-        for (id, node) in &self.nodes {
-            if !completed.contains(id) {
-                *out.entry(node.capability).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
     /// Merges `other` into `self`, remapping ids; returns the id mapping.
     pub fn absorb(&mut self, other: &TaskGraph) -> BTreeMap<TaskId, TaskId> {
         self.absorb_prefixed(other, "")
@@ -434,18 +417,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cp, SimDuration::from_secs(11));
-    }
-
-    #[test]
-    fn upcoming_by_capability_counts_pending() {
-        let (g, [a, ..]) = diamond();
-        let mut done = BTreeSet::new();
-        let up = g.upcoming_by_capability(&done);
-        assert_eq!(up[&Capability::SpeechToText], 1);
-        assert_eq!(up.len(), 4);
-        done.insert(a);
-        let up = g.upcoming_by_capability(&done);
-        assert!(!up.contains_key(&Capability::FrameExtraction));
     }
 
     #[test]

@@ -112,22 +112,4 @@ proptest! {
             prop_assert!(a.task(new_id).unwrap().name.starts_with("x/"));
         }
     }
-
-    /// upcoming_by_capability always sums to the number of pending tasks.
-    #[test]
-    fn upcoming_counts_partition_pending(
-        n in 1usize..30,
-        edges in prop::collection::vec((0usize..30, 0usize..30), 0..60),
-        complete_mask in prop::collection::vec(any::<bool>(), 30),
-    ) {
-        let g = random_dag(n, &edges);
-        let done: BTreeSet<TaskId> = g
-            .tasks()
-            .filter(|t| complete_mask[t.id.raw() as usize % complete_mask.len()])
-            .map(|t| t.id)
-            .collect();
-        let up = g.upcoming_by_capability(&done);
-        let total: usize = up.values().sum();
-        prop_assert_eq!(total, g.len() - done.len());
-    }
 }

@@ -7,8 +7,6 @@
 //! cargo run --example cluster_ops
 //! ```
 
-use std::collections::BTreeMap;
-
 use murakkab_agents::Capability;
 use murakkab_cluster::{
     rebalance::EndpointView, ClusterManager, PlacementPolicy, RebalanceAction, Rebalancer,
@@ -53,7 +51,8 @@ fn main() {
     println!("allocations killed by preemption: {killed:?}");
 
     // The workflow-aware rebalancer: STT demand is gone, LLM is swamped.
-    let upcoming = BTreeMap::from([(Capability::Summarization, 64usize)]);
+    let mut upcoming = [0usize; Capability::ALL.len()];
+    upcoming[Capability::Summarization as usize] = 64;
     let endpoints = vec![
         EndpointView {
             label: "whisper".into(),

@@ -171,7 +171,9 @@ fn whatif_federates_a_single_region_capture() {
 /// A federated run captures like a single-region one: every request
 /// gets one outcome naming its serving region, steals stay in time
 /// order, capture moves no digest, and the trace replays bit-identically
-/// — at every region-worker count, with the same capture.
+/// — at every region-worker count, with the same capture. Its regions
+/// tick the advisory rebalancer, and the counts roll up cell → region →
+/// global.
 #[test]
 fn geo_capture_replays() {
     use murakkab_trace::RunTrace;
@@ -209,7 +211,19 @@ fn geo_capture_replays() {
         let geo = uncaptured.geo().expect("geo detail");
         for (g, region) in geo.regions.iter().enumerate() {
             assert_eq!(routed[g], region.served_requests, "region {g}'s outcomes");
+            let cells: u64 = region.fleet.cells.iter().map(|c| c.rebalance_actions).sum();
+            assert_eq!(
+                region.fleet.rebalance_actions, cells,
+                "region {g}'s rebalancer total"
+            );
         }
+        // Every region runs the rebalancer tick at its sync epochs.
+        let regions: u64 = geo.regions.iter().map(|r| r.fleet.rebalance_actions).sum();
+        assert!(regions > 0, "geo regions run the advisory rebalancer");
+        assert_eq!(
+            geo.global.rebalance_actions, regions,
+            "global rebalancer roll-up"
+        );
         // Steals in several regions, so the merge has to interleave.
         let stolen_in = |g| trace.steals.iter().any(|s| s.region == Some(g));
         assert!(

@@ -19,13 +19,16 @@ use murakkab_traffic::{
     TrafficSpec,
 };
 
-/// `(committed scenario, pre-arena golden digest)`.
+/// `(committed scenario, golden digest)`: pre-arena goldens, except the
+/// geo scenario's, pinned once its regions ran the rebalancer tick (the
+/// only report fields that moved then were its `rebalance_actions`).
 const SCENARIO_GOLDENS: &[(&str, u64)] = &[
     ("scenarios/disagg_ab_colocated.json", 0x0f60_7ec7_6ec3_5871),
     (
         "scenarios/disagg_ab_disaggregated.json",
         0x57c2_63c1_d65e_3be3,
     ),
+    ("scenarios/geo_three_region.json", 0x1837_2b6e_1196_281b),
     ("scenarios/overload_open_loop.json", 0xcc39_417c_f1d8_3ba6),
     (
         "scenarios/paper_testbed_closed_loop.json",

@@ -166,6 +166,49 @@ fn ignored_closed_loop_knobs_are_flagged_and_inert_in_open_loop() {
     );
 }
 
+/// Under geo federation the per-region specs lay out the cells and each
+/// region ticks at the sync epoch, so the global `shards` and
+/// `rebalance_every_s` knobs are each flagged ANZ206 and neither moves
+/// the digest.
+#[test]
+fn geo_ignored_knobs_are_flagged_and_inert() {
+    let base = Scenario::open_loop(
+        "geo-knobs",
+        ArrivalProcess::Poisson { rate_per_s: 0.3 },
+        120.0,
+    )
+    .cluster(murakkab_hardware::catalog::nd96amsr_a100_v4(), 6)
+    .geo(murakkab::GeoSpec::three_region(2, 1, 0).sync_epoch_s(30.0));
+    assert!(
+        !codes_of(&analyze(&base)).contains(&codes::GEO_IGNORED_KNOB),
+        "default knobs are not flagged"
+    );
+    let mut cadence = base.clone();
+    if let ExecutionMode::OpenLoop(spec) = &mut cadence.mode {
+        spec.rebalance_every_s = 7.0;
+    }
+    let digest = base.run().unwrap().digest();
+    for (path, knobbed) in [
+        ("mode.OpenLoop.shards", base.clone().shards(2)),
+        ("mode.OpenLoop.rebalance_every_s", cadence),
+    ] {
+        let report = analyze(&knobbed);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == codes::GEO_IGNORED_KNOB && d.path == path),
+            "geo must flag the ignored `{path}` knob, got:\n{}",
+            report.render_human()
+        );
+        assert_eq!(
+            knobbed.run().unwrap().digest(),
+            digest,
+            "`{path}` must not reach the geo serve loop"
+        );
+    }
+}
+
 /// A bounded closed-loop scenario space for the analyzer/executor
 /// agreement property: structurally diverse, small enough to execute.
 fn small_mix_scenario(
