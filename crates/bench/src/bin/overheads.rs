@@ -87,7 +87,6 @@ fn main() {
     let blind = session
         .execute(
             &base
-                .clone()
                 .labeled("workflow-blind")
                 .stt(SttChoice::Hybrid)
                 .workflow_aware(false),

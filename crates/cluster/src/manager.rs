@@ -58,23 +58,26 @@ pub struct ClusterManager {
     next_node: u64,
     next_dev: u64,
     next_alloc: u64,
-    /// Allocation slab indexed by the dense [`AllocationId`]; released
-    /// slots go vacant (ids are never reused), so iteration in slot
-    /// order is iteration in id order.
-    allocations: Vec<Option<Allocation>>,
-    /// Occupied slots in `allocations`.
-    live_allocations: usize,
+    /// Live allocations only, in ascending id order: ids are issued
+    /// monotonically and never reused, so a grant appends, a lookup is a
+    /// binary search, and a release removes its entry — the table holds
+    /// what is live, not everything the run ever granted.
+    allocations: Vec<Allocation>,
     policy: PlacementPolicy,
     provision_delay: SimDuration,
     pending: Vec<(SimTime, VmShape)>,
 }
 
-/// Borrows a live allocation out of the slab.
-fn slab_get(allocations: &[Option<Allocation>], id: AllocationId) -> Result<&Allocation, SimError> {
+/// The position of live allocation `id` in the id-ordered table.
+fn live_index(allocations: &[Allocation], id: AllocationId) -> Result<usize, SimError> {
     allocations
-        .get(id.raw() as usize)
-        .and_then(Option::as_ref)
-        .ok_or_else(|| SimError::not_found("allocation", id.to_string()))
+        .binary_search_by_key(&id, |a| a.id)
+        .map_err(|_| SimError::not_found("allocation", id.to_string()))
+}
+
+/// Borrows a live allocation out of the id-ordered table.
+fn live_get(allocations: &[Allocation], id: AllocationId) -> Result<&Allocation, SimError> {
+    live_index(allocations, id).map(|i| &allocations[i])
 }
 
 /// Mutably borrows the node with `id`. Nodes are only ever appended
@@ -100,7 +103,6 @@ impl ClusterManager {
             next_dev: 0,
             next_alloc: 0,
             allocations: Vec::new(),
-            live_allocations: 0,
             policy,
             provision_delay: SimDuration::from_secs(90),
             pending: Vec::new(),
@@ -223,8 +225,7 @@ impl ClusterManager {
 
         let id = AllocationId::from_raw(self.next_alloc);
         self.next_alloc += 1;
-        debug_assert_eq!(self.allocations.len() as u64, id.raw());
-        self.allocations.push(Some(Allocation {
+        self.allocations.push(Allocation {
             id,
             node: node_id,
             target,
@@ -233,8 +234,7 @@ impl ClusterManager {
             cores,
             label: label.into(),
             created: now,
-        }));
-        self.live_allocations += 1;
+        });
         id
     }
 
@@ -303,12 +303,7 @@ impl ClusterManager {
     ///
     /// Returns [`SimError::NotFound`] for unknown ids.
     pub fn release(&mut self, _now: SimTime, id: AllocationId) -> Result<(), SimError> {
-        let alloc = self
-            .allocations
-            .get_mut(id.raw() as usize)
-            .and_then(Option::take)
-            .ok_or_else(|| SimError::not_found("allocation", id.to_string()))?;
-        self.live_allocations -= 1;
+        let alloc = self.allocations.remove(live_index(&self.allocations, id)?);
         let node = node_mut(&mut self.nodes, alloc.node);
         if node.up {
             for dev in &alloc.gpu_devices {
@@ -326,9 +321,7 @@ impl ClusterManager {
     /// Whether `id` names a live allocation: granted and not yet
     /// released, preempted or evicted.
     pub fn is_live(&self, id: AllocationId) -> bool {
-        self.allocations
-            .get(id.raw() as usize)
-            .is_some_and(Option::is_some)
+        live_index(&self.allocations, id).is_ok()
     }
 
     /// Looks up an allocation.
@@ -337,7 +330,7 @@ impl ClusterManager {
     ///
     /// Returns [`SimError::NotFound`] for unknown ids.
     pub fn allocation(&self, id: AllocationId) -> Result<&Allocation, SimError> {
-        slab_get(&self.allocations, id)
+        live_get(&self.allocations, id)
     }
 
     /// Marks task activity on an allocation: `gpu_util` of each granted
@@ -382,7 +375,7 @@ impl ClusterManager {
         let Self {
             nodes, allocations, ..
         } = self;
-        let alloc = slab_get(allocations, id)?;
+        let alloc = live_get(allocations, id)?;
         let node = node_mut(nodes, alloc.node);
         if !node.up {
             // The node died; its activity was zeroed at preemption.
@@ -422,7 +415,7 @@ impl ClusterManager {
         let Self {
             nodes, allocations, ..
         } = self;
-        let alloc = slab_get(allocations, id)?;
+        let alloc = live_get(allocations, id)?;
         let node = node_mut(nodes, alloc.node);
         if !node.up {
             return Ok(());
@@ -464,12 +457,13 @@ impl ClusterManager {
         node.cpu.unreserve(node.cpu.reserved());
 
         let mut killed = Vec::new();
-        for slot in &mut self.allocations {
-            if slot.as_ref().is_some_and(|a| a.node == id) {
-                killed.push(slot.take().expect("checked occupied").id);
-                self.live_allocations -= 1;
+        self.allocations.retain(|a| {
+            let dies = a.node == id;
+            if dies {
+                killed.push(a.id);
             }
-        }
+            !dies
+        });
         Ok(killed)
     }
 
@@ -522,17 +516,14 @@ impl ClusterManager {
         let mut squeezed = Vec::new();
         if f64::from(new_cores) < old_capacity && reserved > f64::from(new_cores) {
             let mut overflow = reserved - f64::from(new_cores);
-            for slot in &mut self.allocations {
-                let evict = slot
-                    .as_ref()
-                    .is_some_and(|a| a.node == id && a.cores > 0 && overflow > 0.0);
+            self.allocations.retain(|a| {
+                let evict = a.node == id && a.cores > 0 && overflow > 0.0;
                 if evict {
-                    let a = slot.take().expect("checked occupied");
                     squeezed.push(a.id);
                     overflow -= f64::from(a.cores);
-                    self.live_allocations -= 1;
                 }
-            }
+                !evict
+            });
         }
         let _ = now;
         Ok(squeezed)
@@ -576,7 +567,7 @@ impl ClusterManager {
                 self.nodes.len()
             )));
         }
-        if self.live_allocations != 0 {
+        if !self.allocations.is_empty() {
             return Err(SimError::InvalidState(
                 "cannot partition a cluster with live allocations".into(),
             ));
@@ -616,7 +607,7 @@ impl ClusterManager {
     /// "Resource-Aware Workflow Orchestration").
     pub fn stats(&self, now: SimTime) -> ResourceStats {
         let mut per_label: BTreeMap<String, f64> = BTreeMap::new();
-        for a in self.allocations.iter().flatten() {
+        for a in &self.allocations {
             *per_label.entry(a.label.to_string()).or_insert(0.0) +=
                 a.gpu_share * a.gpu_devices.len() as f64;
         }
@@ -801,9 +792,9 @@ impl ClusterManager {
         &self.nodes
     }
 
-    /// Live allocations in id order (vacant slab slots are skipped).
+    /// Live allocations in id order.
     pub fn allocations(&self) -> impl Iterator<Item = &Allocation> {
-        self.allocations.iter().flatten()
+        self.allocations.iter()
     }
 }
 
@@ -901,7 +892,7 @@ mod tests {
         let node = cm.allocation(b).unwrap().node;
         cm.preempt_node(t(2), node).unwrap();
         assert!(!cm.is_live(b), "preempted");
-        // Ids past the slab were never granted.
+        // Ids past the last grant were never granted.
         assert!(!cm.is_live(AllocationId::from_raw(2)));
         assert!(!cm.is_live(AllocationId::from_raw(u64::MAX)));
         // Liveness agrees with the fallible lookup everywhere.

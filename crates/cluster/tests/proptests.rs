@@ -1,8 +1,10 @@
 //! Property-based tests for the cluster manager.
 
+use std::collections::BTreeSet;
+
 use murakkab_cluster::{AllocationId, ClusterManager, PlacementPolicy};
-use murakkab_hardware::{catalog, HardwareTarget};
-use murakkab_sim::SimTime;
+use murakkab_hardware::{catalog, HardwareTarget, VmPricing};
+use murakkab_sim::{SimError, SimTime};
 use proptest::prelude::*;
 
 fn target_strategy() -> impl Strategy<Value = HardwareTarget> {
@@ -142,5 +144,76 @@ proptest! {
         let wide = cm.energy_wh(SimTime::ZERO, SimTime::from_secs(600), scope);
         prop_assert!(narrow >= 0.0);
         prop_assert!(wide + 1e-12 >= narrow);
+    }
+
+    /// The allocation table holds exactly the live allocations, in
+    /// ascending id order, under any interleaving of grants, releases
+    /// (of live and of already-gone ids), node preemptions and restores,
+    /// and harvest resizes. Ids are never reused, and a gone id is
+    /// neither live nor found.
+    #[test]
+    fn allocation_table_is_live_only_and_id_ordered(
+        ops in prop::collection::vec((0u8..4, target_strategy(), 0usize..64, 8u32..97), 1..150),
+    ) {
+        let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
+        cm.add_node(catalog::nd96amsr_a100_v4());
+        cm.add_node(catalog::nd96amsr_a100_v4());
+        let mut harvest = catalog::cpu_only_f64s();
+        harvest.pricing = VmPricing::Harvest {
+            discount: 0.2,
+            min_cores: 8,
+        };
+        let harvest = cm.add_node(harvest);
+        let mut live: BTreeSet<AllocationId> = BTreeSet::new();
+        let mut gone: Vec<AllocationId> = Vec::new();
+        let mut last_issued: Option<AllocationId> = None;
+        for (i, (op, target, pick, cores)) in ops.into_iter().enumerate() {
+            let now = SimTime::from_secs(i as u64);
+            match op {
+                0 => {
+                    if let Ok(id) = cm.allocate(now, "prop", target) {
+                        prop_assert!(last_issued.is_none_or(|last| id > last), "{id} reused");
+                        last_issued = Some(id);
+                        live.insert(id);
+                    }
+                }
+                1 => {
+                    let all: Vec<AllocationId> = live.iter().chain(&gone).copied().collect();
+                    if let Some(&id) = all.get(pick % all.len().max(1)) {
+                        let was_live = live.remove(&id);
+                        prop_assert_eq!(cm.release(now, id).is_ok(), was_live);
+                        if was_live {
+                            gone.push(id);
+                        }
+                    }
+                }
+                2 => {
+                    let node = cm.nodes()[pick % cm.nodes().len()].id;
+                    if cm.nodes()[node.raw() as usize].up {
+                        for id in cm.preempt_node(now, node).unwrap() {
+                            prop_assert!(live.remove(&id), "{id} was not live");
+                            gone.push(id);
+                        }
+                    } else {
+                        cm.restore_node(now, node).unwrap();
+                    }
+                }
+                _ => {
+                    if cm.nodes()[harvest.raw() as usize].up {
+                        for id in cm.resize_harvest_cores(now, harvest, cores).unwrap() {
+                            prop_assert!(live.remove(&id), "{id} was not live");
+                            gone.push(id);
+                        }
+                    }
+                }
+            }
+            let table: Vec<AllocationId> = cm.allocations().map(|a| a.id).collect();
+            prop_assert!(table.windows(2).all(|w| w[0] < w[1]), "out of id order: {table:?}");
+            prop_assert_eq!(&table, &live.iter().copied().collect::<Vec<_>>());
+            for &id in &gone {
+                prop_assert!(!cm.is_live(id), "{id} is still live");
+                prop_assert!(matches!(cm.allocation(id), Err(SimError::NotFound { .. })));
+            }
+        }
     }
 }

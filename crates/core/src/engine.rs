@@ -23,8 +23,9 @@
 //! [`Engine::new`] interns every route into dense indices: pools and
 //! endpoints live in `Vec`s (sorted by agent name, preserving the old
 //! `BTreeMap` iteration order), capabilities index a fixed
-//! `CompiledRoute` table, and per-task state lives in a `Vec` arena
-//! indexed by the dense [`TaskId`]. Event payloads carry those indices
+//! `CompiledRoute` table, and per-task state lives in a `Vec` window
+//! over the dense [`TaskId`]s from the oldest retained task onward.
+//! Event payloads carry those indices
 //! — `Event<EngineEvent>` is `Copy` — so the steady-state event loop
 //! does no string cloning, no tree walking and no per-event heap
 //! allocation.
@@ -37,6 +38,11 @@
 //! pool pumping, preemption resubmits and completion read a dense index
 //! and never a `BTreeMap`. Task names are kept only while spans are
 //! recorded.
+//!
+//! Finished work does not stay resident: each admission first retires
+//! the window's completed prefix once it is at least half the window
+//! (amortized O(1) per task), and the cluster keeps live allocations
+//! only. Resident serve state follows live work, not run length.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -411,6 +417,9 @@ struct TaskState {
     scheduled: bool,
     completed: bool,
     started_at: Option<SimTime>,
+    /// Index of the job the task was admitted under (see
+    /// [`Engine::task_job`]).
+    job: u32,
 }
 
 /// The execution engine (one run per instance).
@@ -427,12 +436,19 @@ pub struct Engine {
     endpoints: Vec<EndpointHandle>,
     options: EngineOptions,
     queue: EventQueue<EngineEvent>,
-    /// Dense per-task arena indexed by `TaskId::raw()`.
+    /// Per-task window: `tasks[i]` is task `base + i`. Starts at or
+    /// before the oldest incomplete task; [`Engine::append`] retires
+    /// the completed prefix.
     tasks: Vec<TaskState>,
-    /// Successors of every task as engine-local task indices, one
-    /// contiguous range per task.
+    /// [`TaskId`] of `tasks[0]`.
+    base: u64,
+    /// Leading completed tasks of the window found so far (the next
+    /// retirement's scan resumes here).
+    done_prefix: usize,
+    /// Successors of every retained task as window indices, one
+    /// contiguous range per task in task order.
     succ: Vec<u32>,
-    /// Task names by arena index, kept only while spans are recorded
+    /// Task names by [`TaskId`], kept only while spans are recorded
     /// (the closed-loop graph's names; admitted tasks fall back to
     /// their [`TaskId`]).
     names: Vec<String>,
@@ -448,10 +464,6 @@ pub struct Engine {
     /// Not-yet-completed task counts per capability (incrementally
     /// maintained DAG lookahead for pool release and the rebalancer).
     upcoming: [usize; N_CAPS],
-    /// `(created, target)` per allocation, indexed by the dense
-    /// [`AllocationId`]; entries stay after release (the settle paths
-    /// check liveness against the cluster, as before).
-    alloc_meta: Vec<Option<(SimTime, HardwareTarget)>>,
     /// `(task, ttft seconds, tpot seconds, absolute first-token
     /// instant seconds)` of finished endpoint tasks, drained by the
     /// fleet driver for per-class token-latency stats and capture.
@@ -492,20 +504,6 @@ fn token_work(work: Work) -> (u32, u32) {
     }
 }
 
-/// Records `(created, target)` for `alloc` in the dense metadata arena.
-fn alloc_meta_set(
-    meta: &mut Vec<Option<(SimTime, HardwareTarget)>>,
-    alloc: AllocationId,
-    created: SimTime,
-    target: HardwareTarget,
-) {
-    let i = alloc.raw() as usize;
-    if meta.len() <= i {
-        meta.resize(i + 1, None);
-    }
-    meta[i] = Some((created, target));
-}
-
 impl Engine {
     /// Builds an engine: allocates pools and endpoints on `cluster` at
     /// `start`, interning every route into dense indices.
@@ -526,7 +524,6 @@ impl Engine {
         let mut pools: BTreeMap<String, Pool> = BTreeMap::new();
         let mut endpoints: BTreeMap<String, EndpointHandle> = BTreeMap::new();
         let mut external: BTreeMap<Capability, (f64, f64)> = BTreeMap::new();
-        let mut alloc_meta = Vec::new();
 
         // Validate that every capability in the graph has a route.
         for node in graph.tasks() {
@@ -578,7 +575,6 @@ impl Engine {
                         for per_worker in workers {
                             match cluster.allocate(start, Arc::clone(&pool.agent), *per_worker) {
                                 Ok(alloc) => {
-                                    alloc_meta_set(&mut alloc_meta, alloc, start, *per_worker);
                                     pool.workers.push(Worker {
                                         alloc,
                                         target: *per_worker,
@@ -610,7 +606,6 @@ impl Engine {
                             backend,
                             &options.gpu_sku,
                             start,
-                            &mut alloc_meta,
                         )?;
                         endpoints.insert(
                             agent.clone(),
@@ -685,6 +680,8 @@ impl Engine {
             options,
             queue: EventQueue::new(),
             tasks: Vec::with_capacity(compiled.len()),
+            base: 0,
+            done_prefix: 0,
             succ: Vec::with_capacity(compiled.succ.len()),
             names,
             completed_count: 0,
@@ -692,7 +689,6 @@ impl Engine {
             ready_scratch: Vec::new(),
             step_completions: Vec::new(),
             upcoming: [0; N_CAPS],
-            alloc_meta,
             llm_metrics: Vec::new(),
             completions_log: Vec::new(),
             events_processed: 0,
@@ -706,7 +702,7 @@ impl Engine {
             pool_scale_downs: 0,
         };
         engine.check_admissible(&compiled)?;
-        engine.append(&compiled)?;
+        engine.append(&compiled, 0)?;
         Ok(engine)
     }
 
@@ -861,7 +857,8 @@ impl Engine {
                         .take()
                         .expect("completion matches a pending task");
                     h.free_slots.push(c.id as u32);
-                    self.tasks[task.raw() as usize].started_at = Some(c.started);
+                    let ti = self.slot(task);
+                    self.tasks[ti].started_at = Some(c.started);
                     self.llm_metrics.push((
                         task,
                         c.ttft().as_secs_f64(),
@@ -911,16 +908,16 @@ impl Engine {
     /// incomplete with no pending events) — a routing/scheduling bug.
     pub fn finish(mut self, start: SimTime) -> Result<EngineOutcome, SimError> {
         let orch_end = self.orch_end;
-        if self.completed_count != self.tasks.len() {
+        if self.completed_count != self.task_count() {
             let stuck: Vec<String> = (0..self.tasks.len())
                 .filter(|&i| !self.tasks[i].completed)
                 .take(5)
-                .map(|i| self.task_name(i))
+                .map(|i| self.task_name(self.base + i as u64))
                 .collect();
             return Err(SimError::InvalidState(format!(
                 "engine deadlock: {}/{} tasks done; stuck: {stuck:?}",
                 self.completed_count,
-                self.tasks.len()
+                self.task_count()
             )));
         }
 
@@ -930,15 +927,11 @@ impl Engine {
         // empty, so the incrementally tracked completion instant stands
         // in for it.
         let makespan = self.trace.makespan().max(self.last_finish).max(orch_end);
-        // Release everything still held, settling energy and cost.
-        for i in 0..self.alloc_meta.len() {
-            if self.alloc_meta[i].is_none() {
-                continue;
-            }
-            let alloc = AllocationId::from_raw(i as u64);
-            if self.cluster.is_live(alloc) {
-                self.settle_allocation(alloc, makespan)?;
-            }
+        // Release everything still held, in id order, settling energy
+        // and cost.
+        let held: Vec<AllocationId> = self.cluster.allocations().map(|a| a.id).collect();
+        for alloc in held {
+            self.settle_allocation(alloc, makespan)?;
         }
 
         Ok(EngineOutcome {
@@ -1004,7 +997,9 @@ impl Engine {
     /// Tasks finished since the last [`Engine::clear_completions`], in
     /// completion order. Paired with `clear_completions` instead of a
     /// draining take so the log's buffer is reused across epochs — the
-    /// fleet's harvest path stays allocation-free in steady state.
+    /// fleet's harvest path stays allocation-free in steady state. Read
+    /// their [`Engine::task_job`] before the next admission, which may
+    /// retire them.
     pub fn completions(&self) -> &[TaskId] {
         &self.completions_log
     }
@@ -1022,9 +1017,34 @@ impl Engine {
         self.events_processed
     }
 
-    /// Total tasks in the (possibly growing) task arena.
+    /// Tasks admitted so far, retired ones included (the retained
+    /// window is [`Engine::retained`]'s first count).
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.base as usize + self.tasks.len()
+    }
+
+    /// What the engine holds resident: `(retained task slots, live
+    /// allocations in the cluster's table)`. Both follow live work, not
+    /// the number of tasks or allocations the run has seen.
+    pub fn retained(&self) -> (usize, usize) {
+        (self.tasks.len(), self.cluster.allocations().count())
+    }
+
+    /// The job index `task` was admitted under by
+    /// [`Engine::admit_graph_into`] (0 for [`Engine::new`]'s graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` was never admitted or has been retired: read a
+    /// completion's or a token-latency sample's job before the next
+    /// admission.
+    pub fn task_job(&self, task: TaskId) -> usize {
+        self.tasks[self.slot(task)].job as usize
+    }
+
+    /// The window index of a retained task.
+    fn slot(&self, task: TaskId) -> usize {
+        (task.raw() - self.base) as usize
     }
 
     /// The advisory rebalancer's inputs, read in one pass: refills
@@ -1082,7 +1102,8 @@ impl Engine {
 
     /// The accumulated `(task, ttft seconds, tpot seconds, absolute
     /// first-token instant seconds)` token-latency samples of finished
-    /// endpoint tasks since the last [`Engine::clear_llm_metrics`].
+    /// endpoint tasks since the last [`Engine::clear_llm_metrics`]. Like
+    /// [`Engine::completions`], read them before the next admission.
     pub fn llm_metrics(&self) -> &[(TaskId, f64, f64, f64)] {
         &self.llm_metrics
     }
@@ -1109,12 +1130,12 @@ impl Engine {
         out
     }
 
-    /// Admits a compiled workflow mid-run (open-loop serving): appends
-    /// it onto the task arena, re-provisions any tool pools that were
-    /// released while idle and are needed again, and dispatches newly
-    /// ready tasks at `now`. The admitted tasks take consecutive
-    /// engine-local ids in `sub`'s task order, starting at the returned
-    /// id.
+    /// Admits a compiled workflow mid-run (open-loop serving) as job
+    /// `job`: appends it onto the task window, re-provisions any tool
+    /// pools that were released while idle and are needed again, and
+    /// dispatches newly ready tasks at `now`. The admitted tasks take
+    /// consecutive engine-local ids in `sub`'s task order, starting at
+    /// the returned id, and report `job` through [`Engine::task_job`].
     ///
     /// # Errors
     ///
@@ -1122,12 +1143,15 @@ impl Engine {
     /// route or an endpoint-routed task carries non-token work (nothing
     /// is admitted then), [`SimError::ResourceExhausted`] if a required
     /// released pool cannot get any worker back, and
-    /// [`SimError::InvalidState`] if the arena outgrows `u32` indexing.
+    /// [`SimError::InvalidState`] if `job` or the retained window
+    /// outgrows `u32` indexing.
     pub fn admit_graph_into(
         &mut self,
         now: SimTime,
         sub: &CompiledGraph,
+        job: usize,
     ) -> Result<TaskId, SimError> {
+        let job = index_u32(job, "job index")?;
         let caps_needed = self.check_admissible(sub)?;
 
         // Autoscale-up: bring back released pools the new job needs.
@@ -1149,7 +1173,6 @@ impl Engine {
                 let target = pool.spec_workers[wi];
                 match self.cluster.allocate(now, Arc::clone(&pool.agent), target) {
                     Ok(alloc) => {
-                        alloc_meta_set(&mut self.alloc_meta, alloc, now, target);
                         let fresh = Worker {
                             alloc,
                             target,
@@ -1182,7 +1205,7 @@ impl Engine {
             self.pool_scale_ups += 1;
         }
 
-        let first = self.append(sub)?;
+        let first = self.append(sub, job)?;
         self.dispatch(now)?;
         Ok(first)
     }
@@ -1213,15 +1236,22 @@ impl Engine {
         Ok(needed)
     }
 
-    /// Appends `sub` onto the task arena and the flat successor list,
-    /// queueing its source tasks as ready. Returns the engine-local id
-    /// of its first task.
-    fn append(&mut self, sub: &CompiledGraph) -> Result<TaskId, SimError> {
+    /// Retires the window's completed prefix, then appends `sub` as job
+    /// `job` onto the window and the flat successor list, queueing its
+    /// source tasks as ready. Returns the engine-local id of its first
+    /// task.
+    ///
+    /// Retiring here, at admission, is what keeps it safe: the fleet
+    /// harvests every completion and token-latency sample before it
+    /// admits again, so no retired task is still to be read.
+    fn append(&mut self, sub: &CompiledGraph, job: u32) -> Result<TaskId, SimError> {
+        self.retire_completed_prefix();
         index_u32(self.tasks.len() + sub.tasks.len(), "engine task count")?;
         index_u32(self.succ.len() + sub.succ.len(), "engine edge count")?;
         // Both totals fit, so every index and offset below does too.
-        let (base, succ_base) = (self.tasks.len() as u32, self.succ.len() as u32);
-        self.succ.extend(sub.succ.iter().map(|&s| base + s));
+        let (local, succ_base) = (self.tasks.len() as u32, self.succ.len() as u32);
+        let first = self.base + u64::from(local);
+        self.succ.extend(sub.succ.iter().map(|&s| local + s));
         for (i, t) in sub.tasks.iter().enumerate() {
             self.tasks.push(TaskState {
                 capability: t.capability,
@@ -1231,33 +1261,71 @@ impl Engine {
                 scheduled: false,
                 completed: false,
                 started_at: None,
+                job,
             });
             if t.indegree == 0 {
-                self.ready_pending
-                    .push(TaskId::from_raw(u64::from(base) + i as u64));
+                self.ready_pending.push(TaskId::from_raw(first + i as u64));
             }
             self.upcoming[t.capability as usize] += 1;
         }
-        Ok(TaskId::from_raw(u64::from(base)))
+        Ok(TaskId::from_raw(first))
+    }
+
+    /// Drops the window's completed prefix once it is at least half the
+    /// window (each task is dropped once and moved at most once per
+    /// halving: amortized O(1)), rebasing the retained successor ranges
+    /// and indices.
+    fn retire_completed_prefix(&mut self) {
+        while self
+            .tasks
+            .get(self.done_prefix)
+            .is_some_and(|t| t.completed)
+        {
+            self.done_prefix += 1;
+        }
+        let drop = self.done_prefix;
+        if drop == 0 || drop * 2 < self.tasks.len() {
+            return;
+        }
+        // Ranges are laid out in task order, so the dropped tasks own
+        // exactly the successor entries before the first kept range.
+        let succ_drop = self
+            .tasks
+            .get(drop)
+            .map_or(self.succ.len(), |t| t.succ.0 as usize);
+        self.tasks.drain(..drop);
+        self.succ.drain(..succ_drop);
+        let (drop32, succ_drop32) = (drop as u32, succ_drop as u32);
+        for t in &mut self.tasks {
+            t.succ = (t.succ.0 - succ_drop32, t.succ.1 - succ_drop32);
+        }
+        // A kept task may point back at a retired successor only if it
+        // has completed itself, and a completed task's successors are
+        // never read again, so those entries may wrap.
+        for s in &mut self.succ {
+            *s = s.wrapping_sub(drop32);
+        }
+        self.base += drop as u64;
+        self.done_prefix = 0;
     }
 
     /// A task's name for spans and diagnostics: its graph name when
     /// names are kept, its engine-local id otherwise.
-    fn task_name(&self, i: usize) -> String {
+    fn task_name(&self, id: u64) -> String {
         self.names
-            .get(i)
+            .get(id as usize)
             .cloned()
-            .unwrap_or_else(|| TaskId::from_raw(i as u64).to_string())
+            .unwrap_or_else(|| TaskId::from_raw(id).to_string())
     }
 
     /// Marks a task complete, records its span and advances the
     /// incremental ready/lookahead state.
     fn finish_task(&mut self, task: TaskId, now: SimTime) -> Result<(), SimError> {
-        let ti = task.raw() as usize;
+        let ti = self.slot(task);
         let capability = self.tasks[ti].capability;
         if self.options.record_spans {
             let started = self.tasks[ti].started_at.unwrap_or(now);
-            let name = self.task_name(ti);
+            let name = self.task_name(task.raw());
             self.trace
                 .record(capability.lane_name(), name, started, now);
         }
@@ -1278,6 +1346,7 @@ impl Engine {
         let Engine {
             succ,
             tasks,
+            base,
             ready_pending,
             ..
         } = self;
@@ -1285,7 +1354,7 @@ impl Engine {
             let st = &mut tasks[s as usize];
             st.indegree -= 1;
             if st.indegree == 0 {
-                ready_pending.push(TaskId::from_raw(u64::from(s)));
+                ready_pending.push(TaskId::from_raw(*base + u64::from(s)));
             }
         }
         Ok(())
@@ -1304,7 +1373,7 @@ impl Engine {
             std::mem::swap(&mut ready, &mut self.ready_pending);
             ready.sort_unstable();
             for &tid in &ready {
-                let ti = tid.raw() as usize;
+                let ti = self.slot(tid);
                 if self.tasks[ti].scheduled {
                     continue;
                 }
@@ -1373,7 +1442,7 @@ impl Engine {
                 let (duration, gpu_util) = {
                     // The cost model lives on the pool's spec snapshot —
                     // no library lookup or spec clone per task start.
-                    let work = self.tasks[tid.raw() as usize].work;
+                    let work = self.tasks[self.slot(tid)].work;
                     let spec = &self.pools[pi].spec;
                     let mut d = spec.estimate_latency(&work, &target)?;
                     // Newer GPU generations speed up pure-GPU tool work.
@@ -1385,7 +1454,8 @@ impl Engine {
                     (d, spec.gpu_util())
                 };
                 self.cluster.activity_start(now, alloc, gpu_util)?;
-                self.tasks[tid.raw() as usize].started_at = Some(now);
+                let ti = self.slot(tid);
+                self.tasks[ti].started_at = Some(now);
                 self.queue.schedule(
                     now + duration,
                     EngineEvent::ToolDone {
@@ -1455,18 +1525,10 @@ impl Engine {
         // Settle energy/cost for every live allocation on the node up to
         // the preemption instant (the platform still bills for spot time
         // used).
-        let dying: Vec<AllocationId> = self
-            .cluster
-            .allocations()
-            .filter(|a| a.node == node_id)
-            .map(|a| a.id)
-            .collect();
-        for &alloc in &dying {
-            let (created, target) =
-                self.alloc_meta[alloc.raw() as usize].expect("live allocation has metadata");
-            self.energy_ledger += self.cluster.allocation_energy_wh(alloc, created, now)?;
-            self.cost_ledger += target_hourly_usd(&target, &self.options.gpu_sku)
-                * now.saturating_duration_since(created).as_hours_f64();
+        for a in self.cluster.allocations().filter(|a| a.node == node_id) {
+            self.energy_ledger += self.cluster.allocation_energy_wh(a.id, a.created, now)?;
+            self.cost_ledger += target_hourly_usd(&a.target, &self.options.gpu_sku)
+                * now.saturating_duration_since(a.created).as_hours_f64();
         }
 
         let killed: BTreeSet<AllocationId> = self
@@ -1490,7 +1552,6 @@ impl Engine {
                     self.cluster
                         .allocate(now, Arc::clone(&self.pools[pi].agent), target)
                 {
-                    alloc_meta_set(&mut self.alloc_meta, alloc, now, target);
                     self.pools[pi].workers.push(Worker {
                         alloc,
                         target,
@@ -1529,7 +1590,6 @@ impl Engine {
                 &spec,
                 &self.options.gpu_sku,
                 now,
-                &mut self.alloc_meta,
             )?;
             let h = &mut self.endpoints[ei];
             let old_pending = std::mem::take(&mut h.pending);
@@ -1546,7 +1606,7 @@ impl Engine {
             let mut lost: Vec<(TaskId, u64)> = old_pending.into_iter().flatten().collect();
             lost.sort_unstable_by_key(|&(_, seq)| seq);
             for (task, _) in lost {
-                let (prompt, output) = token_work(self.tasks[task.raw() as usize].work);
+                let (prompt, output) = token_work(self.tasks[self.slot(task)].work);
                 let h = &mut self.endpoints[ei];
                 let req = Request::new(h.claim_slot(task), prompt, output.max(1));
                 let generation = h.generation;
@@ -1591,8 +1651,8 @@ impl Engine {
 
     /// Settles an allocation's energy/cost ledgers and releases it.
     fn settle_allocation(&mut self, alloc: AllocationId, now: SimTime) -> Result<(), SimError> {
-        let (created, target) =
-            self.alloc_meta[alloc.raw() as usize].expect("allocation has metadata");
+        let a = self.cluster.allocation(alloc)?;
+        let (created, target) = (a.created, a.target);
         self.energy_ledger += self.cluster.allocation_energy_wh(alloc, created, now)?;
         self.cost_ledger += target_hourly_usd(&target, &self.options.gpu_sku)
             * now.saturating_duration_since(created).as_hours_f64();
@@ -1647,13 +1707,11 @@ impl Engine {
         spec: &BackendSpec,
         sku: &GpuSku,
         now: SimTime,
-        alloc_meta: &mut Vec<Option<(SimTime, HardwareTarget)>>,
     ) -> Result<(Box<dyn ServingBackend>, Vec<AllocationId>), SimError> {
         match *spec {
             BackendSpec::Colocated { gpus, .. } => {
                 let target = HardwareTarget::gpus(gpus);
                 let alloc = cluster.allocate(now, agent, target)?;
-                alloc_meta_set(alloc_meta, alloc, now, target);
                 let be = build_backend(
                     agent,
                     model.clone(),
@@ -1671,8 +1729,6 @@ impl Engine {
                 let prefill = HardwareTarget::gpus(prefill_gpus);
                 let decode = HardwareTarget::gpus(decode_gpus);
                 let pair = cluster.allocate_paired(now, agent, prefill, decode)?;
-                alloc_meta_set(alloc_meta, pair.prefill, now, prefill);
-                alloc_meta_set(alloc_meta, pair.decode, now, decode);
                 let bw = if pair.same_node {
                     sku.interconnect_gbps
                 } else {
@@ -1963,7 +2019,7 @@ mod tests {
         let mut engine = serve_engine(false);
         let compiled = CompiledGraph::from_graph(&g).expect("compiles");
         let err = engine
-            .admit_graph_into(SimTime::ZERO, &compiled)
+            .admit_graph_into(SimTime::ZERO, &compiled, 0)
             .expect_err("rejected before dispatch");
         assert!(matches!(err, SimError::InvalidInput(_)), "{err}");
         assert_eq!(engine.task_count(), 0, "nothing was admitted");
@@ -2025,7 +2081,7 @@ mod tests {
         let mut admitted = serve_engine(true);
         let compiled = CompiledGraph::from_graph(&fan_in_graph()).expect("compiles");
         let first = admitted
-            .admit_graph_into(SimTime::ZERO, &compiled)
+            .admit_graph_into(SimTime::ZERO, &compiled, 0)
             .expect("admits");
         assert_eq!(first, TaskId::from_raw(0));
         let admitted_order = drain(&mut admitted);
@@ -2101,7 +2157,7 @@ mod tests {
         // endpoint's token counter after every single-event step.
         let mut probe = serve_engine_on(routes_with_search(), false);
         probe
-            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph())
+            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph(), 0)
             .expect("admits");
         let tokens = |e: &Engine| e.endpoints[0].backend.stats().tokens_out.get();
         let mut boundaries = Vec::new();
@@ -2123,14 +2179,14 @@ mod tests {
         // One event at a time.
         let mut single = serve_engine_on(routes_with_search(), true);
         single
-            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph())
+            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph(), 0)
             .expect("admits");
         let mut instants = Vec::new();
         while single.peek_time().is_some_and(|t| t <= search_at) {
             instants.extend(single.step().expect("steps"));
         }
         single
-            .admit_graph_into(search_at, &search_graph())
+            .admit_graph_into(search_at, &search_graph(), 0)
             .expect("admits");
         while let Some(t) = single.step().expect("steps") {
             instants.push(t);
@@ -2144,7 +2200,7 @@ mod tests {
         // exclusive and inclusive, with the admission at its instant.
         let mut batched = serve_engine_on(routes_with_search(), true);
         batched
-            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph())
+            .admit_graph_into(SimTime::ZERO, &decode_heavy_graph(), 0)
             .expect("admits");
         let drain_to = |e: &mut Engine, bound: SimTime, inclusive: bool| {
             while e.step_while(bound, inclusive).expect("drains").is_some() {}
@@ -2157,7 +2213,7 @@ mod tests {
             if !admitted && bound >= search_at {
                 drain_to(&mut batched, search_at, true);
                 batched
-                    .admit_graph_into(search_at, &search_graph())
+                    .admit_graph_into(search_at, &search_graph(), 0)
                     .expect("admits");
                 admitted = true;
             }
@@ -2193,6 +2249,87 @@ mod tests {
         let err = index_u32(u32::MAX as usize + 1, "engine task count").expect_err("too big");
         assert!(matches!(err, SimError::InvalidState(_)), "{err}");
         assert!(err.to_string().contains("engine task count"), "{err}");
+
+        let mut engine = serve_engine(false);
+        let compiled = CompiledGraph::from_graph(&fan_in_graph()).expect("compiles");
+        let err = engine
+            .admit_graph_into(SimTime::ZERO, &compiled, u32::MAX as usize + 1)
+            .expect_err("job index too big");
+        assert!(err.to_string().contains("job index"), "{err}");
+        assert_eq!(engine.task_count(), 0, "nothing was admitted");
+    }
+
+    #[test]
+    fn admission_retires_the_finished_prefix() {
+        // Each workflow's short final summary (id 0) waits on a
+        // transcription (id 2), while a long independent summary (id 1)
+        // sits between them in id order. The final summary finishes
+        // first, so a retirement can drop it while the kept, completed
+        // transcription still lists it as a successor. Workflows overlap
+        // two at a time.
+        const JOBS: usize = 20;
+        let mut g = TaskGraph::new();
+        let fin = g.add_task(
+            "final",
+            "final",
+            Capability::Summarization,
+            Work::Tokens {
+                prompt: 300,
+                output: 10,
+            },
+        );
+        g.add_task(
+            "long",
+            "long",
+            Capability::Summarization,
+            Work::Tokens {
+                prompt: 800,
+                output: 400,
+            },
+        );
+        let stt = g.add_task(
+            "stt",
+            "stt",
+            Capability::SpeechToText,
+            Work::AudioSeconds(5.0),
+        );
+        g.add_edge(stt, fin).expect("acyclic");
+        let compiled = CompiledGraph::from_graph(&g).expect("compiles");
+        let mut engine = serve_engine(false);
+        let mut done = [0usize; JOBS];
+        let mut now = SimTime::ZERO;
+        let step = |engine: &mut Engine, done: &mut [usize; JOBS]| {
+            let stepped = engine.step_while(SimTime::MAX, true).expect("steps");
+            for &tid in engine.completions() {
+                done[engine.task_job(tid)] += 1;
+            }
+            engine.clear_completions();
+            stepped
+        };
+        for job in 0..JOBS {
+            let finished =
+                |done: &[usize; JOBS]| done.iter().filter(|&&d| d == compiled.len()).count();
+            while finished(&done) + 1 < job {
+                now = step(&mut engine, &mut done).expect("work is pending");
+            }
+            engine
+                .admit_graph_into(now, &compiled, job)
+                .expect("admits");
+            assert!(
+                engine.retained().0 <= 6 * compiled.len(),
+                "job {job}: {} tasks retained",
+                engine.retained().0
+            );
+        }
+        while step(&mut engine, &mut done).is_some() {}
+        assert_eq!(
+            done,
+            [compiled.len(); JOBS],
+            "every task ran under its own job"
+        );
+        assert_eq!(engine.task_count(), JOBS * compiled.len());
+        let outcome = engine.finish(SimTime::ZERO).expect("settles");
+        assert_eq!(outcome.tasks_completed, JOBS * compiled.len());
     }
 
     #[test]

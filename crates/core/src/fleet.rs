@@ -614,24 +614,15 @@ struct InflightJob {
 
 /// One engine cell: a node slice's engine plus its local queue (a
 /// [`PriorityFifo`] over planned-request indices, popping in exactly the
-/// admission queue's order) and running stats. All per-task lookup
-/// state is cell-local: a cell's region owns everything it writes.
+/// admission queue's order) and running stats. A task's workflow is
+/// the job index its engine admitted it under, so the cell keeps no
+/// per-task state of its own.
 pub(crate) struct Cell {
     pub(crate) engine: Engine,
     pub(crate) routes: BTreeMap<Capability, RouteSpec>,
     pub(crate) nodes: usize,
     pub(crate) queue: murakkab_traffic::PriorityFifo<usize>,
     inflight: Vec<InflightJob>,
-    /// Task → interned SLO-class index of the owning workflow, so
-    /// endpoint-level token latencies (TTFT/TPOT) aggregate per class.
-    /// Dense arena indexed by the engine's sequential [`TaskId`]s
-    /// (`u32::MAX` = vacant) — the serve loop does a bounds-checked
-    /// load per completion instead of a tree lookup.
-    task_class: Vec<u32>,
-    /// Task → planned-request index of the owning workflow (drives the
-    /// per-job remaining counter, WAN latency attribution and capture's
-    /// first-token attribution). Same dense layout as `task_class`.
-    task_job: Vec<u32>,
     /// Whether the region/fleet router may assign new work here. Always
     /// `true` on the single-region path; the geo layer parks reclaimed
     /// spot cells by clearing it (the engine keeps draining in-flight
@@ -649,53 +640,6 @@ pub(crate) struct Cell {
     pub(crate) rebalance_actions: u64,
 }
 
-/// Vacant-slot sentinel of the cells' dense task → index arenas.
-const TASK_SLOT_VACANT: u32 = u32::MAX;
-
-/// Writes `val` into the dense task slot, growing the arena on demand.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidState`] if `val` does not fit below the
-/// `u32` vacant sentinel.
-fn task_slot_set(
-    slots: &mut Vec<u32>,
-    tid: murakkab_workflow::TaskId,
-    val: usize,
-) -> Result<(), SimError> {
-    let v = u32::try_from(val)
-        .ok()
-        .filter(|&v| v != TASK_SLOT_VACANT)
-        .ok_or_else(|| {
-            SimError::InvalidState(format!("per-fleet index {val} exceeds u32 indexing"))
-        })?;
-    let i = tid.raw() as usize;
-    if slots.len() <= i {
-        slots.resize(i + 1, TASK_SLOT_VACANT);
-    }
-    slots[i] = v;
-    Ok(())
-}
-
-/// Reads the dense task slot without vacating it.
-fn task_slot_get(slots: &[u32], tid: murakkab_workflow::TaskId) -> Option<usize> {
-    match slots.get(tid.raw() as usize) {
-        Some(&v) if v != TASK_SLOT_VACANT => Some(v as usize),
-        _ => None,
-    }
-}
-
-/// Takes the dense task slot, leaving it vacant.
-fn task_slot_take(slots: &mut [u32], tid: murakkab_workflow::TaskId) -> Option<usize> {
-    let v = slots.get_mut(tid.raw() as usize)?;
-    if *v == TASK_SLOT_VACANT {
-        return None;
-    }
-    let out = *v as usize;
-    *v = TASK_SLOT_VACANT;
-    Some(out)
-}
-
 impl Cell {
     /// A fresh idle cell over `engine` (started by the caller).
     pub(crate) fn new(
@@ -709,8 +653,6 @@ impl Cell {
             nodes,
             queue: murakkab_traffic::PriorityFifo::new(),
             inflight: Vec::new(),
-            task_class: Vec::new(),
-            task_job: Vec::new(),
             active: true,
             cost_scale: 1.0,
             assigned: 0,
@@ -861,17 +803,11 @@ fn inject_ready(
         let Some((_, _, idx)) = cell.queue.pop() else {
             break;
         };
-        let p = &planned[idx];
-        let first = cell.engine.admit_graph_into(now, &p.graph)?.raw();
-        let remaining = p.graph.len();
-        for k in 0..remaining as u64 {
-            let tid = murakkab_workflow::TaskId::from_raw(first + k);
-            task_slot_set(&mut cell.task_class, tid, p.class_idx)?;
-            task_slot_set(&mut cell.task_job, tid, idx)?;
-        }
+        let graph = &planned[idx].graph;
+        cell.engine.admit_graph_into(now, graph, idx)?;
         cell.inflight.push(InflightJob {
             planned_idx: idx,
-            remaining,
+            remaining: graph.len(),
         });
     }
     Ok(())
@@ -884,7 +820,9 @@ fn inject_ready(
 /// ([`PlannedRequest::wan_s`]) lands here: on its end-to-end latency,
 /// its SLO verdict and its TTFT — the user-observed clocks — but not
 /// TPOT (token cadence is generated server-side). The engine logs are
-/// read in place and cleared, keeping their capacity.
+/// read in place and cleared, keeping their capacity; each entry's
+/// workflow is its task's [`Engine::task_job`], read before the next
+/// admission can retire the task.
 fn harvest_cell(
     cell: &mut Cell,
     classes: &mut [ClassAgg],
@@ -894,30 +832,23 @@ fn harvest_cell(
 ) {
     let Cell {
         engine,
-        task_class,
-        task_job,
         inflight,
         completed,
         ..
     } = cell;
     for &(tid, ttft, tpot, first_abs) in engine.llm_metrics() {
-        if let Some(class_idx) = task_slot_take(task_class, tid) {
-            let idx = task_slot_get(task_job, tid).expect("classed task has a job slot");
-            classes[class_idx].ttfts.push(ttft + planned[idx].wan_s);
-            classes[class_idx].tpots.push(tpot);
-            if let Some(o) = capture.as_mut().and_then(|c| c.outcomes[idx].as_mut()) {
-                // Earliest first token across the workflow's endpoint
-                // tasks.
-                o.first_token_s = Some(o.first_token_s.map_or(first_abs, |v| v.min(first_abs)));
-            }
+        let idx = engine.task_job(tid);
+        let p = &planned[idx];
+        classes[p.class_idx].ttfts.push(ttft + p.wan_s);
+        classes[p.class_idx].tpots.push(tpot);
+        if let Some(o) = capture.as_mut().and_then(|c| c.outcomes[idx].as_mut()) {
+            // Earliest first token across the workflow's endpoint tasks.
+            o.first_token_s = Some(o.first_token_s.map_or(first_abs, |v| v.min(first_abs)));
         }
     }
     engine.clear_llm_metrics();
     for &tid in engine.completions() {
-        task_slot_take(task_class, tid);
-        let Some(idx) = task_slot_take(task_job, tid) else {
-            continue;
-        };
+        let idx = engine.task_job(tid);
         let Some(k) = inflight.iter().position(|j| j.planned_idx == idx) else {
             continue;
         };
@@ -2181,19 +2112,6 @@ mod tests {
             };
             assert_ne!(audio(&graphs[0]), audio(&graphs[1]), "audio draws differ");
         }
-    }
-
-    #[test]
-    fn task_slots_reject_indices_that_do_not_fit_below_the_sentinel() {
-        let mut slots = Vec::new();
-        let tid = murakkab_workflow::TaskId::from_raw(3);
-        task_slot_set(&mut slots, tid, 7).expect("fits");
-        assert_eq!(task_slot_get(&slots, tid), Some(7));
-        for bad in [TASK_SLOT_VACANT as usize, u32::MAX as usize + 1] {
-            let err = task_slot_set(&mut slots, tid, bad).expect_err("does not fit");
-            assert!(matches!(err, SimError::InvalidState(_)), "{err}");
-        }
-        assert_eq!(task_slot_get(&slots, tid), Some(7), "slot untouched");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use murakkab_sim::{SimDuration, SimError, SimTime, TimeSeries};
+use murakkab_sim::{SimDuration, SimError, SimTime};
 
 use crate::backend::ServingBackend;
 use crate::cost::{decode_step_time, prefill_time, TpGroup};
@@ -114,9 +114,10 @@ pub struct DisaggEndpoint {
     prefill_busy: SimDuration,
     decode_busy: SimDuration,
     transfer_bytes: f64,
-    prefill_util: TimeSeries,
-    decode_util: TimeSeries,
-    kv_occupancy: TimeSeries,
+    /// Current activity levels of the prefill and decode groups (what
+    /// [`ServingBackend::phase_levels`] reports).
+    prefill_util: f64,
+    decode_util: f64,
     stats: EndpointStats,
 }
 
@@ -162,9 +163,8 @@ impl DisaggEndpoint {
             pools[i] = kv;
         }
         Ok(DisaggEndpoint {
-            prefill_util: TimeSeries::new(format!("{name}/prefill-util")),
-            decode_util: TimeSeries::new(format!("{name}/decode-util")),
-            kv_occupancy: TimeSeries::new(format!("{name}/decode-kv")),
+            prefill_util: 0.0,
+            decode_util: 0.0,
             name,
             model,
             prefill_group,
@@ -269,14 +269,11 @@ impl DisaggEndpoint {
                 }
             }
         }
-        self.prefill_util.record(
-            now,
-            if self.prefilling.is_some() {
-                PREFILL_ACTIVE_UTIL
-            } else {
-                0.0
-            },
-        );
+        self.prefill_util = if self.prefilling.is_some() {
+            PREFILL_ACTIVE_UTIL
+        } else {
+            0.0
+        };
     }
 
     /// Admits staged requests into the decode batch and arms the next
@@ -304,10 +301,8 @@ impl DisaggEndpoint {
             });
         }
 
-        self.kv_occupancy.record(now, self.decode_kv.occupancy());
-
         if self.decoding.is_empty() {
-            self.decode_util.record(now, 0.0);
+            self.decode_util = 0.0;
             self.decode_deadline = None;
             return;
         }
@@ -319,8 +314,7 @@ impl DisaggEndpoint {
             .sum();
         let dur = decode_step_time(&self.model, &self.decode_group, batch, resident);
         self.decode_busy += dur;
-        self.decode_util
-            .record(now, decode_batch_util(batch, self.max_batch));
+        self.decode_util = decode_batch_util(batch, self.max_batch);
         self.decode_deadline = Some(now + dur);
     }
 
@@ -464,10 +458,7 @@ impl ServingBackend for DisaggEndpoint {
     }
 
     fn phase_levels(&self) -> (f64, f64) {
-        (
-            self.prefill_util.last_value(),
-            self.decode_util.last_value(),
-        )
+        (self.prefill_util, self.decode_util)
     }
 
     fn phase_busy(&self) -> (SimDuration, SimDuration) {

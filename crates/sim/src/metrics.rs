@@ -4,12 +4,12 @@
 //! integrals) are all derived from *step-function time series*: a value that
 //! holds constant until the next recorded change. [`TimeSeries`] stores
 //! those changes; integrals and window averages fall out exactly (no
-//! sampling error), and fixed-interval samples are produced only for
-//! plotting.
+//! sampling error), and fixed-interval samples for plotting walk a
+//! [`SeriesCursor`] forward.
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A right-continuous step function of simulated time.
 ///
@@ -141,27 +141,6 @@ impl TimeSeries {
         } else {
             self.integral(from, to) / span
         }
-    }
-
-    /// Samples the series at a fixed interval over `[from, to]` (inclusive
-    /// of both endpoints), for plotting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn sample(&self, from: SimTime, to: SimTime, interval: SimDuration) -> Vec<(f64, f64)> {
-        assert!(!interval.is_zero(), "sample interval must be non-zero");
-        let mut out = Vec::new();
-        let mut cursor = self.cursor();
-        let mut t = from;
-        loop {
-            out.push((t.as_secs_f64(), cursor.value_at(t)));
-            if t >= to {
-                break;
-            }
-            t = (t + interval).min(to);
-        }
-        out
     }
 
     /// The maximum recorded value (zero if empty).
@@ -524,18 +503,6 @@ mod tests {
         assert!((ts.integral(t(5), t(15)) - 5.0).abs() < 1e-9);
         assert_eq!(ts.integral(t(15), t(5)), 0.0);
         assert_eq!(ts.integral(t(20), t(30)), 0.0);
-    }
-
-    #[test]
-    fn series_sampling() {
-        let mut ts = TimeSeries::new("x");
-        ts.record(t(0), 1.0);
-        ts.record(t(2), 3.0);
-        let s = ts.sample(t(0), t(4), SimDuration::from_secs(1));
-        assert_eq!(s.len(), 5);
-        assert_eq!(s[0], (0.0, 1.0));
-        assert_eq!(s[2], (2.0, 3.0));
-        assert_eq!(s[4], (4.0, 3.0));
     }
 
     #[test]

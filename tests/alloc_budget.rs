@@ -59,12 +59,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations per offered request of [`budget_scenario`]'s serve call:
-/// 21.72 (21.7147) measured once the region tick read its rebalancer
-/// inputs into a reused buffer with refcounted labels and the steal pass
-/// stopped collecting candidates (23.61 before; 54.66 before the tick,
-/// the pool autoscaling cycle and endpoint steps stopped allocating), in
-/// debug and release builds alike.
-const ALLOCS_PER_REQUEST_BUDGET: f64 = 21.72;
+/// 21.66 (21.6598) measured once finished tasks and released
+/// allocations were retired, so the task window and the allocation
+/// table stop regrowing (21.72 before; 23.61 before the region tick
+/// read its rebalancer inputs into a reused buffer; 54.66 before the
+/// tick, the pool autoscaling cycle and endpoint steps stopped
+/// allocating), in debug and release builds alike.
+const ALLOCS_PER_REQUEST_BUDGET: f64 = 21.66;
 
 /// A small one-cell open-loop hour on the paper testbed: Poisson
 /// arrivals over the stock tenants at a load the cell mostly serves,

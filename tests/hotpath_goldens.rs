@@ -410,7 +410,9 @@ fn preempted_disagg_serve() -> murakkab::engine::EngineOutcome {
         // Bursts of five, then a lull.
         at += SimDuration::from_secs(if i % 5 == 4 { 60 } else { 3 });
         while engine.step_while(at, false).expect("steps").is_some() {}
-        engine.admit_graph_into(at, &workflow(i)).expect("admits");
+        engine
+            .admit_graph_into(at, &workflow(i), i as usize)
+            .expect("admits");
     }
     while engine
         .step_while(SimTime::MAX, true)
