@@ -30,72 +30,3 @@ pub struct ResourceStats {
     /// Nodes still provisioning.
     pub nodes_pending: usize,
 }
-
-impl ResourceStats {
-    /// Fraction of GPU units currently free.
-    pub fn gpu_free_fraction(&self) -> f64 {
-        if self.gpus_total == 0.0 {
-            0.0
-        } else {
-            self.gpus_free / self.gpus_total
-        }
-    }
-
-    /// Fraction of cores currently free.
-    pub fn core_free_fraction(&self) -> f64 {
-        if self.cores_total == 0.0 {
-            0.0
-        } else {
-            self.cores_free / self.cores_total
-        }
-    }
-
-    /// GPU units held under a label (zero if absent).
-    pub fn label_gpus(&self, label: &str) -> f64 {
-        self.gpu_units_by_label.get(label).copied().unwrap_or(0.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn stats() -> ResourceStats {
-        ResourceStats {
-            at: SimTime::ZERO,
-            gpus_total: 16.0,
-            gpus_free: 5.0,
-            cores_total: 192.0,
-            cores_free: 96.0,
-            gpu_units_by_label: BTreeMap::from([
-                ("nvlm-text".to_string(), 8.0),
-                ("whisper".to_string(), 1.0),
-            ]),
-            nodes_up: 2,
-            nodes_pending: 0,
-        }
-    }
-
-    #[test]
-    fn fractions() {
-        let s = stats();
-        assert!((s.gpu_free_fraction() - 5.0 / 16.0).abs() < 1e-12);
-        assert!((s.core_free_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn label_lookup_defaults_to_zero() {
-        let s = stats();
-        assert_eq!(s.label_gpus("whisper"), 1.0);
-        assert_eq!(s.label_gpus("nonexistent"), 0.0);
-    }
-
-    #[test]
-    fn zero_capacity_is_not_nan() {
-        let mut s = stats();
-        s.gpus_total = 0.0;
-        s.cores_total = 0.0;
-        assert_eq!(s.gpu_free_fraction(), 0.0);
-        assert_eq!(s.core_free_fraction(), 0.0);
-    }
-}

@@ -745,20 +745,8 @@ impl Engine {
                 .position(|h| *h.agent == **agent)
                 .ok_or_else(|| SimError::not_found("orchestrator endpoint", agent.clone()))?;
             let req = Request::new(u64::MAX, prompt.max(1), output.max(1));
-            let armed = {
-                let h = &mut self.endpoints[ei];
-                h.orchestration_req = Some(req.id);
-                h.backend.on_submit(req, now)?.map(|t| (t, h.generation))
-            };
-            if let Some((t, generation)) = armed {
-                self.queue.schedule(
-                    t,
-                    EngineEvent::LlmStep {
-                        endpoint: ei as u32,
-                        generation,
-                    },
-                );
-            }
+            self.endpoints[ei].orchestration_req = Some(req.id);
+            self.submit_to_endpoint(ei, req, now)?;
             self.sync_endpoint_activity(now, ei)?;
         } else {
             self.orchestrated = true;
@@ -1385,20 +1373,15 @@ impl Engine {
                         self.pools[pi as usize].queue.push_back(tid);
                     }
                     CompiledRoute::Endpoint(ei) => {
+                        let ei = ei as usize;
                         let (prompt, output) = token_work(self.tasks[ti].work);
-                        let h = &mut self.endpoints[ei as usize];
-                        let req = Request::new(h.claim_slot(tid), prompt, output.max(1));
-                        let generation = h.generation;
-                        if let Some(t) = h.backend.on_submit(req, now)? {
-                            self.queue.schedule(
-                                t,
-                                EngineEvent::LlmStep {
-                                    endpoint: ei,
-                                    generation,
-                                },
-                            );
-                        }
-                        self.sync_endpoint_activity(now, ei as usize)?;
+                        let slot = self.endpoints[ei].claim_slot(tid);
+                        self.submit_to_endpoint(
+                            ei,
+                            Request::new(slot, prompt, output.max(1)),
+                            now,
+                        )?;
+                        self.sync_endpoint_activity(now, ei)?;
                     }
                     CompiledRoute::External {
                         latency_s,
@@ -1607,18 +1590,8 @@ impl Engine {
             lost.sort_unstable_by_key(|&(_, seq)| seq);
             for (task, _) in lost {
                 let (prompt, output) = token_work(self.tasks[self.slot(task)].work);
-                let h = &mut self.endpoints[ei];
-                let req = Request::new(h.claim_slot(task), prompt, output.max(1));
-                let generation = h.generation;
-                if let Some(t) = h.backend.on_submit(req, now)? {
-                    self.queue.schedule(
-                        t,
-                        EngineEvent::LlmStep {
-                            endpoint: ei as u32,
-                            generation,
-                        },
-                    );
-                }
+                let slot = self.endpoints[ei].claim_slot(task);
+                self.submit_to_endpoint(ei, Request::new(slot, prompt, output.max(1)), now)?;
             }
             if had_orchestration {
                 let (cost, _) = self
@@ -1631,18 +1604,8 @@ impl Engine {
                     cost.prompt_tokens.max(1),
                     cost.output_tokens.max(1),
                 );
-                let h = &mut self.endpoints[ei];
-                h.orchestration_req = Some(req.id);
-                let generation = h.generation;
-                if let Some(t) = h.backend.on_submit(req, now)? {
-                    self.queue.schedule(
-                        t,
-                        EngineEvent::LlmStep {
-                            endpoint: ei as u32,
-                            generation,
-                        },
-                    );
-                }
+                self.endpoints[ei].orchestration_req = Some(req.id);
+                self.submit_to_endpoint(ei, req, now)?;
             }
             self.sync_endpoint_activity(now, ei)?;
         }
@@ -1657,6 +1620,26 @@ impl Engine {
         self.cost_ledger += target_hourly_usd(&target, &self.options.gpu_sku)
             * now.saturating_duration_since(created).as_hours_f64();
         self.cluster.release(now, alloc)?;
+        Ok(())
+    }
+
+    /// Submits `req` to endpoint `ei` and schedules the step it arms.
+    fn submit_to_endpoint(
+        &mut self,
+        ei: usize,
+        req: Request,
+        now: SimTime,
+    ) -> Result<(), SimError> {
+        let h = &mut self.endpoints[ei];
+        if let Some(t) = h.backend.on_submit(req, now)? {
+            self.queue.schedule(
+                t,
+                EngineEvent::LlmStep {
+                    endpoint: ei as u32,
+                    generation: h.generation,
+                },
+            );
+        }
         Ok(())
     }
 
@@ -2153,20 +2136,19 @@ mod tests {
 
     #[test]
     fn fast_forwarded_drains_match_single_event_steps() {
-        // Decode boundaries of the decode-heavy graph alone, read off the
-        // endpoint's token counter after every single-event step.
+        // Decode boundaries of the decode-heavy graph alone: the
+        // endpoint steps popped one at a time, as `step()` does, with
+        // the limit at each event's own instant so none fast-forwards.
         let mut probe = serve_engine_on(routes_with_search(), false);
         probe
             .admit_graph_into(SimTime::ZERO, &decode_heavy_graph(), 0)
             .expect("admits");
-        let tokens = |e: &Engine| e.endpoints[0].backend.stats().tokens_out.get();
         let mut boundaries = Vec::new();
-        let mut seen = 0;
-        while let Some(t) = probe.step().expect("steps") {
-            if tokens(&probe) > seen {
-                seen = tokens(&probe);
-                boundaries.push(t);
+        while let Some(ev) = probe.queue.pop() {
+            if matches!(ev.payload, EngineEvent::LlmStep { .. }) {
+                boundaries.push(ev.at);
             }
+            probe.process(ev, ev.at).expect("steps");
         }
         // Admit a search whose 0.8 s latency ends exactly on a boundary
         // in the middle of a long decode run: the summary it unblocks

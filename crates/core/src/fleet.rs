@@ -916,7 +916,7 @@ fn advance_cells(
 /// step several on worker threads.
 pub(crate) struct Region {
     pub(crate) cells: Vec<Cell>,
-    pub(crate) ctrl: AdmissionController<()>,
+    pub(crate) ctrl: AdmissionController,
     pub(crate) classes: Vec<ClassAgg>,
     next_seq: u64,
     pub(crate) steals: u64,

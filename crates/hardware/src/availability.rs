@@ -72,11 +72,6 @@ impl SpotTrace {
         SpotTrace { events }
     }
 
-    /// A trace with no preemptions (on-demand behaviour).
-    pub fn always_up() -> Self {
-        SpotTrace { events: Vec::new() }
-    }
-
     /// The ordered availability events.
     pub fn events(&self) -> &[(SimTime, AvailabilityEvent)] {
         &self.events
@@ -124,14 +119,6 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn always_up_trace() {
-        let tr = SpotTrace::always_up();
-        assert!(tr.available_at(t(0)));
-        assert!(tr.available_at(t(100_000)));
-        assert_eq!(tr.uptime(t(100)), SimDuration::from_secs(100));
     }
 
     #[test]

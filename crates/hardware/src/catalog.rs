@@ -126,27 +126,14 @@ pub fn cpu_only_f64s() -> VmShape {
     }
 }
 
-/// All stock GPU SKUs, most capable first.
-pub fn all_gpus() -> Vec<GpuSku> {
-    vec![h100_80g(), a100_80g(), v100_32g(), t4()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn all_gpus_sorted_by_capability() {
-        let gpus = all_gpus();
-        for w in gpus.windows(2) {
-            assert!(w[0].fp16_tflops > w[1].fp16_tflops);
-        }
-    }
-
-    #[test]
     fn gpu_price_tracks_capability() {
         // Within the stock catalog, price per hour rises with TFLOPS.
-        let gpus = all_gpus();
+        let gpus = [h100_80g(), a100_80g(), v100_32g(), t4()];
         for w in gpus.windows(2) {
             assert!(w[0].fp16_tflops > w[1].fp16_tflops);
             assert!(w[0].hourly_usd > w[1].hourly_usd);

@@ -56,16 +56,6 @@ impl EnergyMeter {
         joules += self.curve.watts(u) * (to - cursor).as_secs_f64();
         joules / 3600.0
     }
-
-    /// Average power in watts over `[from, to)`.
-    pub fn average_watts(&self, util: &TimeSeries, from: SimTime, to: SimTime) -> f64 {
-        let span = to.saturating_duration_since(from).as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            self.energy_wh(util, from, to) * 3600.0 / span
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +92,6 @@ mod tests {
         util.record(t(1800), 1.0); // Half hour idle, half hour busy.
         let wh = meter.energy_wh(&util, t(0), t(3600));
         assert!((wh - 200.0).abs() < 1e-9);
-        let avg = meter.average_watts(&util, t(0), t(3600));
-        assert!((avg - 200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -121,7 +109,6 @@ mod tests {
         let util = TimeSeries::new("u");
         assert_eq!(meter.energy_wh(&util, t(10), t(10)), 0.0);
         assert_eq!(meter.energy_wh(&util, t(10), t(5)), 0.0);
-        assert_eq!(meter.average_watts(&util, t(10), t(10)), 0.0);
     }
 
     #[test]

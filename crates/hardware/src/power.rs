@@ -52,11 +52,6 @@ impl PowerCurve {
         self.idle_w
     }
 
-    /// Peak draw in watts.
-    pub fn peak_w(&self) -> f64 {
-        self.peak_w
-    }
-
     /// The utilization exponent.
     pub fn alpha(&self) -> f64 {
         self.alpha

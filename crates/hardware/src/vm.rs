@@ -65,15 +65,6 @@ impl VmShape {
         self.hourly_usd * self.pricing.price_factor()
     }
 
-    /// Peak power of the whole VM in watts (GPUs at TDP + CPU pool at TDP).
-    pub fn peak_watts(&self) -> f64 {
-        let gpu_w = self
-            .gpu
-            .as_ref()
-            .map_or(0.0, |g| g.tdp_w * f64::from(self.gpu_count));
-        gpu_w + self.cpu.pool_tdp_w
-    }
-
     /// Returns a copy of this shape converted to spot pricing.
     pub fn as_spot(&self, discount: f64) -> VmShape {
         let mut s = self.clone();
@@ -115,14 +106,5 @@ mod tests {
         };
         assert_eq!(p.price_factor(), 0.2);
         assert!(p.preemptible());
-    }
-
-    #[test]
-    fn peak_watts_sums_components() {
-        let vm = catalog::nd96amsr_a100_v4();
-        let expected = 8.0 * vm.gpu.as_ref().unwrap().tdp_w + vm.cpu.pool_tdp_w;
-        assert_eq!(vm.peak_watts(), expected);
-        let cpu_vm = catalog::cpu_only_f64s();
-        assert_eq!(cpu_vm.peak_watts(), cpu_vm.cpu.pool_tdp_w);
     }
 }

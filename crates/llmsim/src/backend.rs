@@ -15,7 +15,7 @@
 //! previously returned time; they tolerate step calls at any time they
 //! returned, even if nothing is due anymore. All backends are
 //! seed-deterministic: identical call sequences produce identical
-//! completions and stats.
+//! completions and levels.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,7 +24,7 @@ use murakkab_sim::{SimDuration, SimError, SimTime};
 
 use crate::cost::TpGroup;
 use crate::disagg::DisaggEndpoint;
-use crate::engine::{Completion, Endpoint, EndpointStats, StepOutcome};
+use crate::engine::{Completion, Endpoint, StepOutcome};
 use crate::model::ModelSpec;
 use crate::Request;
 
@@ -139,9 +139,6 @@ impl BackendSpec {
 /// concrete backend type. `Send` so an engine that owns backends can be
 /// stepped on a worker thread between fleet synchronization epochs.
 pub trait ServingBackend: std::fmt::Debug + Send {
-    /// Endpoint name.
-    fn name(&self) -> &str;
-
     /// The served model.
     fn model(&self) -> &ModelSpec;
 
@@ -150,9 +147,6 @@ pub trait ServingBackend: std::fmt::Debug + Send {
 
     /// Live + queued request count (load signal for routing policies).
     fn load(&self) -> usize;
-
-    /// Serving statistics so far.
-    fn stats(&self) -> &EndpointStats;
 
     /// Current KV occupancy fraction of the pool that gates admission
     /// (the decode pool for disaggregated backends) — the KV-aware
@@ -306,10 +300,6 @@ pub fn build_backend(
 }
 
 impl ServingBackend for Endpoint {
-    fn name(&self) -> &str {
-        Endpoint::name(self)
-    }
-
     fn model(&self) -> &ModelSpec {
         Endpoint::model(self)
     }
@@ -322,16 +312,12 @@ impl ServingBackend for Endpoint {
         Endpoint::load(self)
     }
 
-    fn stats(&self) -> &EndpointStats {
-        Endpoint::stats(self)
-    }
-
     fn kv_occupancy(&self) -> f64 {
-        self.kv_series().last_value()
+        Endpoint::kv_occupancy(self)
     }
 
     fn util_level(&self) -> f64 {
-        self.util_series().last_value()
+        Endpoint::util_level(self)
     }
 
     fn phase_busy(&self) -> (SimDuration, SimDuration) {

@@ -27,7 +27,7 @@ use murakkab_sim::{SimDuration, SimError, SimTime};
 
 use crate::backend::ServingBackend;
 use crate::cost::{decode_step_time, prefill_time, TpGroup};
-use crate::engine::{decode_batch_util, Completion, EndpointStats, StepOutcome};
+use crate::engine::{decode_batch_util, Completion, StepOutcome};
 use crate::kv::KvCachePool;
 use crate::model::ModelSpec;
 use crate::Request;
@@ -113,12 +113,10 @@ pub struct DisaggEndpoint {
     armed: Option<SimTime>,
     prefill_busy: SimDuration,
     decode_busy: SimDuration,
-    transfer_bytes: f64,
     /// Current activity levels of the prefill and decode groups (what
     /// [`ServingBackend::phase_levels`] reports).
     prefill_util: f64,
     decode_util: f64,
-    stats: EndpointStats,
 }
 
 impl DisaggEndpoint {
@@ -182,8 +180,6 @@ impl DisaggEndpoint {
             armed: None,
             prefill_busy: SimDuration::ZERO,
             decode_busy: SimDuration::ZERO,
-            transfer_bytes: 0.0,
-            stats: EndpointStats::default(),
         })
     }
 
@@ -220,11 +216,6 @@ impl DisaggEndpoint {
     /// The decode KV pool.
     pub fn decode_kv(&self) -> &KvCachePool {
         &self.decode_kv
-    }
-
-    /// Total KV bytes moved prefill → decode so far.
-    pub fn transfer_bytes(&self) -> f64 {
-        self.transfer_bytes
     }
 
     /// The earliest due internal event, with the fixed tie-break order
@@ -339,7 +330,6 @@ impl DisaggEndpoint {
                     // now; its KV pages start streaming to decode HBM.
                     let bytes =
                         self.model.kv_bytes_per_token * f64::from(p.req.prompt_tokens.max(1));
-                    self.transfer_bytes += bytes;
                     let dur =
                         SimDuration::from_secs_f64(TRANSFER_LATENCY_S + bytes / self.transfer_bw);
                     self.transfers.push(Transferring {
@@ -379,13 +369,11 @@ impl DisaggEndpoint {
                     let Self {
                         decoding,
                         decode_kv,
-                        stats,
                         name,
                         ..
                     } = self;
                     decoding.retain_mut(|r| {
                         r.generated += 1;
-                        stats.tokens_out.incr();
                         if r.generated < r.req.output_tokens {
                             return true;
                         }
@@ -396,16 +384,14 @@ impl DisaggEndpoint {
                                 ))
                             });
                         }
-                        let c = Completion {
+                        out.push(Completion {
                             id: r.req.id,
                             submitted: r.submitted,
                             started: r.started,
                             first_token: r.first_token,
                             finished: t,
                             output_tokens: r.generated,
-                        };
-                        stats.observe_completion(&c);
-                        out.push(c);
+                        });
                         false
                     });
                     if let Some(e) = fault {
@@ -420,10 +406,6 @@ impl DisaggEndpoint {
 }
 
 impl ServingBackend for DisaggEndpoint {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn model(&self) -> &ModelSpec {
         &self.model
     }
@@ -438,10 +420,6 @@ impl ServingBackend for DisaggEndpoint {
             + self.transfers.len()
             + self.waiting_decode.len()
             + self.decoding.len()
-    }
-
-    fn stats(&self) -> &EndpointStats {
-        &self.stats
     }
 
     fn kv_occupancy(&self) -> f64 {
@@ -489,7 +467,6 @@ impl ServingBackend for DisaggEndpoint {
                 self.decode_kv.capacity()
             )));
         }
-        self.stats.submitted.incr();
         self.waiting_prefill.push_back(Queued {
             req,
             submitted: now,
@@ -570,8 +547,6 @@ mod tests {
         // Both pools fully drain.
         assert_eq!(ep.prefill_kv().used(), 0);
         assert_eq!(ep.decode_kv().used(), 0);
-        assert_eq!(ep.stats().completed.get(), 1);
-        assert!(ep.transfer_bytes() > 0.0);
     }
 
     #[test]
@@ -627,8 +602,8 @@ mod tests {
         assert_eq!(ep.decoding.len(), 2);
         let expected: u64 = 2 * u64::from(Request::new(0, 256, 64).total_tokens());
         assert_eq!(ep.decode_kv().used(), expected);
-        ServingBackend::drain(&mut ep, now).expect("drains");
-        assert_eq!(ep.stats().completed.get(), 3);
+        let (done, _) = ServingBackend::drain(&mut ep, now).expect("drains");
+        assert_eq!(done.len(), 3);
     }
 
     #[test]

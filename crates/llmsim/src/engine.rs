@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use murakkab_sim::{Counter, Histogram, SimDuration, SimError, SimTime, TimeSeries};
+use murakkab_sim::{SimDuration, SimError, SimTime};
 
 use crate::cost::{decode_step_time, prefill_time, TpGroup};
 use crate::kv::KvCachePool;
@@ -54,11 +54,6 @@ pub struct Completion {
 }
 
 impl Completion {
-    /// Time spent waiting in the queue before admission.
-    pub fn queue_wait(&self) -> SimDuration {
-        self.started.saturating_duration_since(self.submitted)
-    }
-
     /// End-to-end latency.
     pub fn latency(&self) -> SimDuration {
         self.finished.saturating_duration_since(self.submitted)
@@ -92,50 +87,6 @@ pub struct StepOutcome {
     /// follow-on iterations fast-forwarded before its horizon (at
     /// least 1).
     pub iterations: u64,
-}
-
-/// Aggregated serving statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EndpointStats {
-    /// Requests submitted.
-    pub submitted: Counter,
-    /// Requests completed.
-    pub completed: Counter,
-    /// Total tokens generated.
-    pub tokens_out: Counter,
-    /// Queue-wait distribution in seconds.
-    pub queue_wait_s: Histogram,
-    /// End-to-end latency distribution in seconds.
-    pub latency_s: Histogram,
-    /// Time-to-first-token distribution in seconds.
-    pub ttft_s: Histogram,
-    /// Time-per-output-token distribution in seconds.
-    pub tpot_s: Histogram,
-}
-
-impl Default for EndpointStats {
-    fn default() -> Self {
-        EndpointStats {
-            submitted: Counter::new(),
-            completed: Counter::new(),
-            tokens_out: Counter::new(),
-            queue_wait_s: Histogram::exponential(0.01, 4.0, 12),
-            latency_s: Histogram::exponential(0.01, 4.0, 12),
-            ttft_s: Histogram::exponential(0.01, 4.0, 12),
-            tpot_s: Histogram::exponential(0.001, 4.0, 12),
-        }
-    }
-}
-
-impl EndpointStats {
-    /// Folds one finished request into every latency distribution.
-    pub(crate) fn observe_completion(&mut self, c: &Completion) {
-        self.completed.incr();
-        self.queue_wait_s.observe(c.queue_wait().as_secs_f64());
-        self.latency_s.observe(c.latency().as_secs_f64());
-        self.ttft_s.observe(c.ttft().as_secs_f64());
-        self.tpot_s.observe(c.tpot().as_secs_f64());
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -184,9 +135,6 @@ pub struct Endpoint {
     pending_prefill: SimDuration,
     prefill_busy: SimDuration,
     decode_busy: SimDuration,
-    util: TimeSeries,
-    kv_occupancy: TimeSeries,
-    stats: EndpointStats,
 }
 
 impl Endpoint {
@@ -213,11 +161,8 @@ impl Endpoint {
                 group.n, group.sku.name, model.name
             )));
         }
-        let name = name.into();
         Ok(Endpoint {
-            util: TimeSeries::new(format!("{name}/util")),
-            kv_occupancy: TimeSeries::new(format!("{name}/kv")),
-            name,
+            name: name.into(),
             model,
             group,
             max_batch,
@@ -229,7 +174,6 @@ impl Endpoint {
             pending_prefill: SimDuration::ZERO,
             prefill_busy: SimDuration::ZERO,
             decode_busy: SimDuration::ZERO,
-            stats: EndpointStats::default(),
         })
     }
 
@@ -245,19 +189,9 @@ impl Endpoint {
         Self::try_new(name, model, group, max_batch).expect("valid endpoint configuration")
     }
 
-    /// Endpoint name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The served model.
     pub fn model(&self) -> &ModelSpec {
         &self.model
-    }
-
-    /// The TP group.
-    pub fn group(&self) -> &TpGroup {
-        &self.group
     }
 
     /// Number of GPUs this endpoint holds.
@@ -271,19 +205,15 @@ impl Endpoint {
         self.waiting.len() + self.running.len()
     }
 
-    /// Serving statistics so far.
-    pub fn stats(&self) -> &EndpointStats {
-        &self.stats
+    /// Current KV occupancy fraction.
+    pub fn kv_occupancy(&self) -> f64 {
+        self.kv.occupancy()
     }
 
-    /// GPU utilization series (fraction of the group busy).
-    pub fn util_series(&self) -> &TimeSeries {
-        &self.util
-    }
-
-    /// KV occupancy series.
-    pub fn kv_series(&self) -> &TimeSeries {
-        &self.kv_occupancy
+    /// Current GPU-activity level of the group: the running batch's
+    /// decode level, zero when idle.
+    pub fn util_level(&self) -> f64 {
+        decode_batch_util(self.running.len() as u32, self.max_batch)
     }
 
     /// Submits a request.
@@ -306,7 +236,6 @@ impl Endpoint {
                 self.kv.capacity()
             )));
         }
-        self.stats.submitted.incr();
         self.waiting.push_back(Pending {
             req,
             submitted: now,
@@ -358,29 +287,24 @@ impl Endpoint {
         // per iteration.
         let finished_before = completions.len();
         let mut fault = None;
-        let Self {
-            running, kv, stats, ..
-        } = self;
+        let Self { running, kv, .. } = self;
         running.retain_mut(|r| {
             r.generated += 1;
             let first_token = *r.first_token.get_or_insert(now);
-            stats.tokens_out.incr();
             if r.generated >= r.req.output_tokens {
                 if let Err(e) = kv.release(r.req.id) {
                     fault.get_or_insert(SimError::InvalidState(format!(
                         "finishing request holds no KV reservation: {e}"
                     )));
                 }
-                let c = Completion {
+                completions.push(Completion {
                     id: r.req.id,
                     submitted: r.submitted,
                     started: r.started,
                     first_token,
                     finished: now,
                     output_tokens: r.generated,
-                };
-                stats.observe_completion(&c);
-                completions.push(c);
+                });
                 false
             } else {
                 true
@@ -403,8 +327,8 @@ impl Endpoint {
         })
     }
 
-    /// Admits what fits, computes the next iteration's duration, records
-    /// metrics, and returns the next boundary (or `None` when drained).
+    /// Admits what fits, computes the next iteration's duration, and
+    /// returns the next boundary (or `None` when drained).
     fn arm_next_step(&mut self, now: SimTime) -> Result<Option<SimTime>, SimError> {
         // Admission: FIFO head-of-line (no reordering — determinism and
         // fairness over packing efficiency).
@@ -430,10 +354,7 @@ impl Endpoint {
             });
         }
 
-        self.kv_occupancy.record(now, self.kv.occupancy());
-
         if self.running.is_empty() {
-            self.util.record(now, 0.0);
             return Ok(None);
         }
 
@@ -444,8 +365,6 @@ impl Endpoint {
         self.decode_busy += decode_part;
         let dur = prefill_part + decode_part;
 
-        self.util
-            .record(now, decode_batch_util(batch, self.max_batch));
         self.step_pending = true;
         let deadline = now + dur;
         self.armed_deadline = Some(deadline);
@@ -470,8 +389,8 @@ impl Endpoint {
     /// [`Endpoint::arm_next_step`] would do at its boundary with nothing
     /// admitted and nothing finished: one token per running request,
     /// `batch` more resident tokens, and a decode-only duration. The
-    /// KV and utilization series would record unchanged values, which
-    /// [`TimeSeries::record`] drops, so they are left alone.
+    /// batch and the KV reservations stay as they are, so
+    /// [`Endpoint::util_level`] and [`Endpoint::kv_occupancy`] do too.
     fn fast_forward(&mut self, mut deadline: SimTime, horizon: SimTime) -> (u64, SimTime) {
         if deadline >= horizon {
             return (0, deadline);
@@ -510,7 +429,6 @@ impl Endpoint {
                 r.generated += k;
                 r.first_token.get_or_insert(first);
             }
-            self.stats.tokens_out.add(u64::from(k) * u64::from(batch));
             self.armed_deadline = Some(deadline);
         }
         (u64::from(k), deadline)
@@ -585,9 +503,8 @@ mod tests {
         assert_eq!(done[0].id, 1);
         assert_eq!(done[0].output_tokens, 64);
         assert!(done[0].finished > t0);
-        assert_eq!(ep.stats().completed.get(), 1);
-        assert_eq!(ep.stats().tokens_out.get(), 64);
         assert_eq!(ep.kv.used(), 0, "KV must be fully released");
+        assert_eq!(ep.kv_occupancy(), 0.0);
     }
 
     #[test]
@@ -634,7 +551,7 @@ mod tests {
         assert_eq!(done.len(), 2);
         // Serialized: the second strictly after the first.
         assert!(done[1].finished > done[0].finished);
-        assert!(done[1].queue_wait() > SimDuration::ZERO);
+        assert!(done[1].started > done[1].submitted, "it queued");
     }
 
     #[test]
@@ -673,14 +590,20 @@ mod tests {
     #[test]
     fn utilization_rises_with_batch_and_falls_idle() {
         let mut ep = endpoint(4);
+        let mut armed = None;
         for i in 0..4 {
-            ep.on_submit(Request::new(i, 128, 8), SimTime::ZERO)
-                .unwrap();
+            armed = armed.or(ep
+                .on_submit(Request::new(i, 128, 8), SimTime::ZERO)
+                .unwrap());
         }
-        let (_, end) = ep.drain(SimTime::ZERO);
-        assert_eq!(ep.util_series().value_at(end), 0.0, "idle after drain");
+        // The first submission armed a one-lane iteration.
+        assert!(ep.util_level() < 0.33, "one lane");
+        let first = armed.expect("idle endpoint arms");
+        ep.on_step(first, first, &mut Vec::new()).unwrap();
         // Full batch reaches the calibrated decode-power ceiling (0.36).
-        assert!(ep.util_series().max_value() >= 0.355, "full batch util");
+        assert!(ep.util_level() >= 0.355, "full batch util");
+        ep.drain(first);
+        assert_eq!(ep.util_level(), 0.0, "idle after drain");
     }
 
     #[test]

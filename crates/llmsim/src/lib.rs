@@ -42,7 +42,7 @@ pub use backend::{
 };
 pub use cost::TpGroup;
 pub use disagg::DisaggEndpoint;
-pub use engine::{Completion, Endpoint, EndpointStats, StepOutcome};
+pub use engine::{Completion, Endpoint, StepOutcome};
 pub use kv::KvCachePool;
 pub use model::ModelSpec;
 

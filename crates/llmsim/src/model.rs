@@ -30,13 +30,6 @@ impl ModelSpec {
     pub fn weight_bytes(&self) -> f64 {
         self.params_b * 1e9 * self.dtype_bytes
     }
-
-    /// Minimum number of `mem_gb`-GiB GPUs required just to hold weights
-    /// (plus a 20% activation/workspace margin).
-    pub fn min_gpus(&self, mem_gb: f64) -> u32 {
-        let need_gb = self.weight_bytes() * 1.2 / 1e9;
-        (need_gb / mem_gb).ceil().max(1.0) as u32
-    }
 }
 
 /// NVLM-D 72B — the paper's orchestrator and summarisation LLM.
@@ -98,14 +91,6 @@ mod tests {
     fn weight_bytes_match_dtype() {
         let m = llama3_8b();
         assert_eq!(m.weight_bytes(), 16e9);
-    }
-
-    #[test]
-    fn min_gpus_covers_weights() {
-        let m = nvlm_72b();
-        // 144 GB of weights × 1.2 on 80 GB cards → 3 GPUs minimum.
-        assert_eq!(m.min_gpus(80.0), 3);
-        assert_eq!(llama3_8b().min_gpus(80.0), 1);
     }
 
     #[test]

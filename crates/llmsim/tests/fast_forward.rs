@@ -15,6 +15,22 @@ struct Drive {
     submit_arms: Vec<SimTime>,
     /// `(step instant, iterations, boundary armed next)` per step.
     steps: Vec<(SimTime, u64, Option<SimTime>)>,
+    /// `(instant, util_level, kv_occupancy)` after each submission and
+    /// step at which either level differs from the last entry.
+    levels: Vec<(SimTime, f64, f64)>,
+}
+
+impl Drive {
+    fn sample(&mut self, ep: &Endpoint, now: SimTime) {
+        let (util, kv) = (ep.util_level(), ep.kv_occupancy());
+        if self
+            .levels
+            .last()
+            .is_none_or(|&(_, u, k)| (u, k) != (util, kv))
+        {
+            self.levels.push((now, util, kv));
+        }
+    }
 }
 
 /// Drives `ep` through `subs` (sorted by instant) the way the engine's
@@ -39,6 +55,7 @@ fn drive(
                 let o = ep.on_step(t, h, &mut out.completions).expect("armed step");
                 assert!(o.iterations >= 1);
                 out.steps.push((t, o.iterations, o.next_step));
+                out.sample(ep, t);
                 armed = o.next_step;
             }
             (_, Some(at)) => {
@@ -48,6 +65,7 @@ fn drive(
                     out.submit_arms.push(t);
                     armed = Some(t);
                 }
+                out.sample(ep, at);
             }
             (_, None) => break,
         }
@@ -55,22 +73,10 @@ fn drive(
     out
 }
 
-/// The endpoint's observable state, rendered exactly (`Debug` prints
-/// every `f64` at round-trip precision).
-fn observed(ep: &Endpoint) -> String {
-    format!(
-        "{:?}\n{:?}\n{:?}\n{:?}",
-        ep.stats(),
-        ep.util_series().points(),
-        ep.kv_series().points(),
-        ep.phase_busy()
-    )
-}
-
 proptest! {
     /// Random streams, batch limits and (optionally KV-tight) pools:
-    /// every completion, statistic, series point and busy total matches
-    /// the one-iteration-per-step reference; the fast path's boundaries
+    /// every completion, level change point and busy total matches the
+    /// one-iteration-per-step reference; the fast path's boundaries
     /// are the reference's with the fast-forwarded ones elided, and its
     /// iteration counts sum to the reference's step count.
     #[test]
@@ -127,7 +133,8 @@ proptest! {
         prop_assert_eq!(&fast_drive.completions, &per_iteration.completions);
         prop_assert_eq!(fast_drive.completions.len(), subs.len());
         prop_assert_eq!(&fast_drive.submit_arms, &per_iteration.submit_arms);
-        prop_assert_eq!(observed(&fast), observed(&reference));
+        prop_assert_eq!(&fast_drive.levels, &per_iteration.levels);
+        prop_assert_eq!(fast.phase_busy(), reference.phase_busy());
         prop_assert!(per_iteration.steps.iter().all(|s| s.1 == 1));
 
         // Each fast step stands for `iterations` consecutive reference
@@ -169,5 +176,5 @@ fn lone_request_fast_forwards_to_its_completion() {
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].first_token, first);
     assert_eq!(done[0].finished, last);
-    assert_eq!(ep.stats().tokens_out.get(), 64);
+    assert_eq!(done[0].output_tokens, 64);
 }

@@ -32,8 +32,8 @@ proptest! {
             prop_assert!(c.finished > c.started);
             prop_assert!(c.finished <= end);
         }
-        prop_assert_eq!(ep.stats().completed.get(), reqs.len() as u64);
-        prop_assert_eq!(ep.util_series().value_at(end), 0.0);
+        prop_assert_eq!(ep.util_level(), 0.0);
+        prop_assert_eq!(ep.kv_occupancy(), 0.0);
     }
 
     /// The KV pool never over-commits and exactly balances reservations
@@ -145,9 +145,9 @@ proptest! {
             prop_assert!(c.first_token < c.finished);
             prop_assert!(c.finished <= end);
         }
-        prop_assert_eq!(ep.stats().completed.get(), reqs.len() as u64);
         prop_assert_eq!(ep.prefill_kv().used(), 0);
         prop_assert_eq!(ep.decode_kv().used(), 0);
+        prop_assert_eq!(ep.util_level(), 0.0);
     }
 
     /// Roofline costs are monotone: more prompt tokens never prefill

@@ -277,21 +277,6 @@ fn work_for(
     }
 }
 
-/// Builds the paper's two-video input set from per-scene metadata
-/// (convenience used by workloads and tests).
-pub fn paper_videos(scenes_cats: &[SceneInfo], scenes_f1: &[SceneInfo]) -> JobInputs {
-    JobInputs::videos(vec![
-        MediaInfo {
-            file: "cats.mov".into(),
-            scenes: scenes_cats.to_vec(),
-        },
-        MediaInfo {
-            file: "formula_1.mov".into(),
-            scenes: scenes_f1.to_vec(),
-        },
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,8 +290,18 @@ mod tests {
         }
     }
 
+    /// The paper's two videos: 6 and 10 scenes.
     fn vu_inputs() -> JobInputs {
-        paper_videos(&[scene(); 6], &[scene(); 10])
+        JobInputs::videos(vec![
+            MediaInfo {
+                file: "cats.mov".into(),
+                scenes: vec![scene(); 6],
+            },
+            MediaInfo {
+                file: "formula_1.mov".into(),
+                scenes: vec![scene(); 10],
+            },
+        ])
     }
 
     #[test]

@@ -47,12 +47,6 @@ pub fn path_cost_factor(k: u32) -> f64 {
     }
 }
 
-/// Prompt tokens of the top-k vote call (it reads all k candidate
-/// answers).
-pub fn vote_prompt_tokens(k: u32, answer_tokens: u32) -> u32 {
-    120 + k * answer_tokens
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,12 +77,6 @@ mod tests {
     fn cost_is_roughly_linear_in_paths() {
         assert!(path_cost_factor(4) > 4.0);
         assert!(path_cost_factor(4) < 4.5);
-    }
-
-    #[test]
-    fn vote_prompt_grows_with_k() {
-        assert_eq!(vote_prompt_tokens(1, 100), 220);
-        assert_eq!(vote_prompt_tokens(5, 100), 620);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! - [`queue`]: a deterministic [`EventQueue`] (ties broken by insertion
 //!   sequence number);
 //! - [`rng`]: [`SimRng`], a seeded, splittable random source;
-//! - [`metrics`]: step-function [`TimeSeries`], counters and histograms for
-//!   recording utilization and queueing behaviour;
+//! - [`metrics`]: step-function [`TimeSeries`] and [`UtilizationTracker`]
+//!   for recording utilization, and a bucketed [`Histogram`];
 //! - [`trace`]: span-oriented [`TraceLog`] with an ASCII timeline renderer
 //!   used to regenerate the paper's Figure 3;
 //! - [`ids`]: the [`define_id!`] macro for cheap typed identifiers.
@@ -41,7 +41,7 @@ pub mod time;
 pub mod trace;
 
 pub use error::SimError;
-pub use metrics::{Counter, Histogram, SeriesCursor, TimeSeries, UtilizationTracker};
+pub use metrics::{Histogram, SeriesCursor, TimeSeries, UtilizationTracker};
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -106,11 +106,6 @@ impl TimeSeries {
         }
     }
 
-    /// The last recorded value (zero if empty).
-    pub fn last_value(&self) -> f64 {
-        self.points.last().map_or(0.0, |&(_, v)| v)
-    }
-
     /// Exact integral `∫ v dt` over `[from, to)` in value·seconds.
     pub fn integral(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
@@ -310,37 +305,8 @@ impl UtilizationTracker {
     }
 }
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A fixed-boundary histogram of `f64` observations.
-///
-/// Used for queueing-delay and latency distributions in endpoint stats.
+/// A fixed-boundary histogram of `f64` observations, with
+/// interpolated quantiles over its buckets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
     bounds: Vec<f64>,
@@ -541,14 +507,6 @@ mod tests {
     fn utilization_tracker_rejects_underflow() {
         let mut u = UtilizationTracker::new("gpu", 8.0);
         u.release(t(0), 1.0);
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]

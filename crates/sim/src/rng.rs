@@ -49,19 +49,6 @@ impl SimRng {
         self.rng.random::<f64>()
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi, "uniform_range: lo > hi");
-        if lo == hi {
-            return lo;
-        }
-        self.rng.random_range(lo..hi)
-    }
-
     /// Uniform integer in `[lo, hi]` (inclusive).
     ///
     /// # Panics
@@ -154,14 +141,6 @@ impl SimRng {
         } else {
             let idx = self.int_range(0, items.len() as u64 - 1) as usize;
             Some(&items[idx])
-        }
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.int_range(0, i as u64) as usize;
-            items.swap(i, j);
         }
     }
 }
@@ -286,23 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn choose_picks_from_the_slice() {
         let mut r = SimRng::new(4);
         let empty: [u8; 0] = [];
         assert!(r.choose(&empty).is_none());
         let items = [1, 2, 3];
         assert!(items.contains(r.choose(&items).unwrap()));
-
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn uniform_range_degenerate() {
-        let mut r = SimRng::new(5);
-        assert_eq!(r.uniform_range(3.0, 3.0), 3.0);
     }
 }

@@ -5,8 +5,6 @@
 //! "Speech-to-Text", "LLM (Embeddings)", "Object Detection"). The ASCII
 //! renderer reproduces the paper's timeline plots in a terminal.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
@@ -105,17 +103,6 @@ impl TraceLog {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Total busy time per lane (sum of span durations; overlapping spans
-    /// count multiply, which is intentional — it measures work, not wall
-    /// clock).
-    pub fn busy_per_lane(&self) -> BTreeMap<String, SimDuration> {
-        let mut out: BTreeMap<String, SimDuration> = BTreeMap::new();
-        for s in &self.spans {
-            *out.entry(s.lane.clone()).or_insert(SimDuration::ZERO) += s.duration();
-        }
-        out
-    }
-
     /// Merges another log into this one.
     pub fn merge(&mut self, other: &TraceLog) {
         self.spans.extend(other.spans.iter().cloned());
@@ -209,9 +196,6 @@ mod tests {
         assert_eq!(log.lane_spans("stt").len(), 2);
         assert_eq!(log.lanes(), vec!["stt", "llm"]);
         assert_eq!(log.makespan(), t(20));
-        let busy = log.busy_per_lane();
-        assert_eq!(busy["stt"], SimDuration::from_secs(12));
-        assert_eq!(busy["llm"], SimDuration::from_secs(14));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Admission control: token bucket, deadline feasibility, bounded
-//! priority queue.
+//! queue, and the priority-FIFO buffer queued work waits in.
 //!
 //! Open-loop overload cannot be scheduled away — work that cannot meet
 //! its deadline must be rejected *at the door*, or it queues behind
@@ -11,8 +11,10 @@
 //! 2. **deadline feasibility** — estimates completion as the idle-system
 //!    service time inflated by the current backlog and rejects requests
 //!    that would blow their deadline anyway;
-//! 3. **bounded queue** — a fixed-capacity, priority-ordered buffer in
-//!    front of the executing fleet (pop order: priority, then FIFO).
+//! 3. **bounded queue** — rejects requests once the caller's queue holds
+//!    the configured maximum. The caller keeps the queue itself (the
+//!    fleet's per-cell [`PriorityFifo`]s, pop order: priority, then
+//!    FIFO).
 
 use serde::{Deserialize, Serialize};
 
@@ -183,9 +185,8 @@ struct QueueEntry<T> {
 }
 
 /// A priority-FIFO buffer: pops the highest priority first, FIFO (by the
-/// caller-supplied sequence number) within a priority. Shared by the
-/// admission controller's internal queue and the sharded fleet's
-/// per-cell queues, so both pop in the identical order.
+/// caller-supplied sequence number) within a priority. The sharded
+/// fleet's per-cell queue.
 #[derive(Debug, Clone)]
 pub struct PriorityFifo<T> {
     entries: Vec<QueueEntry<T>>,
@@ -265,17 +266,15 @@ impl<T> PriorityFifo<T> {
     }
 }
 
-/// The admission controller: gates plus the bounded priority queue.
+/// The admission controller: the three gates and their counters.
 #[derive(Debug, Clone)]
-pub struct AdmissionController<T> {
+pub struct AdmissionController {
     cfg: AdmissionConfig,
     bucket: TokenBucket,
-    queue: PriorityFifo<T>,
-    next_seq: u64,
     stats: AdmissionStats,
 }
 
-impl<T> AdmissionController<T> {
+impl AdmissionController {
     /// Builds a controller from a config.
     ///
     /// A disabled config never constructs its token bucket (disabled
@@ -297,18 +296,15 @@ impl<T> AdmissionController<T> {
         Ok(AdmissionController {
             cfg,
             bucket,
-            queue: PriorityFifo::new(),
-            next_seq: 0,
             stats: AdmissionStats::default(),
         })
     }
 
-    /// Runs the admission gates only, against caller-maintained queue
-    /// state: `backlog` backs the deadline-feasibility estimate (queued +
+    /// Runs the admission gates against caller-maintained queue state:
+    /// `backlog` backs the deadline-feasibility estimate (queued +
     /// in-service requests wherever the caller keeps them) and `queued`
-    /// is checked against the bounded-queue capacity. Stats are counted
-    /// but nothing is enqueued — the sharded fleet driver keeps per-cell
-    /// queues and only needs the front-door decision.
+    /// is checked against the bounded-queue capacity. Stats are counted;
+    /// enqueueing an admitted request is the caller's.
     ///
     /// A non-finite service estimate counts as infeasible (the estimator
     /// failed, so the deadline cannot be promised).
@@ -339,53 +335,9 @@ impl<T> AdmissionController<T> {
         AdmissionDecision::Admitted
     }
 
-    /// Offers a request at `now`. `est_service_s` is the idle-system
-    /// service estimate; `in_service` is how many admitted requests are
-    /// currently executing (they back the feasibility estimate along with
-    /// the queue). On admission the item is queued.
-    pub fn offer(
-        &mut self,
-        now: SimTime,
-        priority: u8,
-        deadline_s: f64,
-        est_service_s: f64,
-        in_service: usize,
-        item: T,
-    ) -> AdmissionDecision {
-        let decision = self.gate(
-            now,
-            deadline_s,
-            est_service_s,
-            self.queue.len() + in_service,
-            self.queue.len(),
-        );
-        if decision == AdmissionDecision::Admitted {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.queue.push(priority, seq, item);
-        }
-        decision
-    }
-
-    /// Pops the next request to execute: highest priority first, FIFO
-    /// within a priority.
-    pub fn pop(&mut self) -> Option<T> {
-        self.queue.pop().map(|(_, _, item)| item)
-    }
-
-    /// Queued (admitted, not yet executing) requests.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The running counters.
     pub fn stats(&self) -> AdmissionStats {
         self.stats
-    }
-
-    /// Whether admission gating is active.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 }
 
@@ -411,7 +363,7 @@ mod tests {
 
     #[test]
     fn gates_apply_in_order() {
-        let mut c: AdmissionController<u32> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: true,
             rate_per_s: 0.1,
             burst: 4.0,
@@ -419,32 +371,29 @@ mod tests {
             slack_per_backlog: 1.0,
         })
         .expect("valid config");
+        let mut queued = 0;
+        let mut offer = |c: &mut AdmissionController, deadline_s, est_service_s| {
+            let d = c.gate(t(0.0), deadline_s, est_service_s, queued, queued);
+            queued += usize::from(d == AdmissionDecision::Admitted);
+            d
+        };
         // Feasible, fits queue.
-        assert_eq!(
-            c.offer(t(0.0), 0, 100.0, 10.0, 0, 1),
-            AdmissionDecision::Admitted
-        );
+        assert_eq!(offer(&mut c, 100.0, 10.0), AdmissionDecision::Admitted);
         // Backlog 1 (one queued) -> estimate 10 * 2 = 20 > 15: deadline gate.
         assert_eq!(
-            c.offer(t(0.0), 0, 15.0, 10.0, 0, 2),
+            offer(&mut c, 15.0, 10.0),
             AdmissionDecision::RejectedDeadline
         );
         // Feasible again, fills the queue.
-        assert_eq!(
-            c.offer(t(0.0), 0, 100.0, 10.0, 0, 3),
-            AdmissionDecision::Admitted
-        );
+        assert_eq!(offer(&mut c, 100.0, 10.0), AdmissionDecision::Admitted);
         // Queue full.
         assert_eq!(
-            c.offer(t(0.0), 0, 100.0, 1.0, 0, 4),
+            offer(&mut c, 100.0, 1.0),
             AdmissionDecision::RejectedQueueFull
         );
         // Bucket empty after four takes (burst 4; rejected offers still
         // consume the token they were gated on).
-        assert_eq!(
-            c.offer(t(0.0), 0, 100.0, 1.0, 0, 5),
-            AdmissionDecision::RejectedRate
-        );
+        assert_eq!(offer(&mut c, 100.0, 1.0), AdmissionDecision::RejectedRate);
         let s = c.stats();
         assert_eq!(s.admitted, 2);
         assert_eq!(s.rejected(), 3);
@@ -456,39 +405,49 @@ mod tests {
 
     #[test]
     fn pop_orders_by_priority_then_fifo() {
-        let mut c: AdmissionController<&'static str> =
-            AdmissionController::new(AdmissionConfig::default()).expect("valid config");
-        for (prio, item) in [(0, "batch-1"), (2, "inter-1"), (1, "std-1"), (2, "inter-2")] {
-            assert_eq!(
-                c.offer(t(0.0), prio, 1e9, 0.0, 0, item),
-                AdmissionDecision::Admitted
-            );
-        }
-        let order: Vec<_> = std::iter::from_fn(|| c.pop()).collect();
+        let filled = || {
+            let mut q = PriorityFifo::new();
+            for (seq, (prio, item)) in
+                [(0, "batch-1"), (2, "inter-1"), (1, "std-1"), (2, "inter-2")]
+                    .into_iter()
+                    .enumerate()
+            {
+                q.push(prio, seq as u64, item);
+            }
+            q
+        };
+        let mut q = filled();
+        assert_eq!(q.last_priority(), Some(0));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, _, item)| item)).collect();
         assert_eq!(order, vec!["inter-1", "inter-2", "std-1", "batch-1"]);
-        assert_eq!(c.queue_len(), 0);
+        assert!(q.is_empty());
+
+        // `pop_last` yields the same order from the other end.
+        let mut q = filled();
+        let reversed: Vec<_> =
+            std::iter::from_fn(|| q.pop_last().map(|(_, _, item)| item)).collect();
+        assert_eq!(reversed, vec!["batch-1", "std-1", "inter-2", "inter-1"]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn disabled_controller_admits_everything() {
-        let mut c: AdmissionController<u32> =
-            AdmissionController::new(AdmissionConfig::disabled()).expect("valid config");
-        assert!(!c.enabled());
-        for i in 0..100 {
+        let mut c = AdmissionController::new(AdmissionConfig::disabled()).expect("valid config");
+        for queued in 0..100 {
             // Infeasible deadline, zero-rate bucket pressure, tiny queue —
             // all ignored when disabled.
             assert_eq!(
-                c.offer(t(0.0), 0, 0.001, 1e6, 50, i),
+                c.gate(t(0.0), 0.001, 1e6, queued + 50, queued),
                 AdmissionDecision::Admitted
             );
         }
-        assert_eq!(c.queue_len(), 100);
+        assert_eq!(c.stats().admitted, 100);
         assert_eq!(c.stats().rejected(), 0);
     }
 
     #[test]
     fn in_service_counts_toward_feasibility() {
-        let mut c: AdmissionController<u32> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: true,
             rate_per_s: 10.0,
             burst: 10.0,
@@ -498,12 +457,12 @@ mod tests {
         .expect("valid config");
         // Empty system: 10 s estimate meets a 12 s deadline.
         assert_eq!(
-            c.offer(t(0.0), 0, 12.0, 10.0, 0, 1),
+            c.gate(t(0.0), 12.0, 10.0, 0, 0),
             AdmissionDecision::Admitted
         );
         // 4 in service + 1 queued -> 10 * (1 + 5*0.5) = 35 > 12.
         assert_eq!(
-            c.offer(t(0.0), 0, 12.0, 10.0, 4, 2),
+            c.gate(t(0.0), 12.0, 10.0, 4 + 1, 1),
             AdmissionDecision::RejectedDeadline
         );
     }

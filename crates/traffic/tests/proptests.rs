@@ -9,6 +9,30 @@ fn t(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
 }
 
+/// Offers one request to `c` with `in_service` requests executing and
+/// `queued` waiting, counting an admission into `queued` the way the
+/// fleet enqueues it.
+fn offer(
+    c: &mut AdmissionController,
+    queued: &mut usize,
+    now: f64,
+    deadline_s: f64,
+    est_service_s: f64,
+    in_service: usize,
+) -> AdmissionDecision {
+    let d = c.gate(
+        t(now),
+        deadline_s,
+        est_service_s,
+        *queued + in_service,
+        *queued,
+    );
+    if d == AdmissionDecision::Admitted {
+        *queued += 1;
+    }
+    d
+}
+
 proptest! {
     /// A burst at one instant never admits more than the bucket depth,
     /// regardless of rate, and the controller's counters conserve:
@@ -19,7 +43,7 @@ proptest! {
         burst in 1.0f64..32.0,
         offers in 1usize..200,
     ) {
-        let mut c: AdmissionController<usize> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: true,
             rate_per_s: rate,
             burst,
@@ -27,8 +51,9 @@ proptest! {
             slack_per_backlog: 0.0,
         })
         .expect("valid config");
-        for i in 0..offers {
-            c.offer(t(0.0), 0, 1e12, 0.0, 0, i);
+        let mut queued = 0;
+        for _ in 0..offers {
+            offer(&mut c, &mut queued, 0.0, 1e12, 0.0, 0);
         }
         let s = c.stats();
         prop_assert!(
@@ -47,7 +72,7 @@ proptest! {
         burst in 1.0f64..16.0,
         gaps in prop::collection::vec(0.0f64..5.0, 1..150),
     ) {
-        let mut c: AdmissionController<usize> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: true,
             rate_per_s: rate,
             burst,
@@ -56,9 +81,10 @@ proptest! {
         })
         .expect("valid config");
         let mut now = 0.0;
-        for (i, gap) in gaps.iter().enumerate() {
+        let mut queued = 0;
+        for gap in &gaps {
             now += gap;
-            c.offer(t(now), 0, 1e12, 0.0, 0, i);
+            offer(&mut c, &mut queued, now, 1e12, 0.0, 0);
         }
         let bound = burst + rate * now + 1e-6;
         prop_assert!(
@@ -69,13 +95,13 @@ proptest! {
     }
 
     /// The queue length never exceeds the configured bound, whatever the
-    /// offer pattern, and popping drains in bounded steps.
+    /// offer pattern.
     #[test]
     fn queue_length_bounded_by_config(
         max_queue in 0usize..12,
-        offers in prop::collection::vec((0u8..3, 0.0f64..100.0), 1..120),
+        offers in prop::collection::vec(0.0f64..100.0, 1..120),
     ) {
-        let mut c: AdmissionController<usize> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: true,
             rate_per_s: 50.0, // Bucket never binds: isolate the queue gate.
             burst: 1e6,
@@ -84,21 +110,13 @@ proptest! {
         })
         .expect("valid config");
         let mut now = 0.0;
-        for (i, &(prio, gap)) in offers.iter().enumerate() {
+        let mut queued = 0;
+        for gap in &offers {
             now += gap;
-            c.offer(t(now), prio, 1e12, 0.0, 0, i);
-            prop_assert!(
-                c.queue_len() <= max_queue,
-                "queue {} over bound {max_queue}",
-                c.queue_len()
-            );
+            offer(&mut c, &mut queued, now, 1e12, 0.0, 0);
+            prop_assert!(queued <= max_queue, "queue {queued} over bound {max_queue}");
         }
-        let mut drained = 0;
-        while c.pop().is_some() {
-            drained += 1;
-        }
-        prop_assert!(drained <= max_queue);
-        prop_assert_eq!(c.queue_len(), 0);
+        prop_assert_eq!(c.stats().admitted as usize, queued);
     }
 
     /// Offered = admitted + rejected holds across every gate mix, and the
@@ -110,7 +128,7 @@ proptest! {
         max_queue in 0usize..8,
         offers in prop::collection::vec((0.0f64..40.0, 0.1f64..60.0, 0.0f64..30.0), 1..150),
     ) {
-        let mut c: AdmissionController<usize> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: true,
             rate_per_s: cfg_rate,
             burst,
@@ -119,9 +137,10 @@ proptest! {
         })
         .expect("valid config");
         let mut now = 0.0;
+        let mut queued = 0;
         for (i, &(gap, deadline, est)) in offers.iter().enumerate() {
             now += gap;
-            c.offer(t(now), (i % 3) as u8, deadline, est, i % 5, i);
+            offer(&mut c, &mut queued, now, deadline, est, i % 5);
         }
         let s = c.stats();
         prop_assert_eq!(s.admitted + s.rejected(), offers.len() as u64);
@@ -130,7 +149,7 @@ proptest! {
             s.rejected_rate + s.rejected_deadline + s.rejected_queue_full
         );
         // Everything admitted is still queued (nothing popped here).
-        prop_assert_eq!(s.admitted as usize, c.queue_len());
+        prop_assert_eq!(s.admitted as usize, queued);
     }
 
     /// A disabled controller admits everything — hostile deadlines, huge
@@ -143,7 +162,7 @@ proptest! {
         offers in 1usize..100,
         in_service in 0usize..64,
     ) {
-        let mut c: AdmissionController<usize> = AdmissionController::new(AdmissionConfig {
+        let mut c = AdmissionController::new(AdmissionConfig {
             enabled: false,
             rate_per_s: rate,
             burst,
@@ -151,14 +170,14 @@ proptest! {
             slack_per_backlog: f64::NAN,
         })
         .expect("disabled configs are always constructible");
-        prop_assert!(!c.enabled());
-        for i in 0..offers {
+        let mut queued = 0;
+        for _ in 0..offers {
             prop_assert_eq!(
-                c.offer(t(0.0), 0, 0.001, 1e9, in_service, i),
+                offer(&mut c, &mut queued, 0.0, 0.001, 1e9, in_service),
                 AdmissionDecision::Admitted
             );
         }
-        prop_assert_eq!(c.queue_len(), offers);
+        prop_assert_eq!(queued, offers);
         prop_assert_eq!(c.stats().rejected(), 0);
     }
 
@@ -174,7 +193,7 @@ proptest! {
             ..AdmissionConfig::default()
         };
         prop_assert!(cfg.validate().is_err());
-        prop_assert!(AdmissionController::<u32>::new(cfg).is_err());
+        prop_assert!(AdmissionController::new(cfg).is_err());
         prop_assert!(TokenBucket::try_new(rate, 4.0).is_err());
     }
 

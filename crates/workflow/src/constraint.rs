@@ -117,17 +117,6 @@ impl ConstraintSet {
             })
             .min()
     }
-
-    /// The cost bound, if any (strictest wins).
-    pub fn cost_bound(&self) -> Option<f64> {
-        self.constraints
-            .iter()
-            .filter_map(|c| match c {
-                Constraint::CostUnder(usd) => Some(*usd),
-                _ => None,
-            })
-            .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.min(v))))
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +129,6 @@ mod tests {
         assert_eq!(s.primary_objective(), Objective::Latency);
         assert!((s.quality_floor() - 0.90).abs() < 1e-12);
         assert!(s.latency_bound().is_none());
-        assert!(s.cost_bound().is_none());
     }
 
     #[test]
@@ -168,7 +156,6 @@ mod tests {
             .and(Constraint::QualityAtLeast(0.8))
             .and(Constraint::QualityAtLeast(0.92));
         assert_eq!(s.latency_bound(), Some(SimDuration::from_secs(60)));
-        assert_eq!(s.cost_bound(), Some(2.0));
         assert_eq!(s.quality_floor(), 0.92);
     }
 

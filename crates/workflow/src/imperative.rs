@@ -188,25 +188,6 @@ impl ImperativeWorkflow {
         Ok(ImperativeWorkflow { components, flow })
     }
 
-    /// Builds an arbitrary DAG over the components.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidInput`] for out-of-range edge indices.
-    pub fn with_flow(
-        components: Vec<Component>,
-        flow: Vec<(usize, usize)>,
-    ) -> Result<Self, SimError> {
-        for &(a, b) in &flow {
-            if a >= components.len() || b >= components.len() {
-                return Err(SimError::InvalidInput(format!(
-                    "flow edge ({a}, {b}) out of range"
-                )));
-            }
-        }
-        Ok(ImperativeWorkflow { components, flow })
-    }
-
     /// The components in declaration order.
     pub fn components(&self) -> &[Component] {
         &self.components
@@ -310,12 +291,6 @@ mod tests {
     #[test]
     fn empty_chain_rejected() {
         assert!(ImperativeWorkflow::chain(vec![]).is_err());
-    }
-
-    #[test]
-    fn bad_flow_edges_rejected() {
-        let c = Component::tool("x").build();
-        assert!(ImperativeWorkflow::with_flow(vec![c], vec![(0, 3)]).is_err());
     }
 
     #[test]
