@@ -329,9 +329,10 @@ pub fn write_bench_json(
     value: &impl serde::Serialize,
 ) -> Result<PathBuf, std::io::Error> {
     let path = PathBuf::from(format!("BENCH_{name}.json"));
-    let json =
-        serde_json::to_string_pretty(value).map_err(|e| std::io::Error::other(e.to_string()))?;
-    std::fs::write(&path, json)?;
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+    serde_json::to_writer_pretty(&mut out, value)
+        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    std::io::Write::flush(&mut out)?;
     Ok(path)
 }
 

@@ -18,7 +18,7 @@
 //!   demand above cluster capacity, an SLO deadline below the
 //!   critical-path service-time lower bound, offered load above
 //!   aggregate capacity with admission disabled, a token-bucket burst
-//!   the bounded queue cannot absorb.
+//!   the bounded queue cannot absorb, a cost bound nothing enforces.
 //! - **info** (`ANZ2xx`) — advisory: disaggregation falling back to
 //!   colocated, a prefill/decode pair that cannot share a node, the
 //!   predicted shed-rate floor under admission control, knobs a mode
@@ -40,7 +40,7 @@ use murakkab_llmsim::ServingMode;
 use murakkab_orchestrator::{expand, JobInputs, Planner};
 use murakkab_sim::{SimError, SimRng, SimTime};
 use murakkab_traffic::{AdmissionConfig, Archetype, TenantProfile};
-use murakkab_workflow::Job;
+use murakkab_workflow::{Constraint, Job};
 
 use crate::engine::{CompiledGraph, RouteSpec};
 use crate::fleet::{estimate_service_s, fleet_job, ServiceCosts};
@@ -102,6 +102,10 @@ pub mod codes {
     /// routing policy degenerates to that region and the WAN model
     /// never engages.
     pub const GEO_DEGENERATE: &str = "ANZ106";
+    /// A `CostUnder` bound among the scenario's or a job's constraints:
+    /// it parses, but neither route selection nor serving reads it, so
+    /// the run can cost any amount.
+    pub const COST_BOUND_UNENFORCED: &str = "ANZ107";
 
     /// Disaggregated serving was requested but the plan fell back to a
     /// colocated deployment.
@@ -668,7 +672,38 @@ pub(crate) fn scenario_structural(scenario: &Scenario) -> Vec<Diagnostic> {
             }
         }
     }
+    cost_bound_diags(scenario, &mut out);
     out
+}
+
+/// `ANZ107` for every `CostUnder` among the scenario's extra constraints
+/// and its explicit jobs' constraints.
+fn cost_bound_diags(scenario: &Scenario, out: &mut Vec<Diagnostic>) {
+    let mut flag = |path: String, c: &Constraint| {
+        if let Constraint::CostUnder(usd) = c {
+            out.push(
+                Diagnostic::warning(
+                    codes::COST_BOUND_UNENFORCED,
+                    &path,
+                    format!("CostUnder({usd}) is not enforced: the run may cost more"),
+                )
+                .suggest("drop the bound, or optimize for cost with MinCost"),
+            );
+        }
+    };
+    for (i, c) in scenario.constraints.iter().enumerate() {
+        flag(format!("constraints[{i}]"), c);
+    }
+    if let WorkloadSource::Jobs { jobs } = &scenario.workload {
+        for (j, spec) in jobs.iter().enumerate() {
+            for (i, c) in spec.job.constraints.all().iter().enumerate() {
+                flag(
+                    format!("workload.Jobs.jobs[{j}].job.constraints.constraints[{i}]"),
+                    c,
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -260,20 +260,20 @@ impl PreflightMode {
 // Hand-written (de)serialization so scenarios captured before the field
 // existed still parse: an absent `preflight` key reads as `Off`.
 impl serde::Serialize for PreflightMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().into())
+    fn serialize(&self, s: &mut serde::Serializer<'_>) -> Result<(), serde::Error> {
+        s.serialize_str(self.as_str())
     }
 }
 
 impl serde::Deserialize for PreflightMode {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) if s == "Off" => Ok(PreflightMode::Off),
-            serde::Value::Str(s) if s == "Warn" => Ok(PreflightMode::Warn),
-            serde::Value::Str(s) if s == "Strict" => Ok(PreflightMode::Strict),
-            other => Err(serde::Error::custom(format!(
-                "expected \"Off\"/\"Warn\"/\"Strict\" for PreflightMode, got {other:?}"
-            ))),
+    fn deserialize(d: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        const EXPECTED: &str = "\"Off\"/\"Warn\"/\"Strict\" for PreflightMode";
+        let start = d.value_start();
+        match &*d.str(EXPECTED)? {
+            "Off" => Ok(PreflightMode::Off),
+            "Warn" => Ok(PreflightMode::Warn),
+            "Strict" => Ok(PreflightMode::Strict),
+            _ => Err(d.error_at(start, &format!("expected {EXPECTED}"))),
         }
     }
 
@@ -914,13 +914,27 @@ impl Report {
     /// the canonical JSON). Two runs of the same scenario produce the
     /// same digest — the capture/replay identity check.
     pub fn digest(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("reports always serialize");
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in json.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+        serde_json::to_writer(&mut hash, self).expect("reports always serialize");
+        hash.0
+    }
+}
+
+/// FNV-1a over the bytes written into it: [`Report::digest`] hashes
+/// the compact JSON as the serializer emits it, without holding it.
+struct Fnv1a(u64);
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        hash
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -408,8 +408,17 @@ impl RunTrace {
     ///
     /// [`SimError::InvalidInput`] on serialization or IO failure.
     pub fn write_json_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), SimError> {
+        use std::io::Write;
         let path = path.as_ref();
-        std::fs::write(path, self.to_json()?)
+        // Streamed through a buffer, so the whole text is never held.
+        let written = std::fs::File::create(path)
+            .map_err(|e| e.to_string())
+            .and_then(|file| {
+                let mut out = std::io::BufWriter::new(file);
+                serde_json::to_writer_pretty(&mut out, self).map_err(|e| e.to_string())?;
+                out.flush().map_err(|e| e.to_string())
+            });
+        written
             .map_err(|e| SimError::InvalidInput(format!("writing trace {}: {e}", path.display())))
     }
 }

@@ -26,7 +26,9 @@ pub enum Constraint {
     QualityAtLeast(f64),
     /// Require completion within this duration.
     LatencyUnder(SimDuration),
-    /// Require total cost below this many dollars.
+    /// A total-cost bound in dollars. Accepted so that specs can state
+    /// it, but not enforced: route selection and serving ignore it, and
+    /// the preflight analyzer warns wherever it appears (`ANZ107`).
     CostUnder(f64),
 }
 

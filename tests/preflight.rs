@@ -3,13 +3,16 @@
 //! simulator then does.
 
 use murakkab::analyze::codes;
+use murakkab::scenario::JobSpec;
 use murakkab::{
     analyze, ExecutionMode, PreflightMode, Scenario, Session, Severity, SttChoice, WorkloadSource,
 };
+use murakkab_orchestrator::JobInputs;
 use murakkab_sim::SimError;
 use murakkab_traffic::{
     AdmissionConfig, Archetype, ArrivalProcess, JobMix, SloClass, TenantProfile,
 };
+use murakkab_workflow::{Constraint, Job};
 use proptest::prelude::*;
 
 fn fixture(name: &str) -> Scenario {
@@ -207,6 +210,52 @@ fn geo_ignored_knobs_are_flagged_and_inert() {
             "`{path}` must not reach the geo serve loop"
         );
     }
+}
+
+/// `CostUnder` parses but nothing enforces it: the analyzer flags it
+/// ANZ107 at every place a scenario can carry it, and a bound no run
+/// could meet leaves the digest unchanged.
+#[test]
+fn cost_bounds_are_flagged_and_inert() {
+    let base = Scenario::open_loop("cost", ArrivalProcess::Poisson { rate_per_s: 0.05 }, 200.0);
+    assert!(!codes_of(&analyze(&base)).contains(&codes::COST_BOUND_UNENFORCED));
+    let bounded = base.clone().constraint(Constraint::CostUnder(1e-9));
+    let report = analyze(&bounded);
+    assert!(
+        report
+            .warnings()
+            .any(|d| d.code == codes::COST_BOUND_UNENFORCED && d.path == "constraints[0]"),
+        "a scenario-level cost bound must flag ANZ107, got:\n{}",
+        report.render_human()
+    );
+    assert_eq!(
+        bounded.run().unwrap().digest(),
+        base.run().unwrap().digest(),
+        "a cost bound must not reach selection or serving"
+    );
+
+    let job = Job::describe("Summarize the feed")
+        .input("posts")
+        .constraint(Constraint::MinCost)
+        .constraint(Constraint::CostUnder(5.0))
+        .build()
+        .unwrap();
+    let mut jobs = Scenario::closed_loop("cost-jobs");
+    jobs.workload = WorkloadSource::Jobs {
+        jobs: vec![JobSpec {
+            job,
+            inputs: JobInputs::default(),
+        }],
+    };
+    let report = analyze(&jobs);
+    assert!(
+        report
+            .warnings()
+            .any(|d| d.code == codes::COST_BOUND_UNENFORCED
+                && d.path == "workload.Jobs.jobs[0].job.constraints.constraints[1]"),
+        "a job-level cost bound must flag ANZ107, got:\n{}",
+        report.render_human()
+    );
 }
 
 /// A bounded closed-loop scenario space for the analyzer/executor
