@@ -76,14 +76,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations per offered request of [`budget_scenario`]'s serve call:
-/// 21.61 (21.6010) measured once the count became per thread (21.66,
-/// or 21.6598, while it also took in 60 allocations the test process's
-/// other threads made during the call). Finished tasks and released
-/// allocations are retired, so the task window and the allocation
-/// table stop regrowing (21.72 before that; 23.61 before the region
-/// tick read its rebalancer inputs into a reused buffer; 54.66 before
-/// the tick, the pool autoscaling cycle and endpoint steps stopped
-/// allocating), in debug and release builds alike.
+/// 21.61 (21.6010) measured once serving backends stopped keeping
+/// per-step series and stats (21.66 before; 21.72 before finished
+/// tasks and released allocations were retired; 23.61 before the
+/// region tick read its rebalancer inputs into a reused buffer; 54.66
+/// before the tick, the pool autoscaling cycle and endpoint steps
+/// stopped allocating), in debug and release builds alike.
 const ALLOCS_PER_REQUEST_BUDGET: f64 = 21.61;
 
 /// A small one-cell open-loop hour on the paper testbed: Poisson
