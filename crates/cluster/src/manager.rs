@@ -3,9 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::Serialize;
-
-use murakkab_hardware::{DeviceId, DeviceKind, EnergyScope, HardwareTarget, VmShape};
+use murakkab_hardware::{
+    Device, DeviceId, DeviceKind, EnergyIntegrator, EnergyScope, HardwareTarget, VmShape,
+};
 use murakkab_sim::{define_id, SeriesCursor, SimDuration, SimError, SimTime};
 
 use crate::node::{Node, NodeId};
@@ -15,7 +15,7 @@ use crate::telemetry::ResourceStats;
 define_id!(AllocationId, "alloc");
 
 /// A granted resource allocation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Allocation {
     /// Allocation id.
     pub id: AllocationId,
@@ -24,7 +24,7 @@ pub struct Allocation {
     /// The requested target.
     pub target: HardwareTarget,
     /// GPU devices granted (each at `gpu_share`).
-    pub gpu_devices: Vec<DeviceId>,
+    pub gpu_devices: Vec<GpuGrant>,
     /// Share reserved on each GPU device.
     pub gpu_share: f64,
     /// CPU cores reserved from the node's pool.
@@ -35,6 +35,15 @@ pub struct Allocation {
     pub label: Arc<str>,
     /// Creation time.
     pub created: SimTime,
+}
+
+/// One GPU granted to an allocation, with the energy the device has
+/// drawn since the grant, folded as far as the cluster has settled.
+#[derive(Debug, Clone, Copy)]
+pub struct GpuGrant {
+    /// The granted device.
+    pub device: DeviceId,
+    energy: EnergyIntegrator,
 }
 
 /// A paired prefill/decode allocation for a disaggregated serving
@@ -66,6 +75,34 @@ pub struct ClusterManager {
     policy: PlacementPolicy,
     provision_delay: SimDuration,
     pending: Vec<(SimTime, VmShape)>,
+    /// Utilization and energy settled as simulated time passes, once
+    /// [`ClusterManager::settle_online`] turned it on.
+    online: Option<Box<OnlineSettle>>,
+}
+
+/// The change points one device may gather before an online fold trims
+/// every series. A fold walks every device once, so this also spaces
+/// folds by at least half as many points on the busiest device.
+const FOLD_POINTS: usize = 64;
+
+/// Online settlement state (see [`ClusterManager::settle_online`]).
+#[derive(Debug, Clone)]
+struct OnlineSettle {
+    /// Every instant before this one is closed: the cluster refuses
+    /// activity records before it, so no change point can still appear
+    /// or change there, and both readers fold up to it.
+    frontier: SimTime,
+    /// The utilization sampler of each device kind, GPU then CPU pool,
+    /// on the settlement grid from zero.
+    samplers: [UtilSampler; 2],
+    /// The series length at which a record makes a fold due:
+    /// [`FOLD_POINTS`], or half that past the longest series the last
+    /// fold left when the frontier lagged behind.
+    fold_at: usize,
+    /// A node joined or a CPU pool was rebuilt after settling began: the
+    /// samplers' device set and capacity are stale, so folding stops and
+    /// utilization reads fail.
+    reshaped: bool,
 }
 
 /// The position of live allocation `id` in the id-ordered table.
@@ -80,18 +117,10 @@ fn live_get(allocations: &[Allocation], id: AllocationId) -> Result<&Allocation,
     live_index(allocations, id).map(|i| &allocations[i])
 }
 
-/// Mutably borrows the node with `id`. Nodes are only ever appended
-/// with sequential ids, so the id doubles as the index; the linear scan
-/// is a safety net, not the expected path.
+/// Mutably borrows the node with `id`.
 fn node_mut(nodes: &mut [Node], id: NodeId) -> &mut Node {
-    let i = id.raw() as usize;
-    if nodes.get(i).is_some_and(|n| n.id == id) {
-        return &mut nodes[i];
-    }
-    nodes
-        .iter_mut()
-        .find(|n| n.id == id)
-        .expect("allocation references an existing node")
+    let i = node_index(nodes, id);
+    &mut nodes[i]
 }
 
 impl ClusterManager {
@@ -106,6 +135,7 @@ impl ClusterManager {
             policy,
             provision_delay: SimDuration::from_secs(90),
             pending: Vec::new(),
+            online: None,
         }
     }
 
@@ -127,6 +157,9 @@ impl ClusterManager {
             d
         };
         self.nodes.push(Node::from_shape(id, shape, &mut next_dev));
+        if let Some(online) = &mut self.online {
+            online.reshaped = true;
+        }
         id
     }
 
@@ -211,7 +244,10 @@ impl ClusterManager {
             }
             if d.free() + 1e-9 >= gpu_share {
                 d.reserve(gpu_share);
-                gpu_devices.push(d.id);
+                gpu_devices.push(GpuGrant {
+                    device: d.id,
+                    energy: EnergyIntegrator::new(now),
+                });
             }
         }
         assert_eq!(
@@ -306,8 +342,8 @@ impl ClusterManager {
         let alloc = self.allocations.remove(live_index(&self.allocations, id)?);
         let node = node_mut(&mut self.nodes, alloc.node);
         if node.up {
-            for dev in &alloc.gpu_devices {
-                if let Some(d) = node.gpu_mut(*dev) {
+            for g in &alloc.gpu_devices {
+                if let Some(d) = node.gpu_mut(g.device) {
                     d.unreserve(alloc.gpu_share);
                 }
             }
@@ -338,7 +374,9 @@ impl ClusterManager {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NotFound`] for unknown ids.
+    /// Returns [`SimError::NotFound`] for unknown ids and
+    /// [`SimError::InvalidState`] for activity over capacity or before
+    /// the last change or the settled frontier.
     pub fn activity_start(
         &mut self,
         now: SimTime,
@@ -352,7 +390,9 @@ impl ClusterManager {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NotFound`] for unknown ids.
+    /// Returns [`SimError::NotFound`] for unknown ids and
+    /// [`SimError::InvalidState`] for activity below zero or before the
+    /// last change or the settled frontier.
     pub fn activity_end(
         &mut self,
         now: SimTime,
@@ -373,7 +413,10 @@ impl ClusterManager {
         // node's devices mutate — no per-event clone of the allocation
         // (its device list and label are heap-backed).
         let Self {
-            nodes, allocations, ..
+            nodes,
+            allocations,
+            online,
+            ..
         } = self;
         let alloc = live_get(allocations, id)?;
         let node = node_mut(nodes, alloc.node);
@@ -381,22 +424,27 @@ impl ClusterManager {
             // The node died; its activity was zeroed at preemption.
             return Ok(());
         }
+        check_frontier(online, now)?;
         let gpu_units = alloc.gpu_share * gpu_util.clamp(0.0, 1.0);
-        for dev in &alloc.gpu_devices {
-            let d = node.gpu_mut(*dev).expect("granted device exists");
+        let mut longest = 0;
+        for g in &alloc.gpu_devices {
+            let d = node.gpu_mut(g.device).expect("granted device exists");
             if start {
-                d.activity_start(now, gpu_units);
+                d.activity_start(now, gpu_units)?;
             } else {
-                d.activity_end(now, gpu_units);
+                d.activity_end(now, gpu_units)?;
             }
+            longest = longest.max(d.util_series().points().len());
         }
         if alloc.cores > 0 {
             if start {
-                node.cpu.activity_start(now, f64::from(alloc.cores));
+                node.cpu.activity_start(now, f64::from(alloc.cores))?;
             } else {
-                node.cpu.activity_end(now, f64::from(alloc.cores));
+                node.cpu.activity_end(now, f64::from(alloc.cores))?;
             }
+            longest = longest.max(node.cpu.util_series().points().len());
         }
+        self.fold_if_due(longest);
         Ok(())
     }
 
@@ -405,7 +453,9 @@ impl ClusterManager {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NotFound`] for unknown ids.
+    /// Returns [`SimError::NotFound`] for unknown ids and
+    /// [`SimError::InvalidState`] for a level before the last change or
+    /// the settled frontier.
     pub fn set_gpu_activity_level(
         &mut self,
         now: SimTime,
@@ -413,17 +463,24 @@ impl ClusterManager {
         level: f64,
     ) -> Result<(), SimError> {
         let Self {
-            nodes, allocations, ..
+            nodes,
+            allocations,
+            online,
+            ..
         } = self;
         let alloc = live_get(allocations, id)?;
         let node = node_mut(nodes, alloc.node);
         if !node.up {
             return Ok(());
         }
-        for dev in &alloc.gpu_devices {
-            let d = node.gpu_mut(*dev).expect("granted device exists");
-            d.set_activity_level(now, alloc.gpu_share * level.clamp(0.0, 1.0));
+        check_frontier(online, now)?;
+        let mut longest = 0;
+        for g in &alloc.gpu_devices {
+            let d = node.gpu_mut(g.device).expect("granted device exists");
+            d.set_activity_level(now, alloc.gpu_share * level.clamp(0.0, 1.0))?;
+            longest = longest.max(d.util_series().points().len());
         }
+        self.fold_if_due(longest);
         Ok(())
     }
 
@@ -434,7 +491,8 @@ impl ClusterManager {
     /// # Errors
     ///
     /// Returns [`SimError::NotFound`] for unknown nodes and
-    /// [`SimError::InvalidState`] if the node is already down.
+    /// [`SimError::InvalidState`] if the node is already down or `now` is
+    /// before a device's last change or the settled frontier.
     pub fn preempt_node(
         &mut self,
         now: SimTime,
@@ -448,12 +506,15 @@ impl ClusterManager {
         if !node.up {
             return Err(SimError::InvalidState(format!("{id} is already down")));
         }
+        check_frontier(&self.online, now)?;
+        for d in node.gpus.iter_mut() {
+            d.set_activity_level(now, 0.0)?;
+        }
+        node.cpu.set_activity_level(now, 0.0)?;
         node.up = false;
         for d in node.gpus.iter_mut() {
-            d.set_activity_level(now, 0.0);
             d.unreserve(d.reserved());
         }
-        node.cpu.set_activity_level(now, 0.0);
         node.cpu.unreserve(node.cpu.reserved());
 
         let mut killed = Vec::new();
@@ -511,6 +572,9 @@ impl ClusterManager {
         }
         node.cpu = fresh;
         node.shape.vcpus = new_cores;
+        if let Some(online) = &mut self.online {
+            online.reshaped = true;
+        }
 
         // Find allocations that no longer fit if we shrank.
         let mut squeezed = Vec::new();
@@ -636,44 +700,56 @@ impl ClusterManager {
     /// Energy consumed over `[from, to)` by devices that were ever part of
     /// an allocation, under the given scope. This is the Table 2 quantity:
     /// the paper meters the GPUs the workflow engages, GPU-only by default.
-    pub fn energy_wh(&self, from: SimTime, to: SimTime, scope: EnergyScope) -> f64 {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] once utilization is settled
+    /// online: the series no longer hold the whole run.
+    pub fn energy_wh(
+        &self,
+        from: SimTime,
+        to: SimTime,
+        scope: EnergyScope,
+    ) -> Result<f64, SimError> {
         self.energy_wh_inner(from, to, scope, true)
     }
 
     /// Energy over every device, allocated or not (whole-testbed view).
-    pub fn energy_wh_all(&self, from: SimTime, to: SimTime, scope: EnergyScope) -> f64 {
-        self.energy_wh_inner(from, to, scope, false)
-    }
-
-    /// GPU energy attributable to one live allocation over `[from, to)`:
-    /// each granted device's energy weighted by the granted share. This is
-    /// the "energy of the resources a configuration actually holds" view
-    /// used for Murakkab's Table 2 rows (idle-but-held GPUs count; GPUs
-    /// the workflow released or never took do not).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NotFound`] for unknown allocations.
-    pub fn allocation_energy_wh(
+    /// As [`energy_wh`](Self::energy_wh).
+    pub fn energy_wh_all(
         &self,
-        id: AllocationId,
         from: SimTime,
         to: SimTime,
+        scope: EnergyScope,
     ) -> Result<f64, SimError> {
+        self.energy_wh_inner(from, to, scope, false)
+    }
+
+    /// GPU energy attributable to one live allocation from its creation
+    /// until `to`: each granted device's energy weighted by the granted
+    /// share. This is the "energy of the resources a configuration
+    /// actually holds" view used for Murakkab's Table 2 rows
+    /// (idle-but-held GPUs count; GPUs the workflow released or never
+    /// took do not). It closes the allocation's energy integrals, which
+    /// online settlement has folded up to the frontier.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NotFound`] for unknown allocations and
+    /// [`SimError::InvalidState`] for a `to` before the settled frontier.
+    pub fn allocation_energy_wh(&self, id: AllocationId, to: SimTime) -> Result<f64, SimError> {
+        if let Some(online) = &self.online {
+            online.check_window_end(to)?;
+        }
         let alloc = self.allocation(id)?;
-        let node = self
-            .nodes
-            .iter()
-            .find(|n| n.id == alloc.node)
-            .expect("allocation references an existing node");
+        let node = &self.nodes[node_index(&self.nodes, alloc.node)];
         let mut wh = 0.0;
-        for dev in &alloc.gpu_devices {
-            let d = node
-                .gpus
-                .iter()
-                .find(|d| d.id == *dev)
-                .expect("granted device exists");
-            wh += d.energy_wh(from, to) * alloc.gpu_share;
+        for g in &alloc.gpu_devices {
+            let d = node.gpu(g.device).expect("granted device exists");
+            wh += g.energy.close(d.power_curve(), d.util_series(), to) * alloc.gpu_share;
         }
         Ok(wh)
     }
@@ -684,7 +760,10 @@ impl ClusterManager {
         to: SimTime,
         scope: EnergyScope,
         touched_only: bool,
-    ) -> f64 {
+    ) -> Result<f64, SimError> {
+        if self.online.is_some() {
+            return Err(trimmed_history());
+        }
         let mut wh = 0.0;
         for n in &self.nodes {
             for d in &n.gpus {
@@ -696,7 +775,7 @@ impl ClusterManager {
                 wh += n.cpu.energy_wh(from, to);
             }
         }
-        wh
+        Ok(wh)
     }
 
     /// Cluster-wide utilization samples in percent of all `kind`
@@ -707,7 +786,8 @@ impl ClusterManager {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidInput`] for a zero `interval`.
+    /// Returns [`SimError::InvalidInput`] for a zero `interval` and
+    /// [`SimError::InvalidState`] once utilization is settled online.
     pub fn aggregate_util(
         &self,
         kind: DeviceKind,
@@ -715,19 +795,28 @@ impl ClusterManager {
         to: SimTime,
         interval: SimDuration,
     ) -> Result<Vec<(f64, f64)>, SimError> {
-        Ok(self
-            .util_samples(kind, from, to, interval)?
-            .map(|(t, pct)| (t.as_secs_f64(), pct))
-            .collect())
+        check_interval(interval)?;
+        if self.online.is_some() {
+            return Err(trimmed_history());
+        }
+        let mut samples = Vec::new();
+        UtilSampler::new(kind, from, interval).walk(&self.nodes, Walk::Through(to), |t, pct| {
+            samples.push((t.as_secs_f64(), pct));
+        });
+        Ok(samples)
     }
 
     /// The mean of the [`aggregate_util`](Self::aggregate_util) samples
     /// over the same grid (zero when there are none), bit for bit,
-    /// without collecting them.
+    /// without collecting them. Once utilization is settled online this
+    /// takes the online sampler's last steps to `to`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidInput`] for a zero `interval`.
+    /// Returns [`SimError::InvalidInput`] for a zero `interval`, and,
+    /// once utilization is settled online, [`SimError::InvalidState`] for
+    /// a grid other than the settlement grid, a `to` before the settled
+    /// frontier, or a cluster reshaped after settling began.
     pub fn average_util(
         &self,
         kind: DeviceKind,
@@ -735,47 +824,129 @@ impl ClusterManager {
         to: SimTime,
         interval: SimDuration,
     ) -> Result<f64, SimError> {
-        let mut n = 0usize;
-        let sum: f64 = self
-            .util_samples(kind, from, to, interval)?
-            .inspect(|_| n += 1)
-            .map(|(_, pct)| pct)
-            .sum();
-        Ok(if n == 0 { 0.0 } else { sum / n as f64 })
+        check_interval(interval)?;
+        let mut sampler = match &self.online {
+            None => UtilSampler::new(kind, from, interval),
+            Some(online) => online.sampler(kind, from, to, interval)?.clone(),
+        };
+        sampler.walk(&self.nodes, Walk::Through(to), |_, _| {});
+        Ok(sampler.mean())
     }
 
-    /// The sampler behind [`aggregate_util`](Self::aggregate_util) and
-    /// [`average_util`](Self::average_util).
-    fn util_samples(
-        &self,
-        kind: DeviceKind,
-        from: SimTime,
-        to: SimTime,
-        interval: SimDuration,
-    ) -> Result<UtilSamples<'_>, SimError> {
-        if interval.is_zero() {
-            return Err(SimError::InvalidInput(
-                "utilization sample interval must be non-zero".into(),
+    /// Turns on online settlement: from now on, whenever some device's
+    /// series reaches a few dozen change points, the cluster
+    /// [`fold`](Self::fold)s device utilization on the `interval` grid
+    /// from zero, and the energy of every live allocation, up to the
+    /// frontier (see [`advance_frontier`](Self::advance_frontier)), and
+    /// drops the change points both readers are past. Each device then
+    /// holds an O(1) tail plus the points after the frontier, however
+    /// long the run, and settlement reads the same bits as it would from
+    /// the whole series: [`allocation_energy_wh`](Self::allocation_energy_wh) closes
+    /// the folded integrals and [`average_util`](Self::average_util) on
+    /// the same grid finishes the folded sampler. Reads that need the
+    /// whole history ([`energy_wh`](Self::energy_wh),
+    /// [`aggregate_util`](Self::aggregate_util)) fail from here on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidInput`] for a zero `interval` and
+    /// [`SimError::InvalidState`] if settlement is already online.
+    pub fn settle_online(&mut self, interval: SimDuration) -> Result<(), SimError> {
+        check_interval(interval)?;
+        if self.online.is_some() {
+            return Err(SimError::InvalidState(
+                "utilization is already settled online".into(),
             ));
         }
-        let devices: Vec<(SeriesCursor<'_>, f64)> = self
-            .nodes
+        self.online = Some(Box::new(OnlineSettle {
+            frontier: SimTime::ZERO,
+            samplers: [
+                UtilSampler::new(DeviceKind::Gpu, SimTime::ZERO, interval),
+                UtilSampler::new(DeviceKind::CpuPool, SimTime::ZERO, interval),
+            ],
+            fold_at: FOLD_POINTS,
+            reshaped: false,
+        }));
+        Ok(())
+    }
+
+    /// Moves the settled frontier to `frontier`, the caller's promise
+    /// that it records no more activity before that instant (the engine
+    /// passes its last task completion; every settle window ends at or
+    /// after it). Activity records before the frontier are refused from
+    /// then on. A no-op unless settlement is online.
+    pub fn advance_frontier(&mut self, frontier: SimTime) {
+        if let Some(online) = &mut self.online {
+            online.frontier = online.frontier.max(frontier);
+        }
+    }
+
+    /// [`fold`](Self::fold)s once a record has left some device with
+    /// `longest` change points, at least the online fold threshold.
+    fn fold_if_due(&mut self, longest: usize) {
+        if self.online.as_ref().is_some_and(|o| longest >= o.fold_at) {
+            self.fold();
+        }
+    }
+
+    /// Folds every live allocation's energy and both utilization samplers
+    /// up to the frontier, then trims each device's series to what the
+    /// readers still need. Activity records call this whenever a device's
+    /// series reaches the fold threshold; a no-op unless settlement is
+    /// online, and on a cluster reshaped since it began.
+    pub fn fold(&mut self) {
+        let Self {
+            nodes,
+            allocations,
+            online,
+            ..
+        } = self;
+        let Some(online) = online.as_deref_mut().filter(|o| !o.reshaped) else {
+            return;
+        };
+        let frontier = online.frontier;
+        for alloc in allocations.iter_mut() {
+            let node = &nodes[node_index(nodes, alloc.node)];
+            for g in &mut alloc.gpu_devices {
+                let d = node.gpu(g.device).expect("granted device exists");
+                g.energy.advance(d.power_curve(), d.util_series(), frontier);
+            }
+        }
+        for sampler in &mut online.samplers {
+            sampler.walk(nodes, Walk::Before(frontier), |_, _| {});
+        }
+        // Both readers now stand at the same frontier. An energy integral
+        // has folded every point before it, so it reads only later points
+        // (or, if it starts at or after the frontier, the last point at or
+        // before its start); a sampler resumes at its last computed sample,
+        // before the frontier. Keeping what the sampler of the device's
+        // kind needs keeps both.
+        let [gpus, cpus] = &online.samplers;
+        let (gpu_keep, cpu_keep) = (gpus.resume_at(), cpus.resume_at());
+        let mut longest = 0;
+        for node in nodes.iter_mut() {
+            for d in &mut node.gpus {
+                d.trim_util_before(gpu_keep);
+                longest = longest.max(d.util_series().points().len());
+            }
+            node.cpu.trim_util_before(cpu_keep);
+            longest = longest.max(node.cpu.util_series().points().len());
+        }
+        // Points at or after the frontier stay; while it lags, wait for
+        // half a threshold more before folding again.
+        online.fold_at = FOLD_POINTS.max(longest + FOLD_POINTS / 2);
+    }
+
+    /// The most utilization change points any one device holds: the
+    /// whole run's activity without online settlement, an O(1) tail
+    /// plus the points after the frontier with it.
+    pub fn retained_points(&self) -> usize {
+        self.nodes
             .iter()
-            .flat_map(|n| match kind {
-                DeviceKind::Gpu => n.gpus.as_slice(),
-                DeviceKind::CpuPool => std::slice::from_ref(&n.cpu),
-            })
-            .map(|d| (d.util_series().cursor(), d.capacity()))
-            .collect();
-        let total_cap: f64 = devices.iter().map(|&(_, cap)| cap).sum();
-        Ok(UtilSamples {
-            devices,
-            total_cap,
-            next: (total_cap != 0.0).then_some(from),
-            to,
-            interval,
-            last: None,
-        })
+            .flat_map(|n| n.gpus.iter().chain(std::iter::once(&n.cpu)))
+            .map(|d| d.util_series().points().len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Dollar cost of running the whole fleet over a window (on-demand or
@@ -798,48 +969,224 @@ impl ClusterManager {
     }
 }
 
-/// Utilization samples over a fixed grid, walked forward once: each
-/// device series is read through a [`SeriesCursor`], and while no device
-/// changes between two sample instants the previous sample is emitted
-/// again (same inputs, same arithmetic, same bits).
-struct UtilSamples<'a> {
-    /// Each device's cursor and capacity, in node then device order.
-    devices: Vec<(SeriesCursor<'a>, f64)>,
-    total_cap: f64,
-    /// The next sample instant; `None` once the grid is exhausted.
-    next: Option<SimTime>,
-    to: SimTime,
-    interval: SimDuration,
-    /// The last computed sample and the earliest instant any device
-    /// changes after it (`None`: no device changes again).
-    last: Option<(f64, Option<SimTime>)>,
+/// The position of node `id` in the node table. Nodes are only ever
+/// appended with sequential ids, so the id doubles as the index; the
+/// linear scan is a safety net, not the expected path.
+fn node_index(nodes: &[Node], id: NodeId) -> usize {
+    let i = id.raw() as usize;
+    if nodes.get(i).is_some_and(|n| n.id == id) {
+        return i;
+    }
+    nodes
+        .iter()
+        .position(|n| n.id == id)
+        .expect("allocation references an existing node")
 }
 
-impl Iterator for UtilSamples<'_> {
-    type Item = (SimTime, f64);
+fn check_interval(interval: SimDuration) -> Result<(), SimError> {
+    if interval.is_zero() {
+        return Err(SimError::InvalidInput(
+            "utilization sample interval must be non-zero".into(),
+        ));
+    }
+    Ok(())
+}
 
-    fn next(&mut self) -> Option<(SimTime, f64)> {
-        let t = self.next?;
-        self.next = (t < self.to).then(|| (t + self.interval).min(self.to));
-        let pct = match self.last {
-            Some((pct, change)) if change.is_none_or(|c| t < c) => pct,
-            _ => {
-                let busy: f64 = self
-                    .devices
-                    .iter_mut()
-                    .map(|(cursor, cap)| cursor.value_at(t) * *cap)
-                    .sum();
-                let pct = 100.0 * busy / self.total_cap;
-                let change = self
-                    .devices
-                    .iter()
-                    .filter_map(|(cursor, _)| cursor.next_change())
-                    .min();
-                self.last = Some((pct, change));
-                pct
-            }
+fn trimmed_history() -> SimError {
+    SimError::InvalidState(
+        "utilization is settled online: the device series no longer hold the whole run".into(),
+    )
+}
+
+/// Refuses an activity record at `now` before the settled frontier.
+fn check_frontier(online: &Option<Box<OnlineSettle>>, now: SimTime) -> Result<(), SimError> {
+    match online {
+        Some(online) if now < online.frontier => Err(SimError::InvalidState(format!(
+            "activity at {now:?} is before the settled frontier {:?}",
+            online.frontier
+        ))),
+        _ => Ok(()),
+    }
+}
+
+impl OnlineSettle {
+    /// The online sampler of `kind`, if `[from, to]` on `interval` is a
+    /// window it can finish.
+    fn sampler(
+        &self,
+        kind: DeviceKind,
+        from: SimTime,
+        to: SimTime,
+        interval: SimDuration,
+    ) -> Result<&UtilSampler, SimError> {
+        let sampler = &self.samplers[usize::from(kind == DeviceKind::CpuPool)];
+        if from != SimTime::ZERO || interval != sampler.interval {
+            return Err(SimError::InvalidState(format!(
+                "utilization is settled online on the {:?} grid from zero, \
+                 not on {interval:?} from {from:?}",
+                sampler.interval
+            )));
+        }
+        if self.reshaped {
+            return Err(SimError::InvalidState(
+                "the cluster was reshaped after utilization settling began".into(),
+            ));
+        }
+        self.check_window_end(to)?;
+        Ok(sampler)
+    }
+
+    /// Settle windows end at or after the frontier: everything before it
+    /// is already folded in.
+    fn check_window_end(&self, to: SimTime) -> Result<(), SimError> {
+        if to < self.frontier {
+            return Err(SimError::InvalidState(format!(
+                "settle window ends at {to:?}, before the settled frontier {:?}",
+                self.frontier
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// How far a [`UtilSampler`] walk goes.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    /// The grid instants strictly before this one: an online fold.
+    Before(SimTime),
+    /// The rest of the grid, clamped to and including this window end.
+    Through(SimTime),
+}
+
+/// The utilization sampler behind [`ClusterManager::aggregate_util`],
+/// [`ClusterManager::average_util`] and online settlement: the grid
+/// `from`, `from + interval`, ... of one device kind, walked forward in
+/// one or more stretches. Each stretch reads every device series through
+/// a [`SeriesCursor`] re-entered at the last computed sample, and while
+/// no device changes before the next sample instant it emits the previous
+/// sample again (same inputs, same arithmetic, same bits). The running
+/// sum and count give the mean.
+#[derive(Debug, Clone)]
+struct UtilSampler {
+    kind: DeviceKind,
+    interval: SimDuration,
+    /// The next sample instant, not yet clamped to a window end; `None`
+    /// once the grid is exhausted.
+    next: Option<SimTime>,
+    /// The instant and value of the last computed sample.
+    last: Option<(SimTime, f64)>,
+    sum: f64,
+    count: usize,
+    /// Each device's cursor and capacity during a walk, in node then
+    /// device order; kept so folds reuse the buffer.
+    cursors: Vec<(SeriesCursor, f64)>,
+}
+
+/// The devices of `kind` in node then device order.
+fn devices_of(nodes: &[Node], kind: DeviceKind) -> impl Iterator<Item = &Device> {
+    nodes.iter().flat_map(move |n| match kind {
+        DeviceKind::Gpu => n.gpus.as_slice(),
+        DeviceKind::CpuPool => std::slice::from_ref(&n.cpu),
+    })
+}
+
+impl UtilSampler {
+    fn new(kind: DeviceKind, from: SimTime, interval: SimDuration) -> Self {
+        UtilSampler {
+            kind,
+            interval,
+            next: Some(from),
+            last: None,
+            // What `Iterator::sum` starts from, so the mean matches a sum
+            // of the collected samples bit for bit.
+            sum: -0.0,
+            count: 0,
+            cursors: Vec::new(),
+        }
+    }
+
+    /// The earliest instant the sampler still reads: a device series
+    /// must keep its last change point at or before it.
+    fn resume_at(&self) -> SimTime {
+        self.last
+            .map(|(t, _)| t)
+            .or(self.next)
+            .unwrap_or(SimTime::MAX)
+    }
+
+    /// The mean of the samples taken (zero when there are none).
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Takes the grid samples `end` covers, in order, handing each to
+    /// `emit`. A kind with no capacity has no samples.
+    fn walk(&mut self, nodes: &[Node], end: Walk, mut emit: impl FnMut(SimTime, f64)) {
+        let Some(mut t) = self.next else {
+            return;
         };
-        Some((t, pct))
+        let anchor = self.last.map_or(t, |(at, _)| at);
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        cursors.extend(
+            devices_of(nodes, self.kind).map(|d| (d.util_series().cursor_at(anchor), d.capacity())),
+        );
+        let total_cap: f64 = cursors.iter().map(|&(_, cap)| cap).sum();
+        if total_cap == 0.0 {
+            self.next = None;
+            return;
+        }
+        // The earliest change after the last computed sample.
+        let next_change = |cursors: &[(SeriesCursor, f64)]| {
+            devices_of(nodes, self.kind)
+                .zip(cursors)
+                .filter_map(|(d, (c, _))| c.next_change(d.util_series()))
+                .min()
+        };
+        let mut change = next_change(cursors);
+        if let Walk::Through(to) = end {
+            if self.count > 0 {
+                t = t.min(to);
+            }
+        }
+        loop {
+            if let Walk::Before(bound) = end {
+                if t >= bound {
+                    self.next = Some(t);
+                    return;
+                }
+            }
+            let pct = match self.last {
+                Some((_, pct)) if change.is_none_or(|c| t < c) => pct,
+                _ => {
+                    let busy: f64 = devices_of(nodes, self.kind)
+                        .zip(cursors.iter_mut())
+                        .map(|(d, (cursor, cap))| cursor.value_at(d.util_series(), t) * *cap)
+                        .sum();
+                    let pct = 100.0 * busy / total_cap;
+                    change = next_change(cursors);
+                    self.last = Some((t, pct));
+                    pct
+                }
+            };
+            self.sum += pct;
+            self.count += 1;
+            emit(t, pct);
+            t = match end {
+                // A fold stops before the window end, so the clamp waits
+                // for the closing walk.
+                Walk::Before(_) => t + self.interval,
+                Walk::Through(to) if t < to => (t + self.interval).min(to),
+                Walk::Through(_) => {
+                    self.next = None;
+                    return;
+                }
+            };
+        }
     }
 }
 
@@ -938,11 +1285,13 @@ mod tests {
         let a = cm.allocate(t(0), "w", HardwareTarget::ONE_GPU).unwrap();
         cm.activity_start(t(0), a, 0.7).unwrap();
         cm.activity_end(t(3600), a, 0.7).unwrap();
-        let wh = cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly);
+        let wh = cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly).unwrap();
         // One touched GPU at util 0.7 for an hour: 90 + 0.7*310 = 307 Wh.
         assert!((wh - 307.0).abs() < 0.1, "wh = {wh}");
         // Whole-fleet view adds 15 more idle GPUs.
-        let all = cm.energy_wh_all(t(0), t(3600), EnergyScope::GpuOnly);
+        let all = cm
+            .energy_wh_all(t(0), t(3600), EnergyScope::GpuOnly)
+            .unwrap();
         assert!((all - (307.0 + 15.0 * 90.0)).abs() < 0.1, "all = {all}");
     }
 
@@ -954,8 +1303,8 @@ mod tests {
             .unwrap();
         cm.activity_start(t(0), a, 0.0).unwrap();
         cm.activity_end(t(3600), a, 0.0).unwrap();
-        let gpu_only = cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly);
-        let full = cm.energy_wh(t(0), t(3600), EnergyScope::Full);
+        let gpu_only = cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly).unwrap();
+        let full = cm.energy_wh(t(0), t(3600), EnergyScope::Full).unwrap();
         assert_eq!(gpu_only, 0.0, "no GPU touched");
         assert!(full > 0.0);
     }
@@ -1185,5 +1534,125 @@ mod tests {
             .is_err());
         assert_eq!(cm.free_gpu_units(), before);
         assert_eq!(cm.allocations().count(), 0);
+    }
+
+    #[test]
+    fn activity_errors_propagate_through_the_cluster() {
+        let mut cm = ClusterManager::paper_testbed();
+        let a = cm.allocate(t(0), "x", HardwareTarget::ONE_GPU).unwrap();
+        cm.activity_start(t(5), a, 1.0).unwrap();
+        assert!(matches!(
+            cm.activity_end(t(4), a, 1.0),
+            Err(SimError::InvalidState(_))
+        ));
+        assert!(matches!(
+            cm.activity_start(t(6), a, 1.0),
+            Err(SimError::InvalidState(_))
+        ));
+        cm.activity_end(t(7), a, 1.0).unwrap();
+        assert!(matches!(
+            cm.activity_end(t(8), a, 1.0),
+            Err(SimError::InvalidState(_))
+        ));
+    }
+
+    #[test]
+    fn online_settlement_refuses_records_before_the_frontier() {
+        let mut cm = ClusterManager::paper_testbed();
+        cm.settle_online(SimDuration::from_secs(1)).unwrap();
+        assert!(matches!(
+            cm.settle_online(SimDuration::from_secs(1)),
+            Err(SimError::InvalidState(_))
+        ));
+        let a = cm.allocate(t(0), "ep", HardwareTarget::gpus(2)).unwrap();
+        cm.set_gpu_activity_level(t(3), a, 0.5).unwrap();
+        cm.advance_frontier(t(10));
+        for err in [
+            cm.set_gpu_activity_level(t(9), a, 1.0),
+            cm.activity_start(t(9), a, 1.0),
+            cm.preempt_node(t(9), NodeId::from_raw(1)).map(|_| ()),
+        ] {
+            assert!(matches!(err, Err(SimError::InvalidState(_))), "{err:?}");
+        }
+        // The refused records changed nothing; at the frontier is fine.
+        cm.set_gpu_activity_level(t(10), a, 1.0).unwrap();
+        assert!(cm.nodes().iter().all(|n| n.up));
+        // Windows ending before the frontier cannot be settled.
+        assert!(matches!(
+            cm.allocation_energy_wh(a, t(9)),
+            Err(SimError::InvalidState(_))
+        ));
+        let second = SimDuration::from_secs(1);
+        assert!(cm
+            .average_util(DeviceKind::Gpu, t(0), t(9), second)
+            .is_err());
+        // Whole-history reads and other grids are gone for good.
+        assert!(cm.energy_wh(t(0), t(10), EnergyScope::GpuOnly).is_err());
+        assert!(cm
+            .aggregate_util(DeviceKind::Gpu, t(0), t(10), second)
+            .is_err());
+        let two = SimDuration::from_secs(2);
+        assert!(cm.average_util(DeviceKind::Gpu, t(0), t(10), two).is_err());
+        assert!(cm
+            .average_util(DeviceKind::Gpu, t(1), t(10), second)
+            .is_err());
+    }
+
+    #[test]
+    fn online_settlement_trims_to_an_o1_tail_with_the_same_bits() {
+        let mut retained = ClusterManager::paper_testbed();
+        let mut online = retained.clone();
+        online.settle_online(SimDuration::from_secs(1)).unwrap();
+        let mut ids = Vec::new();
+        for cm in [&mut retained, &mut online] {
+            ids.push(cm.allocate(t(0), "ep", HardwareTarget::gpus(8)).unwrap());
+        }
+        for step in 0..400u64 {
+            let level = (step % 7) as f64 / 7.0;
+            for (cm, &id) in [&mut retained, &mut online].into_iter().zip(&ids) {
+                cm.set_gpu_activity_level(SimTime::from_micros(700_000 * step), id, level)
+                    .unwrap();
+                cm.advance_frontier(SimTime::from_micros(700_000 * step));
+            }
+        }
+        assert!(retained.retained_points() >= 400);
+        assert!(
+            online.retained_points() <= FOLD_POINTS,
+            "{} points held",
+            online.retained_points()
+        );
+        let end = t(300);
+        assert_eq!(
+            retained
+                .allocation_energy_wh(ids[0], end)
+                .unwrap()
+                .to_bits(),
+            online.allocation_energy_wh(ids[1], end).unwrap().to_bits()
+        );
+        let second = SimDuration::from_secs(1);
+        for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
+            assert_eq!(
+                retained
+                    .average_util(kind, t(0), end, second)
+                    .unwrap()
+                    .to_bits(),
+                online
+                    .average_util(kind, t(0), end, second)
+                    .unwrap()
+                    .to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn reshaping_an_online_cluster_stops_utilization_reads() {
+        let mut cm = ClusterManager::paper_testbed();
+        cm.settle_online(SimDuration::from_secs(1)).unwrap();
+        cm.add_node(catalog::cpu_only_f64s());
+        let second = SimDuration::from_secs(1);
+        assert!(matches!(
+            cm.average_util(DeviceKind::CpuPool, t(0), t(10), second),
+            Err(SimError::InvalidState(_))
+        ));
     }
 }

@@ -66,6 +66,11 @@ impl Node {
     }
 
     /// Looks up a GPU device by id.
+    pub fn gpu(&self, id: DeviceId) -> Option<&Device> {
+        self.gpus.iter().find(|d| d.id == id)
+    }
+
+    /// Looks up a GPU device by id, mutably.
     pub fn gpu_mut(&mut self, id: DeviceId) -> Option<&mut Device> {
         self.gpus.iter_mut().find(|d| d.id == id)
     }

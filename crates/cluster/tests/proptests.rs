@@ -140,8 +140,8 @@ proptest! {
         }
         let (lo, hi) = (a.min(b), a.max(b));
         let scope = murakkab_hardware::EnergyScope::GpuOnly;
-        let narrow = cm.energy_wh(SimTime::from_secs(lo), SimTime::from_secs(hi), scope);
-        let wide = cm.energy_wh(SimTime::ZERO, SimTime::from_secs(600), scope);
+        let narrow = cm.energy_wh(SimTime::from_secs(lo), SimTime::from_secs(hi), scope).unwrap();
+        let wide = cm.energy_wh(SimTime::ZERO, SimTime::from_secs(600), scope).unwrap();
         prop_assert!(narrow >= 0.0);
         prop_assert!(wide + 1e-12 >= narrow);
     }

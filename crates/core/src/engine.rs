@@ -244,7 +244,20 @@ pub struct EngineOptions {
     /// skipping it removes a `String` clone per completed task from the
     /// hot path.
     pub record_spans: bool,
+    /// Settle device utilization and allocation energy as simulated time
+    /// passes, and drop the utilization points both readers are past
+    /// (see [`ClusterManager::settle_online`]): resident series stay
+    /// O(1) per device instead of growing with device activity.
+    /// Settlement reads the same bits either way. Off by default: the
+    /// closed-loop report draws whole-run utilization curves and
+    /// fleet-wide energy from the full series. The fleet driver turns it
+    /// on for serve cells, whose reports read only the settled means.
+    pub settle_online: bool,
 }
+
+/// The utilization sample grid of every report: one sample per
+/// simulated second from zero.
+pub const UTIL_SAMPLE: SimDuration = SimDuration::from_secs(1);
 
 impl Default for EngineOptions {
     fn default() -> Self {
@@ -255,6 +268,7 @@ impl Default for EngineOptions {
             gpu_sku: catalog::a100_80g(),
             gpu_speed_factor: 1.0,
             record_spans: true,
+            settle_online: false,
         }
     }
 }
@@ -274,7 +288,9 @@ impl EngineOptions {
 /// What a finished run hands back for reporting.
 #[derive(Debug)]
 pub struct EngineOutcome {
-    /// The cluster (with full utilization history) after the run.
+    /// The cluster after the run: with every device's utilization
+    /// history, or only its settled tail under
+    /// [`EngineOptions::settle_online`].
     pub cluster: ClusterManager,
     /// Per-task spans by component lane.
     pub trace: TraceLog,
@@ -301,7 +317,12 @@ pub struct EngineOutcome {
 impl EngineOutcome {
     /// Whole-fleet GPU energy over the run window (the baseline's Table 2
     /// scope: a rigid deployment strands the entire testbed).
-    pub fn energy_fleet_wh(&self) -> f64 {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] for an engine that settled
+    /// utilization online ([`EngineOptions::settle_online`]).
+    pub fn energy_fleet_wh(&self) -> Result<f64, SimError> {
         self.cluster
             .energy_wh_all(SimTime::ZERO, self.makespan, EnergyScope::GpuOnly)
     }
@@ -666,6 +687,9 @@ impl Engine {
             });
         }
 
+        if options.settle_online {
+            cluster.settle_online(UTIL_SAMPLE)?;
+        }
         let compiled = CompiledGraph::from_graph(&graph)?;
         let names = if options.record_spans {
             graph.tasks().map(|n| n.name.clone()).collect()
@@ -1018,6 +1042,15 @@ impl Engine {
         (self.tasks.len(), self.cluster.allocations().count())
     }
 
+    /// The most utilization change points any one device of the cluster
+    /// holds ([`ClusterManager::retained_points`]): it follows device
+    /// activity since the last task completion when
+    /// [`EngineOptions::settle_online`] is on, and the whole run's
+    /// activity otherwise.
+    pub fn retained_series_points(&self) -> usize {
+        self.cluster.retained_points()
+    }
+
     /// The job index `task` was admitted under by
     /// [`Engine::admit_graph_into`] (0 for [`Engine::new`]'s graph).
     ///
@@ -1324,6 +1357,7 @@ impl Engine {
         self.completed_count += 1;
         if now > self.last_finish {
             self.last_finish = now;
+            self.cluster.advance_frontier(now);
         }
         self.completions_log.push(task);
         let ci = capability as usize;
@@ -1509,7 +1543,7 @@ impl Engine {
         // the preemption instant (the platform still bills for spot time
         // used).
         for a in self.cluster.allocations().filter(|a| a.node == node_id) {
-            self.energy_ledger += self.cluster.allocation_energy_wh(a.id, a.created, now)?;
+            self.energy_ledger += self.cluster.allocation_energy_wh(a.id, now)?;
             self.cost_ledger += target_hourly_usd(&a.target, &self.options.gpu_sku)
                 * now.saturating_duration_since(a.created).as_hours_f64();
         }
@@ -1616,7 +1650,7 @@ impl Engine {
     fn settle_allocation(&mut self, alloc: AllocationId, now: SimTime) -> Result<(), SimError> {
         let a = self.cluster.allocation(alloc)?;
         let (created, target) = (a.created, a.target);
-        self.energy_ledger += self.cluster.allocation_energy_wh(alloc, created, now)?;
+        self.energy_ledger += self.cluster.allocation_energy_wh(alloc, now)?;
         self.cost_ledger += target_hourly_usd(&target, &self.options.gpu_sku)
             * now.saturating_duration_since(created).as_hours_f64();
         self.cluster.release(now, alloc)?;

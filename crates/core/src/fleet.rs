@@ -52,7 +52,7 @@ use murakkab_traffic::{
 use murakkab_workflow::{Job, TaskGraph};
 
 use crate::capture::{CaptureShard, RequestOutcome, RunCapture, StealRecord};
-use crate::engine::{CompiledGraph, CompiledTask, Engine, RouteSpec, N_CAPS};
+use crate::engine::{CompiledGraph, CompiledTask, Engine, RouteSpec, N_CAPS, UTIL_SAMPLE};
 use crate::runtime::{RoutePlan, RoutePrep, Runtime};
 use crate::scenario::Scenario;
 use crate::workloads;
@@ -1389,10 +1389,13 @@ impl Runtime {
                     routes
                 }
             };
-            // Serve reports never render the span trace; skipping it
-            // removes a String clone per completed task from the loop.
+            // Serve reports never render the span trace or whole-run
+            // utilization curves: skipping the spans removes a String
+            // clone per completed task from the loop, and settling
+            // utilization online keeps each device's series O(1).
             let mut engine_opts = self.engine_options(&prep.run_opts);
             engine_opts.record_spans = false;
+            engine_opts.settle_online = true;
             let mut engine = Engine::new(
                 cluster,
                 self.library(),
@@ -1565,12 +1568,11 @@ pub(crate) fn settle_cells(
 /// once per cell with the global makespan, and the region and global
 /// reports both read the result.
 pub(crate) fn settle_util(finished: &mut [CellDone], makespan: SimTime) -> Result<(), SimError> {
-    let sample = SimDuration::from_secs(1);
     for done in finished {
         let cluster = &done.outcome.cluster;
         done.util_pct = (
-            cluster.average_util(DeviceKind::Gpu, SimTime::ZERO, makespan, sample)?,
-            cluster.average_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, sample)?,
+            cluster.average_util(DeviceKind::Gpu, SimTime::ZERO, makespan, UTIL_SAMPLE)?,
+            cluster.average_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, UTIL_SAMPLE)?,
         );
     }
     Ok(())

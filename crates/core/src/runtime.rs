@@ -17,10 +17,10 @@ use murakkab_cluster::ClusterManager;
 use murakkab_hardware::{DeviceKind, HardwareTarget, VmShape};
 use murakkab_llmsim::{plan_backend, ServingMode};
 use murakkab_orchestrator::{expand, JobInputs, LogicalPlan, Planner};
-use murakkab_sim::{SimDuration, SimError, SimTime};
+use murakkab_sim::{SimError, SimTime};
 use murakkab_workflow::Job;
 
-use crate::engine::{Engine, EngineOptions, EngineOutcome, RouteSpec};
+use crate::engine::{Engine, EngineOptions, EngineOutcome, RouteSpec, UTIL_SAMPLE};
 use crate::report::RunReport;
 
 /// Which Speech-to-Text resource configuration to run (the Figure 3 /
@@ -526,21 +526,22 @@ pub(crate) fn report_from_outcome(
     selections: &BTreeMap<String, String>,
 ) -> Result<RunReport, SimError> {
     let makespan = outcome.makespan;
-    let sample = SimDuration::from_secs(1);
     let gpu_util =
         outcome
             .cluster
-            .aggregate_util(DeviceKind::Gpu, SimTime::ZERO, makespan, sample)?;
-    let cpu_util =
-        outcome
-            .cluster
-            .aggregate_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, sample)?;
+            .aggregate_util(DeviceKind::Gpu, SimTime::ZERO, makespan, UTIL_SAMPLE)?;
+    let cpu_util = outcome.cluster.aggregate_util(
+        DeviceKind::CpuPool,
+        SimTime::ZERO,
+        makespan,
+        UTIL_SAMPLE,
+    )?;
     Ok(RunReport {
         label: label.to_string(),
         makespan_s: makespan.as_secs_f64(),
         orchestration_s: outcome.orchestration.as_secs_f64(),
         energy_allocated_wh: outcome.energy_allocated_wh,
-        energy_fleet_wh: outcome.energy_fleet_wh(),
+        energy_fleet_wh: outcome.energy_fleet_wh()?,
         cost_usd: outcome.cost_usd,
         quality,
         tasks: outcome.tasks_completed,

@@ -16,8 +16,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use murakkab_sim::{define_id, SimTime, UtilizationTracker};
+use murakkab_sim::{define_id, SimError, SimTime, TimeSeries, UtilizationTracker};
 
+use crate::energy::EnergyIntegrator;
 use crate::power::PowerCurve;
 use crate::sku::{CpuSku, GpuSku};
 
@@ -64,7 +65,8 @@ impl Device {
             capacity: 1.0,
             reserved: 0.0,
             power: sku.power_curve(),
-            activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), 1.0),
+            activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), 1.0)
+                .expect("a GPU has unit capacity"),
             touched: false,
         }
     }
@@ -83,7 +85,8 @@ impl Device {
             capacity: f64::from(cores),
             reserved: 0.0,
             power: sku.power_curve(),
-            activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), f64::from(cores)),
+            activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), f64::from(cores))
+                .expect("the core count was checked positive"),
             touched: false,
         }
     }
@@ -139,30 +142,33 @@ impl Device {
 
     /// Marks `units` of real activity starting at `t`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if activity would exceed capacity.
-    pub fn activity_start(&mut self, t: SimTime, units: f64) {
-        self.activity.acquire(t, units);
+    /// Returns [`SimError::InvalidState`] if activity would exceed
+    /// capacity or `t` is before the last activity change.
+    pub fn activity_start(&mut self, t: SimTime, units: f64) -> Result<(), SimError> {
+        self.activity.acquire(t, units)
     }
 
     /// Ends `units` of real activity at `t`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on underflow.
-    pub fn activity_end(&mut self, t: SimTime, units: f64) {
-        self.activity.release(t, units);
+    /// Returns [`SimError::InvalidState`] on underflow or if `t` is
+    /// before the last activity change.
+    pub fn activity_end(&mut self, t: SimTime, units: f64) -> Result<(), SimError> {
+        self.activity.release(t, units)
     }
 
     /// Sets the absolute activity level at `t` (LLM endpoints report their
     /// own utilization level per batching step).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `units` exceeds capacity.
-    pub fn set_activity_level(&mut self, t: SimTime, units: f64) {
-        self.activity.set_level(t, units);
+    /// Returns [`SimError::InvalidState`] if `units` exceeds capacity or
+    /// `t` is before the last activity change.
+    pub fn set_activity_level(&mut self, t: SimTime, units: f64) -> Result<(), SimError> {
+        self.activity.set_level(t, units)
     }
 
     /// Current busy units.
@@ -176,8 +182,15 @@ impl Device {
     }
 
     /// The activity series (fraction of capacity over time).
-    pub fn util_series(&self) -> &murakkab_sim::TimeSeries {
+    pub fn util_series(&self) -> &TimeSeries {
         self.activity.series()
+    }
+
+    /// Drops the activity points before the last one at or before `t`;
+    /// the series still answers for every instant from `t` on (see
+    /// [`TimeSeries::trim_before`]).
+    pub fn trim_util_before(&mut self, t: SimTime) {
+        self.activity.trim_before(t);
     }
 
     /// The device's power curve.
@@ -187,7 +200,7 @@ impl Device {
 
     /// Energy consumed over `[from, to)` in watt-hours.
     pub fn energy_wh(&self, from: SimTime, to: SimTime) -> f64 {
-        crate::energy::EnergyMeter::new(self.power).energy_wh(self.util_series(), from, to)
+        EnergyIntegrator::new(from).close(self.power, self.util_series(), to)
     }
 }
 
@@ -305,19 +318,39 @@ mod tests {
         let wh_idle = d.energy_wh(SimTime::ZERO, SimTime::from_secs(3600));
         assert!((wh_idle - sku.idle_w).abs() < 1e-6);
 
-        d.activity_start(SimTime::ZERO, 0.7);
+        d.activity_start(SimTime::ZERO, 0.7).unwrap();
         assert!((d.utilization() - 0.7).abs() < 1e-9);
-        d.activity_end(SimTime::from_secs(1800), 0.7);
+        d.activity_end(SimTime::from_secs(1800), 0.7).unwrap();
         d.unreserve(1.0);
         assert_eq!(d.free(), 1.0);
     }
 
     #[test]
+    fn activity_errors_leave_the_device_as_it_was() {
+        let mut d = Device::gpu(DeviceId::from_raw(7), &catalog::a100_80g());
+        d.activity_start(SimTime::from_secs(5), 0.6).unwrap();
+        assert!(matches!(
+            d.activity_start(SimTime::from_secs(6), 0.6),
+            Err(SimError::InvalidState(_))
+        ));
+        assert!(matches!(
+            d.set_activity_level(SimTime::from_secs(4), 0.1),
+            Err(SimError::InvalidState(_))
+        ));
+        assert!(matches!(
+            d.activity_end(SimTime::from_secs(7), 0.9),
+            Err(SimError::InvalidState(_))
+        ));
+        assert!((d.utilization() - 0.6).abs() < 1e-12);
+        assert_eq!(d.util_series().points().len(), 2);
+    }
+
+    #[test]
     fn set_activity_level_is_absolute() {
         let mut d = Device::gpu(DeviceId::from_raw(1), &catalog::a100_80g());
-        d.set_activity_level(SimTime::ZERO, 0.4);
-        d.set_activity_level(SimTime::from_secs(10), 0.9);
-        d.set_activity_level(SimTime::from_secs(20), 0.0);
+        d.set_activity_level(SimTime::ZERO, 0.4).unwrap();
+        d.set_activity_level(SimTime::from_secs(10), 0.9).unwrap();
+        d.set_activity_level(SimTime::from_secs(20), 0.0).unwrap();
         assert!(
             (d.util_series()
                 .average(SimTime::ZERO, SimTime::from_secs(20))
@@ -362,7 +395,7 @@ mod tests {
         idle.reserve(1.0);
         let mut busy = Device::gpu(DeviceId::from_raw(6), &sku);
         busy.reserve(1.0);
-        busy.activity_start(SimTime::ZERO, 1.0);
+        busy.activity_start(SimTime::ZERO, 1.0).unwrap();
         let w = SimTime::from_secs(3600);
         assert!(busy.energy_wh(SimTime::ZERO, w) > idle.energy_wh(SimTime::ZERO, w));
         assert!((busy.energy_wh(SimTime::ZERO, w) - sku.tdp_w).abs() < 1e-6);

@@ -12,7 +12,7 @@
 //!
 //! 1. *capability*: how fast is device X for a given amount of work, and
 //! 2. *power*: how many watts does device X draw at a given utilization,
-//!    integrated into watt-hours by [`energy::EnergyMeter`] — the quantity
+//!    integrated into watt-hours by [`energy::EnergyIntegrator`] — the quantity
 //!    Table 2 of the paper reports.
 //!
 //! # Examples
@@ -37,7 +37,7 @@ pub mod vm;
 
 pub use availability::{AvailabilityEvent, SpotTrace};
 pub use device::{Device, DeviceId, DeviceKind, HardwareTarget};
-pub use energy::{EnergyMeter, EnergyScope};
+pub use energy::{EnergyIntegrator, EnergyScope};
 pub use power::PowerCurve;
 pub use sku::{CpuSku, GpuGeneration, GpuSku};
 pub use vm::{VmPricing, VmShape};

@@ -5,10 +5,13 @@
 //! holds constant until the next recorded change. [`TimeSeries`] stores
 //! those changes; integrals and window averages fall out exactly (no
 //! sampling error), and fixed-interval samples for plotting walk a
-//! [`SeriesCursor`] forward.
+//! [`SeriesCursor`] forward. A reader that settles a series while it is
+//! still being recorded drops the points it is past with
+//! [`TimeSeries::trim_before`].
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::SimError;
 use crate::time::SimTime;
 
 /// A right-continuous step function of simulated time.
@@ -19,12 +22,13 @@ use crate::time::SimTime;
 /// use murakkab_sim::{SimTime, TimeSeries};
 ///
 /// let mut ts = TimeSeries::new("gpu_util");
-/// ts.record(SimTime::ZERO, 0.0);
-/// ts.record(SimTime::from_secs(10), 1.0);
-/// ts.record(SimTime::from_secs(20), 0.0);
+/// ts.record(SimTime::ZERO, 0.0)?;
+/// ts.record(SimTime::from_secs(10), 1.0)?;
+/// ts.record(SimTime::from_secs(20), 0.0)?;
 /// // Integral of utilization over [0, 30): 10 seconds at 1.0.
 /// let area = ts.integral(SimTime::ZERO, SimTime::from_secs(30));
 /// assert!((area - 10.0).abs() < 1e-9);
+/// # Ok::<(), murakkab_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -53,21 +57,43 @@ impl TimeSeries {
     /// value "at" an instant is the latest write). Recording identical
     /// consecutive values is a no-op to keep the series compact.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `t` is earlier than the last recorded change.
-    pub fn record(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last_t, last_v)) = self.points.last() {
-            assert!(t >= last_t, "time series {} went backwards", self.name);
-            if t == last_t {
-                self.points.last_mut().expect("non-empty").1 = v;
-                return;
+    /// Returns [`SimError::InvalidState`] if `t` is earlier than the last
+    /// recorded change; the series is left as it was.
+    pub fn record(&mut self, t: SimTime, v: f64) -> Result<(), SimError> {
+        if let Some(last) = self.points.last_mut() {
+            if t < last.0 {
+                return Err(SimError::InvalidState(format!(
+                    "time series {} went backwards ({t:?} after {:?})",
+                    self.name, last.0
+                )));
             }
-            if (last_v - v).abs() < f64::EPSILON {
-                return;
+            if t == last.0 {
+                last.1 = v;
+                return Ok(());
+            }
+            if (last.1 - v).abs() < f64::EPSILON {
+                return Ok(());
             }
         }
         self.points.push((t, v));
+        Ok(())
+    }
+
+    /// Drops every change point before the last one at or before `t`.
+    ///
+    /// The value at every instant from `t` on is unchanged, so a reader
+    /// positioned at or after `t` sees the same series; instants before
+    /// the first kept point are no longer answered. Forward readers that
+    /// settle a series as time passes call this once every reader is
+    /// past `t`, and the series keeps an O(1) tail plus the points not
+    /// yet read.
+    pub fn trim_before(&mut self, t: SimTime) {
+        let keep = self.points.partition_point(|&(pt, _)| pt <= t);
+        if keep > 1 {
+            self.points.drain(..keep - 1);
+        }
     }
 
     /// The value at instant `t` (zero before the first change point).
@@ -91,18 +117,30 @@ impl TimeSeries {
     /// use murakkab_sim::{SimTime, TimeSeries};
     ///
     /// let mut ts = TimeSeries::new("x");
-    /// ts.record(SimTime::from_secs(5), 1.0);
+    /// ts.record(SimTime::from_secs(5), 1.0)?;
     /// let mut c = ts.cursor();
-    /// assert_eq!(c.value_at(SimTime::from_secs(1)), 0.0);
-    /// assert_eq!(c.next_change(), Some(SimTime::from_secs(5)));
-    /// assert_eq!(c.value_at(SimTime::from_secs(5)), 1.0);
-    /// assert_eq!(c.next_change(), None);
+    /// assert_eq!(c.value_at(&ts, SimTime::from_secs(1)), 0.0);
+    /// assert_eq!(c.next_change(&ts), Some(SimTime::from_secs(5)));
+    /// assert_eq!(c.value_at(&ts, SimTime::from_secs(5)), 1.0);
+    /// assert_eq!(c.next_change(&ts), None);
+    /// # Ok::<(), murakkab_sim::SimError>(())
     /// ```
-    pub fn cursor(&self) -> SeriesCursor<'_> {
+    pub fn cursor(&self) -> SeriesCursor {
         SeriesCursor {
-            points: &self.points,
             next: 0,
             last_query: SimTime::ZERO,
+        }
+    }
+
+    /// A forward cursor positioned as if it had just been queried at
+    /// `t`: one binary search, after which
+    /// [`next_change`](SeriesCursor::next_change) is the first change
+    /// point after `t`. Forward readers that stop and resume (a reader
+    /// settling a series as time passes) re-enter the series here.
+    pub fn cursor_at(&self, t: SimTime) -> SeriesCursor {
+        SeriesCursor {
+            next: self.points.partition_point(|&(pt, _)| pt <= t),
+            last_query: t,
         }
     }
 
@@ -138,11 +176,6 @@ impl TimeSeries {
         }
     }
 
-    /// The maximum recorded value (zero if empty).
-    pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
     /// Raw change points.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
@@ -158,46 +191,51 @@ impl TimeSeries {
 /// [`TimeSeries::value_at`] in amortized O(1) per query, for queries at
 /// non-decreasing instants.
 ///
-/// Created by [`TimeSeries::cursor`]. A walk of `q` queries over a series
-/// of `p` change points costs `O(p + q)` in total, against `O(q log p)`
-/// for one binary search per query.
-#[derive(Debug, Clone)]
-pub struct SeriesCursor<'a> {
-    points: &'a [(SimTime, f64)],
+/// Created by [`TimeSeries::cursor`] or [`TimeSeries::cursor_at`]. A
+/// cursor is a position, not a borrow: every read names the series it
+/// walks, which must be the one it was made from, untrimmed since, so a
+/// reader over many series can keep its cursors in one reused buffer. A
+/// walk of `q` queries over a series of `p` change points costs
+/// `O(p + q)` in total, against `O(q log p)` for one binary search per
+/// query.
+#[derive(Debug, Clone, Copy)]
+pub struct SeriesCursor {
     /// Index of the first change point after the last query.
     next: usize,
     last_query: SimTime,
 }
 
-impl SeriesCursor<'_> {
-    /// The value at instant `t`: that of the last change point at or
-    /// before `t`, else zero — bit for bit what
+impl SeriesCursor {
+    /// The value of `series` at instant `t`: that of the last change
+    /// point at or before `t`, else zero — bit for bit what
     /// [`TimeSeries::value_at`] returns.
     ///
     /// Queries must come at non-decreasing instants (the same instant
     /// twice is fine). Debug builds assert this; release builds answer an
     /// earlier instant with the value at the latest query instead.
-    pub fn value_at(&mut self, t: SimTime) -> f64 {
+    pub fn value_at(&mut self, series: &TimeSeries, t: SimTime) -> f64 {
         debug_assert!(
             t >= self.last_query,
             "series cursor queried backwards ({t:?} after {:?})",
             self.last_query
         );
         self.last_query = t;
-        while self.points.get(self.next).is_some_and(|&(pt, _)| pt <= t) {
+        let points = series.points();
+        while points.get(self.next).is_some_and(|&(pt, _)| pt <= t) {
             self.next += 1;
         }
         match self.next {
             0 => 0.0,
-            i => self.points[i - 1].1,
+            i => points[i - 1].1,
         }
     }
 
-    /// The first change point after the last query (the first point at
-    /// all before any query), or `None` once past the last one. The
-    /// value stays what the last query returned until this instant.
-    pub fn next_change(&self) -> Option<SimTime> {
-        self.points.get(self.next).map(|&(pt, _)| pt)
+    /// The first change point of `series` after the last query (the
+    /// first point at all before any query), or `None` once past the
+    /// last one. The value stays what the last query returned until this
+    /// instant.
+    pub fn next_change(&self, series: &TimeSeries) -> Option<SimTime> {
+        series.points().get(self.next).map(|&(pt, _)| pt)
     }
 }
 
@@ -213,70 +251,92 @@ pub struct UtilizationTracker {
 impl UtilizationTracker {
     /// Creates a tracker for a resource with the given total capacity.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `capacity` is not strictly positive.
-    pub fn new(name: impl Into<String>, capacity: f64) -> Self {
-        assert!(capacity > 0.0, "capacity must be positive");
+    /// Returns [`SimError::InvalidState`] if `capacity` is not strictly
+    /// positive.
+    pub fn new(name: impl Into<String>, capacity: f64) -> Result<Self, SimError> {
         let mut series = TimeSeries::new(name);
-        series.record(SimTime::ZERO, 0.0);
-        UtilizationTracker {
+        if capacity.is_nan() || capacity <= 0.0 {
+            return Err(SimError::InvalidState(format!(
+                "{}: capacity must be positive, got {capacity}",
+                series.name()
+            )));
+        }
+        series.record(SimTime::ZERO, 0.0)?;
+        Ok(UtilizationTracker {
             capacity,
             busy: 0.0,
             series,
-        }
+        })
     }
 
     /// Marks `amount` units busy at time `t`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the busy amount would exceed capacity (over-commit is a
-    /// scheduler bug, not a runtime condition).
-    pub fn acquire(&mut self, t: SimTime, amount: f64) {
+    /// Returns [`SimError::InvalidState`] if the busy amount would exceed
+    /// capacity (over-commit is a scheduler bug, not a runtime
+    /// condition) or `t` is before the last change; nothing changes.
+    pub fn acquire(&mut self, t: SimTime, amount: f64) -> Result<(), SimError> {
         let next = self.busy + amount;
-        assert!(
-            next <= self.capacity + 1e-9,
-            "{}: over-commit ({next} > {})",
-            self.series.name(),
-            self.capacity
-        );
-        self.busy = next.min(self.capacity);
-        self.series.record(t, self.busy / self.capacity);
+        if next > self.capacity + 1e-9 {
+            return Err(SimError::InvalidState(format!(
+                "{}: over-commit ({next} > {})",
+                self.series.name(),
+                self.capacity
+            )));
+        }
+        self.set_busy(t, next.min(self.capacity))
     }
 
     /// Sets the busy level to an absolute `units` value at time `t`
     /// (used when an external component — e.g. an LLM serving engine —
     /// reports its own utilization level rather than deltas).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `units` exceeds capacity.
-    pub fn set_level(&mut self, t: SimTime, units: f64) {
-        assert!(
-            units <= self.capacity + 1e-9,
-            "{}: level over capacity ({units} > {})",
-            self.series.name(),
-            self.capacity
-        );
-        self.busy = units.clamp(0.0, self.capacity);
-        self.series.record(t, self.busy / self.capacity);
+    /// Returns [`SimError::InvalidState`] if `units` exceeds capacity or
+    /// `t` is before the last change; nothing changes.
+    pub fn set_level(&mut self, t: SimTime, units: f64) -> Result<(), SimError> {
+        if units > self.capacity + 1e-9 {
+            return Err(SimError::InvalidState(format!(
+                "{}: level over capacity ({units} > {})",
+                self.series.name(),
+                self.capacity
+            )));
+        }
+        self.set_busy(t, units.clamp(0.0, self.capacity))
     }
 
     /// Releases `amount` units at time `t`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if releasing more than is busy.
-    pub fn release(&mut self, t: SimTime, amount: f64) {
-        assert!(
-            amount <= self.busy + 1e-9,
-            "{}: release underflow ({amount} > {})",
-            self.series.name(),
-            self.busy
-        );
-        self.busy = (self.busy - amount).max(0.0);
-        self.series.record(t, self.busy / self.capacity);
+    /// Returns [`SimError::InvalidState`] if releasing more than is busy
+    /// or `t` is before the last change; nothing changes.
+    pub fn release(&mut self, t: SimTime, amount: f64) -> Result<(), SimError> {
+        if amount > self.busy + 1e-9 {
+            return Err(SimError::InvalidState(format!(
+                "{}: release underflow ({amount} > {})",
+                self.series.name(),
+                self.busy
+            )));
+        }
+        self.set_busy(t, (self.busy - amount).max(0.0))
+    }
+
+    /// Records `busy` units at `t`, then adopts it.
+    fn set_busy(&mut self, t: SimTime, busy: f64) -> Result<(), SimError> {
+        self.series.record(t, busy / self.capacity)?;
+        self.busy = busy;
+        Ok(())
+    }
+
+    /// Drops the utilization points before the last one at or before
+    /// `t` (see [`TimeSeries::trim_before`]).
+    pub fn trim_before(&mut self, t: SimTime) {
+        self.series.trim_before(t);
     }
 
     /// Current busy amount.
@@ -423,8 +483,8 @@ mod tests {
     #[test]
     fn series_value_and_integral() {
         let mut ts = TimeSeries::new("x");
-        ts.record(t(0), 2.0);
-        ts.record(t(10), 4.0);
+        ts.record(t(0), 2.0).unwrap();
+        ts.record(t(10), 4.0).unwrap();
         assert_eq!(ts.value_at(t(0)), 2.0);
         assert_eq!(ts.value_at(t(9)), 2.0);
         assert_eq!(ts.value_at(t(10)), 4.0);
@@ -437,7 +497,7 @@ mod tests {
     #[test]
     fn series_value_before_first_point_is_zero() {
         let mut ts = TimeSeries::new("x");
-        ts.record(t(5), 7.0);
+        ts.record(t(5), 7.0).unwrap();
         assert_eq!(ts.value_at(t(0)), 0.0);
         assert!((ts.integral(t(0), t(10)) - 35.0).abs() < 1e-9);
     }
@@ -445,27 +505,50 @@ mod tests {
     #[test]
     fn series_same_time_overwrites_and_dedups() {
         let mut ts = TimeSeries::new("x");
-        ts.record(t(0), 1.0);
-        ts.record(t(0), 2.0);
+        ts.record(t(0), 1.0).unwrap();
+        ts.record(t(0), 2.0).unwrap();
         assert_eq!(ts.points().len(), 1);
         assert_eq!(ts.value_at(t(0)), 2.0);
-        ts.record(t(5), 2.0); // no change: dropped
+        ts.record(t(5), 2.0).unwrap(); // no change: dropped
         assert_eq!(ts.points().len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "went backwards")]
     fn series_rejects_time_regression() {
         let mut ts = TimeSeries::new("x");
-        ts.record(t(10), 1.0);
-        ts.record(t(5), 2.0);
+        ts.record(t(10), 1.0).unwrap();
+        let err = ts.record(t(5), 2.0).unwrap_err();
+        assert!(matches!(err, SimError::InvalidState(ref m) if m.contains("went backwards")));
+        assert_eq!(ts.points(), &[(t(10), 1.0)], "the series is unchanged");
+    }
+
+    #[test]
+    fn series_trim_keeps_values_from_the_cut() {
+        let mut ts = TimeSeries::new("x");
+        for (s, v) in [(0, 1.0), (5, 2.0), (10, 3.0), (15, 4.0)] {
+            ts.record(t(s), v).unwrap();
+        }
+        let full = ts.clone();
+        ts.trim_before(t(12));
+        assert_eq!(ts.points(), &[(t(10), 3.0), (t(15), 4.0)]);
+        for s in 12..20 {
+            assert_eq!(ts.value_at(t(s)), full.value_at(t(s)), "at {s}");
+        }
+        // Trimming at or before the first point keeps everything.
+        ts.trim_before(t(10));
+        ts.trim_before(t(3));
+        assert_eq!(ts.points().len(), 2);
+        // A resumed cursor sees the next change after its instant.
+        let mut c = ts.cursor_at(t(12));
+        assert_eq!(c.next_change(&ts), Some(t(15)));
+        assert_eq!(c.value_at(&ts, t(15)), 4.0);
     }
 
     #[test]
     fn series_integral_partial_windows() {
         let mut ts = TimeSeries::new("x");
-        ts.record(t(0), 1.0);
-        ts.record(t(10), 0.0);
+        ts.record(t(0), 1.0).unwrap();
+        ts.record(t(10), 0.0).unwrap();
         assert!((ts.integral(t(5), t(15)) - 5.0).abs() < 1e-9);
         assert_eq!(ts.integral(t(15), t(5)), 0.0);
         assert_eq!(ts.integral(t(20), t(30)), 0.0);
@@ -476,37 +559,70 @@ mod tests {
     #[should_panic(expected = "queried backwards")]
     fn series_cursor_rejects_backward_queries() {
         let mut ts = TimeSeries::new("x");
-        ts.record(t(0), 1.0);
+        ts.record(t(0), 1.0).unwrap();
         let mut c = ts.cursor();
-        c.value_at(t(5));
-        c.value_at(t(4));
+        c.value_at(&ts, t(5));
+        c.value_at(&ts, t(4));
     }
 
     #[test]
     fn utilization_tracker_acquire_release() {
-        let mut u = UtilizationTracker::new("cpu", 96.0);
-        u.acquire(t(0), 48.0);
+        let mut u = UtilizationTracker::new("cpu", 96.0).unwrap();
+        u.acquire(t(0), 48.0).unwrap();
         assert_eq!(u.utilization(), 0.5);
         assert_eq!(u.free(), 48.0);
-        u.acquire(t(5), 48.0);
+        u.acquire(t(5), 48.0).unwrap();
         assert_eq!(u.utilization(), 1.0);
-        u.release(t(10), 96.0);
+        u.release(t(10), 96.0).unwrap();
         assert_eq!(u.busy(), 0.0);
         assert!((u.series().average(t(0), t(10)) - 0.75).abs() < 1e-9);
     }
 
-    #[test]
-    #[should_panic(expected = "over-commit")]
-    fn utilization_tracker_rejects_overcommit() {
-        let mut u = UtilizationTracker::new("gpu", 8.0);
-        u.acquire(t(0), 9.0);
+    /// Asserts `r` is an [`SimError::InvalidState`] naming `what`.
+    fn assert_invalid(r: Result<(), SimError>, what: &str) {
+        match r {
+            Err(SimError::InvalidState(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected an invalid-state error naming {what:?}, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "release underflow")]
+    fn utilization_tracker_rejects_non_positive_capacity() {
+        for cap in [0.0, -1.0, f64::NAN] {
+            assert_invalid(
+                UtilizationTracker::new("gpu", cap).map(|_| ()),
+                "capacity must be positive",
+            );
+        }
+    }
+
+    #[test]
+    fn utilization_tracker_rejects_overcommit() {
+        let mut u = UtilizationTracker::new("gpu", 8.0).unwrap();
+        assert_invalid(u.acquire(t(0), 9.0), "over-commit");
+        assert_eq!(u.busy(), 0.0, "nothing was acquired");
+    }
+
+    #[test]
+    fn utilization_tracker_rejects_level_over_capacity() {
+        let mut u = UtilizationTracker::new("gpu", 8.0).unwrap();
+        u.set_level(t(0), 4.0).unwrap();
+        assert_invalid(u.set_level(t(1), 8.5), "level over capacity");
+        assert_eq!(u.busy(), 4.0, "the level is unchanged");
+    }
+
+    #[test]
     fn utilization_tracker_rejects_underflow() {
-        let mut u = UtilizationTracker::new("gpu", 8.0);
-        u.release(t(0), 1.0);
+        let mut u = UtilizationTracker::new("gpu", 8.0).unwrap();
+        assert_invalid(u.release(t(0), 1.0), "release underflow");
+    }
+
+    #[test]
+    fn utilization_tracker_rejects_time_regression() {
+        let mut u = UtilizationTracker::new("gpu", 8.0).unwrap();
+        u.acquire(t(10), 2.0).unwrap();
+        assert_invalid(u.acquire(t(5), 2.0), "went backwards");
+        assert_eq!(u.busy(), 2.0, "a refused record leaves the level as it was");
     }
 
     #[test]

@@ -137,7 +137,7 @@ proptest! {
         pts.dedup_by_key(|&mut (t, _)| t);
         let mut ts = TimeSeries::new("p");
         for &(t, v) in &pts {
-            ts.record(SimTime::from_micros(t), v);
+            ts.record(SimTime::from_micros(t), v).unwrap();
         }
         let mut cuts = [a, b, c];
         cuts.sort_unstable();
@@ -157,7 +157,7 @@ proptest! {
         pts.dedup_by_key(|&mut (t, _)| t);
         let mut ts = TimeSeries::new("p");
         for &(t, v) in &pts {
-            ts.record(SimTime::from_micros(t), v);
+            ts.record(SimTime::from_micros(t), v).unwrap();
         }
         let reference = pts
             .iter()
@@ -257,7 +257,7 @@ proptest! {
         let mut at = start;
         for &(dt, v) in &steps {
             at += dt;
-            ts.record(SimTime::from_micros(at), v);
+            ts.record(SimTime::from_micros(at), v).unwrap();
         }
         let mut queries = extra;
         queries.push(0);
@@ -269,9 +269,9 @@ proptest! {
         let mut cursor = ts.cursor();
         for us in queries {
             let t = SimTime::from_micros(us);
-            prop_assert_eq!(cursor.value_at(t).to_bits(), ts.value_at(t).to_bits(), "t={}", us);
+            prop_assert_eq!(cursor.value_at(&ts, t).to_bits(), ts.value_at(t).to_bits(), "t={}", us);
             let next = ts.points().iter().map(|&(pt, _)| pt).find(|&pt| pt > t);
-            prop_assert_eq!(cursor.next_change(), next, "t={}", us);
+            prop_assert_eq!(cursor.next_change(&ts), next, "t={}", us);
         }
     }
 }

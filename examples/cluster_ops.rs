@@ -89,8 +89,10 @@ fn main() {
     cm.activity_end(t(3600), whisper, 0.65).expect("live");
     println!(
         "\nGPU energy over the first hour: {:.1} Wh (allocated devices), {:.1} Wh (whole fleet)",
-        cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly),
-        cm.energy_wh_all(t(0), t(3600), EnergyScope::GpuOnly),
+        cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly)
+            .expect("the series hold the whole hour"),
+        cm.energy_wh_all(t(0), t(3600), EnergyScope::GpuOnly)
+            .expect("the series hold the whole hour"),
     );
     println!(
         "fleet cost for that hour: ${:.2}",

@@ -76,13 +76,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations per offered request of [`budget_scenario`]'s serve call:
-/// 21.61 (21.6010) measured once serving backends stopped keeping
-/// per-step series and stats (21.66 before; 21.72 before finished
+/// 21.57 (21.5686) measured once serve cells settled device utilization
+/// online, so device series stopped growing their buffers (21.61 before;
+/// 21.66 before serving backends stopped keeping per-step series and
+/// stats; 21.72 before finished
 /// tasks and released allocations were retired; 23.61 before the
 /// region tick read its rebalancer inputs into a reused buffer; 54.66
 /// before the tick, the pool autoscaling cycle and endpoint steps
 /// stopped allocating), in debug and release builds alike.
-const ALLOCS_PER_REQUEST_BUDGET: f64 = 21.61;
+const ALLOCS_PER_REQUEST_BUDGET: f64 = 21.57;
 
 /// A small one-cell open-loop hour on the paper testbed: Poisson
 /// arrivals over the stock tenants at a load the cell mostly serves,

@@ -278,8 +278,10 @@ fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
 /// re-provision. Spot preemptions take the GPU tool pools' node mid-run
 /// and later the endpoint's node, in the middle of a prefill with decode
 /// idle: the re-placed pair restarts that prefill at the very levels the
-/// dead one last wrote, on devices that are still idle.
-fn preempted_disagg_serve() -> murakkab::engine::EngineOutcome {
+/// dead one last wrote, on devices that are still idle. With
+/// `settle_online` the engine folds utilization and energy as it runs and
+/// drops the series points it is past.
+fn preempted_disagg_serve(settle_online: bool) -> murakkab::engine::EngineOutcome {
     use murakkab::engine::{CompiledGraph, Engine, EngineOptions, RouteSpec};
     use murakkab_agents::{library::stock_library, Capability, Work};
     use murakkab_cluster::{ClusterManager, PlacementPolicy};
@@ -341,6 +343,7 @@ fn preempted_disagg_serve() -> murakkab::engine::EngineOutcome {
             (SimTime::from_micros(74_050_000), 0),
         ],
         record_spans: false,
+        settle_online,
         ..EngineOptions::default()
     };
     let mut engine = Engine::new(
@@ -424,7 +427,7 @@ fn preempted_disagg_serve() -> murakkab::engine::EngineOutcome {
 
 #[test]
 fn preempted_disagg_serve_matches_its_golden() {
-    let outcome = preempted_disagg_serve();
+    let outcome = preempted_disagg_serve(false);
     assert_eq!(
         outcome.cluster.nodes().iter().filter(|n| !n.up).count(),
         2,
@@ -456,5 +459,46 @@ fn preempted_disagg_serve_matches_its_golden() {
     assert_eq!(
         digest, PREEMPTED_DISAGG_GOLDEN,
         "preempted disaggregated serve: digest {digest:#018x} diverged from its golden {PREEMPTED_DISAGG_GOLDEN:#018x}"
+    );
+}
+
+/// The same run settled online — utilization and energy folded as the
+/// engine runs, series points dropped once both readers are past them —
+/// settles to the retained run's bits: its energy and cost ledgers,
+/// makespan, completed tasks, and the GPU and CPU utilization means over
+/// the makespan. Both preemptions settle allocations mid-run, and the
+/// pools' release and re-provision cycles settle and open more.
+#[test]
+fn preempted_disagg_serve_settled_online_matches_the_retained_run() {
+    use murakkab::engine::UTIL_SAMPLE;
+    use murakkab_hardware::DeviceKind;
+    use murakkab_sim::SimTime;
+
+    let retained = preempted_disagg_serve(false);
+    let streamed = preempted_disagg_serve(true);
+    let ledger = |o: &murakkab::engine::EngineOutcome| {
+        [
+            o.energy_allocated_wh.to_bits(),
+            o.cost_usd.to_bits(),
+            o.makespan.as_micros(),
+            o.tasks_completed as u64,
+        ]
+    };
+    assert_eq!(ledger(&streamed), ledger(&retained));
+    for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
+        let util = |o: &murakkab::engine::EngineOutcome| {
+            o.cluster
+                .average_util(kind, SimTime::ZERO, o.makespan, UTIL_SAMPLE)
+                .expect("settles")
+                .to_bits()
+        };
+        assert_eq!(util(&streamed), util(&retained), "{kind:?} utilization");
+    }
+    let held = |o: &murakkab::engine::EngineOutcome| o.cluster.retained_points();
+    assert!(
+        held(&streamed) < held(&retained),
+        "online settlement held {} points on one device, the retained run {}",
+        held(&streamed),
+        held(&retained)
     );
 }

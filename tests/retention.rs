@@ -4,12 +4,15 @@
 //! with lulls long enough for its tool pools to scale down and come
 //! back, at most `MAX_INFLIGHT` workflows at a time. After every
 //! admission the engine's retained task window and the cluster's
-//! allocation table are read through `Engine::retained`. Both must stay
-//! under a bound set by the in-flight cap and the deployment, and the
-//! longer run must hold no more than the shorter one: finished tasks and
-//! released allocations are retired, so neither count can grow with the
-//! number of requests served. The counts are simulation state, not host
-//! measurements, so the gate is deterministic.
+//! allocation table are read through `Engine::retained`, and the most
+//! utilization points any one device holds through
+//! `Engine::retained_series_points`. The first two must stay under a
+//! bound set by the in-flight cap and the deployment, and the longer run
+//! must hold no more of any of the three than the shorter one: finished
+//! tasks and released allocations are retired, and utilization settled
+//! online drops the points its readers are past, so no count can grow
+//! with the number of requests served. The counts are simulation state,
+//! not host measurements, so the gate is deterministic.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -31,7 +34,7 @@ const N: usize = 30;
 /// deployment ever holds at once (no preemptions here).
 const DEPLOYMENT_ALLOCATIONS: usize = 2 + 2 + 1 + 1;
 
-fn engine() -> Engine {
+fn engine(settle_online: bool) -> Engine {
     let mut cluster = ClusterManager::new(PlacementPolicy::BestFit);
     for _ in 0..2 {
         cluster.add_node(catalog::nd96amsr_a100_v4());
@@ -79,6 +82,7 @@ fn engine() -> Engine {
     ]);
     let options = EngineOptions {
         record_spans: false,
+        settle_online,
         ..EngineOptions::default()
     };
     let mut engine = Engine::new(
@@ -151,13 +155,14 @@ fn workflow(i: usize) -> CompiledGraph {
 struct Peak {
     tasks: usize,
     allocations: usize,
+    series_points: usize,
 }
 
 /// Serves `n` requests arriving in bursts of eight, two seconds apart,
-/// each burst followed by a two-minute lull; returns the peak retained
-/// counts.
-fn serve(n: usize) -> Peak {
-    let mut engine = engine();
+/// each burst followed by a two-minute lull, settling utilization online
+/// or keeping every series; returns the peak retained counts.
+fn serve(n: usize, settle_online: bool) -> Peak {
+    let mut engine = engine(settle_online);
     let graphs: Vec<CompiledGraph> = (0..n).map(workflow).collect();
     let arrivals: Vec<SimTime> = (0..n)
         .scan(SimTime::ZERO, |at, i| {
@@ -170,6 +175,7 @@ fn serve(n: usize) -> Peak {
     let mut peak = Peak {
         tasks: 0,
         allocations: 0,
+        series_points: 0,
     };
     let mut now = SimTime::ZERO;
     loop {
@@ -184,6 +190,7 @@ fn serve(n: usize) -> Peak {
             let (tasks, allocations) = engine.retained();
             peak.tasks = peak.tasks.max(tasks);
             peak.allocations = peak.allocations.max(allocations);
+            peak.series_points = peak.series_points.max(engine.retained_series_points());
         }
         let bound = arrivals.get(arrived).copied().unwrap_or(SimTime::MAX);
         match engine.step_while(bound, false).expect("steps") {
@@ -228,8 +235,8 @@ fn retained_state_is_bounded_by_live_work() {
         .max()
         .expect("requests");
     let task_bound = 4 * MAX_INFLIGHT * per_request;
-    let short = serve(N);
-    let long = serve(8 * N);
+    let short = serve(N, true);
+    let long = serve(8 * N, true);
     for (n, peak) in [(N, &short), (8 * N, &long)] {
         assert!(
             peak.tasks <= task_bound,
@@ -243,8 +250,25 @@ fn retained_state_is_bounded_by_live_work() {
         );
     }
     assert!(
-        long.tasks <= short.tasks && long.allocations <= short.allocations,
+        long.tasks <= short.tasks
+            && long.allocations <= short.allocations
+            && long.series_points <= short.series_points,
         "retention grew with the request count: {short:?} at {N}, {long:?} at {}",
+        8 * N
+    );
+}
+
+#[test]
+fn kept_series_grow_with_the_request_count() {
+    // The gate above has teeth: without online settlement a device keeps
+    // every change point, so the longer run holds several times more.
+    let short = serve(N, false);
+    let long = serve(8 * N, false);
+    assert!(
+        long.series_points > 4 * short.series_points,
+        "{} points at {N} requests, {} at {}",
+        short.series_points,
+        long.series_points,
         8 * N
     );
 }
