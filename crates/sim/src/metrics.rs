@@ -99,7 +99,7 @@ impl TimeSeries {
     /// The value at instant `t` (zero before the first change point).
     ///
     /// A binary search per call, for random access; forward scans walk a
-    /// [`cursor`](Self::cursor) instead.
+    /// [`cursor_at`](Self::cursor_at) instead.
     pub fn value_at(&self, t: SimTime) -> f64 {
         match self.points.binary_search_by(|&(pt, _)| pt.cmp(&t)) {
             Ok(i) => self.points[i].1,
@@ -108,8 +108,11 @@ impl TimeSeries {
         }
     }
 
-    /// A forward cursor over the series, positioned before the first
-    /// change point.
+    /// A forward cursor positioned as if it had just been queried at
+    /// `t`: one binary search, after which
+    /// [`next_change`](SeriesCursor::next_change) is the first change
+    /// point after `t`. Forward readers that stop and resume (a reader
+    /// settling a series as time passes) re-enter the series here.
     ///
     /// # Examples
     ///
@@ -118,25 +121,13 @@ impl TimeSeries {
     ///
     /// let mut ts = TimeSeries::new("x");
     /// ts.record(SimTime::from_secs(5), 1.0)?;
-    /// let mut c = ts.cursor();
+    /// let mut c = ts.cursor_at(SimTime::ZERO);
     /// assert_eq!(c.value_at(&ts, SimTime::from_secs(1)), 0.0);
     /// assert_eq!(c.next_change(&ts), Some(SimTime::from_secs(5)));
     /// assert_eq!(c.value_at(&ts, SimTime::from_secs(5)), 1.0);
     /// assert_eq!(c.next_change(&ts), None);
     /// # Ok::<(), murakkab_sim::SimError>(())
     /// ```
-    pub fn cursor(&self) -> SeriesCursor {
-        SeriesCursor {
-            next: 0,
-            last_query: SimTime::ZERO,
-        }
-    }
-
-    /// A forward cursor positioned as if it had just been queried at
-    /// `t`: one binary search, after which
-    /// [`next_change`](SeriesCursor::next_change) is the first change
-    /// point after `t`. Forward readers that stop and resume (a reader
-    /// settling a series as time passes) re-enter the series here.
     pub fn cursor_at(&self, t: SimTime) -> SeriesCursor {
         SeriesCursor {
             next: self.points.partition_point(|&(pt, _)| pt <= t),
@@ -191,13 +182,12 @@ impl TimeSeries {
 /// [`TimeSeries::value_at`] in amortized O(1) per query, for queries at
 /// non-decreasing instants.
 ///
-/// Created by [`TimeSeries::cursor`] or [`TimeSeries::cursor_at`]. A
-/// cursor is a position, not a borrow: every read names the series it
-/// walks, which must be the one it was made from, untrimmed since, so a
-/// reader over many series can keep its cursors in one reused buffer. A
-/// walk of `q` queries over a series of `p` change points costs
-/// `O(p + q)` in total, against `O(q log p)` for one binary search per
-/// query.
+/// Created by [`TimeSeries::cursor_at`]. A cursor is a position, not a
+/// borrow: every read names the series it walks, which must be the one
+/// it was made from, untrimmed since, so a reader over many series can
+/// keep its cursors in one reused buffer. A walk of `q` queries over a
+/// series of `p` change points costs `O(p + q)` in total, against
+/// `O(q log p)` for one binary search per query.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesCursor {
     /// Index of the first change point after the last query.
@@ -230,9 +220,8 @@ impl SeriesCursor {
         }
     }
 
-    /// The first change point of `series` after the last query (the
-    /// first point at all before any query), or `None` once past the
-    /// last one. The value stays what the last query returned until this
+    /// The first change point of `series` after the last query, or
+    /// `None` once past the last one. The value stays what the last query returned until this
     /// instant.
     pub fn next_change(&self, series: &TimeSeries) -> Option<SimTime> {
         series.points().get(self.next).map(|&(pt, _)| pt)
@@ -560,7 +549,7 @@ mod tests {
     fn series_cursor_rejects_backward_queries() {
         let mut ts = TimeSeries::new("x");
         ts.record(t(0), 1.0).unwrap();
-        let mut c = ts.cursor();
+        let mut c = ts.cursor_at(t(0));
         c.value_at(&ts, t(5));
         c.value_at(&ts, t(4));
     }

@@ -266,7 +266,7 @@ proptest! {
             queries.extend([us.saturating_sub(1), us, us, us + 1]);
         }
         queries.sort_unstable();
-        let mut cursor = ts.cursor();
+        let mut cursor = ts.cursor_at(SimTime::ZERO);
         for us in queries {
             let t = SimTime::from_micros(us);
             prop_assert_eq!(cursor.value_at(&ts, t).to_bits(), ts.value_at(t).to_bits(), "t={}", us);
