@@ -24,7 +24,9 @@ pub mod placement;
 pub mod rebalance;
 pub mod telemetry;
 
-pub use manager::{Allocation, AllocationId, ClusterManager, GpuGrant, PairedAllocation};
+pub use manager::{
+    Allocation, AllocationId, ClusterManager, GpuGrant, PairedAllocation, Timeline, UTIL_SAMPLE,
+};
 pub use node::{Node, NodeId};
 pub use placement::PlacementPolicy;
 pub use rebalance::{EndpointView, RebalanceAction, Rebalancer, Upcoming};

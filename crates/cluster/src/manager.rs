@@ -3,9 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use murakkab_hardware::{
-    Device, DeviceId, DeviceKind, EnergyIntegrator, EnergyScope, HardwareTarget, VmShape,
-};
+use murakkab_hardware::{Device, DeviceId, DeviceKind, EnergyIntegrator, HardwareTarget, VmShape};
 use murakkab_sim::{define_id, SeriesCursor, SimDuration, SimError, SimTime};
 
 use crate::node::{Node, NodeId};
@@ -13,6 +11,10 @@ use crate::placement::{node_fits, PlacementPolicy};
 use crate::telemetry::ResourceStats;
 
 define_id!(AllocationId, "alloc");
+
+/// The utilization sample grid of every report: one sample per
+/// simulated second from zero.
+pub const UTIL_SAMPLE: SimDuration = SimDuration::from_secs(1);
 
 /// A granted resource allocation.
 #[derive(Debug, Clone)]
@@ -59,8 +61,47 @@ pub struct PairedAllocation {
     pub same_node: bool,
 }
 
+/// A run's whole-run outputs (see [`ClusterManager::record_timeline`]).
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    /// Cluster-wide GPU utilization in percent of all GPU capacity, one
+    /// `(seconds, percent)` sample per [`UTIL_SAMPLE`] instant from zero,
+    /// clamped to and including the window end (Figure 3's GPU% curve);
+    /// none if the cluster has no GPUs.
+    pub gpu_util: Vec<(f64, f64)>,
+    /// The same for the CPU pools (Figure 3's CPU% curve).
+    pub cpu_util: Vec<(f64, f64)>,
+    /// Energy of every GPU, allocated or not, from zero to the window
+    /// end, in Wh (the whole-testbed scope Table 2 uses for a rigid
+    /// deployment).
+    pub energy_fleet_wh: f64,
+}
+
+/// The timeline as it is recorded: what the folds have collected so far.
+#[derive(Debug, Clone)]
+struct Recording {
+    /// The samples each utilization sampler has taken, GPU then CPU pool.
+    curves: [Vec<(f64, f64)>; 2],
+    /// One energy integral from zero per GPU, in node then device order.
+    fleet: Vec<EnergyIntegrator>,
+}
+
 /// The cluster manager: owns nodes/devices, grants allocations, injects
 /// preemptions, scales, and answers telemetry/energy queries.
+///
+/// Device utilization and allocation energy settle as simulated time
+/// passes. The caller moves a frontier forward
+/// ([`advance_frontier`](Self::advance_frontier)) before which it
+/// records no more activity. Whenever some device's series reaches a few
+/// dozen change points, the cluster [`fold`](Self::fold)s the energy of
+/// every live allocation and one utilization sampler per device kind, on
+/// the [`UTIL_SAMPLE`] grid from zero, up to the frontier, and drops the
+/// change points both readers are past. Each device then holds an O(1)
+/// tail plus the points after the frontier, however long the run, and
+/// settlement reads the same bits as it would from the whole series:
+/// [`allocation_energy_wh`](Self::allocation_energy_wh) closes the folded
+/// integrals and [`average_util`](Self::average_util) finishes the folded
+/// sampler.
 #[derive(Debug, Clone)]
 pub struct ClusterManager {
     nodes: Vec<Node>,
@@ -75,35 +116,32 @@ pub struct ClusterManager {
     policy: PlacementPolicy,
     provision_delay: SimDuration,
     pending: Vec<(SimTime, VmShape)>,
-    /// Utilization and energy settled as simulated time passes, once
-    /// [`ClusterManager::settle_online`] turned it on.
-    online: Option<Box<OnlineSettle>>,
-}
-
-/// The change points one device may gather before an online fold trims
-/// every series. A fold walks every device once, so this also spaces
-/// folds by at least half as many points on the busiest device.
-const FOLD_POINTS: usize = 64;
-
-/// Online settlement state (see [`ClusterManager::settle_online`]).
-#[derive(Debug, Clone)]
-struct OnlineSettle {
     /// Every instant before this one is closed: the cluster refuses
     /// activity records before it, so no change point can still appear
     /// or change there, and both readers fold up to it.
     frontier: SimTime,
-    /// The utilization sampler of each device kind, GPU then CPU pool,
-    /// on the settlement grid from zero.
+    /// The utilization sampler of each device kind, GPU then CPU pool.
     samplers: [UtilSampler; 2],
     /// The series length at which a record makes a fold due:
     /// [`FOLD_POINTS`], or half that past the longest series the last
     /// fold left when the frontier lagged behind.
     fold_at: usize,
-    /// A node joined or a CPU pool was rebuilt after settling began: the
-    /// samplers' device set and capacity are stale, so folding stops and
-    /// utilization reads fail.
+    /// Whether any activity was recorded yet. Until then nodes may join
+    /// and CPU pools be rebuilt freely: no series has been read.
+    recorded: bool,
+    /// A node joined or a CPU pool was rebuilt after the first activity
+    /// record: the samplers' device set and capacity are stale, so
+    /// folding stops and utilization reads fail.
     reshaped: bool,
+    /// The whole-run outputs, once
+    /// [`record_timeline`](Self::record_timeline) turned them on.
+    timeline: Option<Recording>,
 }
+
+/// The change points one device may gather before a fold trims every
+/// series. A fold walks every device once, so this also spaces folds by
+/// at least half as many points on the busiest device.
+const FOLD_POINTS: usize = 64;
 
 /// The position of live allocation `id` in the id-ordered table.
 fn live_index(allocations: &[Allocation], id: AllocationId) -> Result<usize, SimError> {
@@ -135,37 +173,55 @@ impl ClusterManager {
             policy,
             provision_delay: SimDuration::from_secs(90),
             pending: Vec::new(),
-            online: None,
+            frontier: SimTime::ZERO,
+            samplers: [
+                UtilSampler::new(DeviceKind::Gpu),
+                UtilSampler::new(DeviceKind::CpuPool),
+            ],
+            fold_at: FOLD_POINTS,
+            recorded: false,
+            reshaped: false,
+            timeline: None,
         }
     }
 
     /// The paper's testbed: two `Standard_ND96amsr_A100_v4` VMs.
     pub fn paper_testbed() -> Self {
         let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-        cm.add_node(murakkab_hardware::catalog::nd96amsr_a100_v4());
-        cm.add_node(murakkab_hardware::catalog::nd96amsr_a100_v4());
+        for _ in 0..2 {
+            cm.add_node(murakkab_hardware::catalog::nd96amsr_a100_v4())
+                .expect("the catalog shape has CPU cores");
+        }
         cm
     }
 
-    /// Adds a node immediately (no provisioning delay) and returns its id.
-    pub fn add_node(&mut self, shape: VmShape) -> NodeId {
+    /// Adds a node immediately (no provisioning delay) and returns its
+    /// id. A node added after the first activity record leaves
+    /// utilization unreadable (see [`average_util`](Self::average_util)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] for a shape without CPU cores;
+    /// the cluster is left as it was.
+    pub fn add_node(&mut self, shape: VmShape) -> Result<NodeId, SimError> {
         let id = NodeId::from_raw(self.next_node);
+        let mut next_dev = self.next_dev;
+        let node = Node::from_shape(id, shape, &mut || {
+            next_dev += 1;
+            DeviceId::from_raw(next_dev - 1)
+        })?;
         self.next_node += 1;
-        let mut next_dev = || {
-            let d = DeviceId::from_raw(self.next_dev);
-            self.next_dev += 1;
-            d
-        };
-        self.nodes.push(Node::from_shape(id, shape, &mut next_dev));
-        if let Some(online) = &mut self.online {
-            online.reshaped = true;
+        self.next_dev = next_dev;
+        if let Some(rec) = &mut self.timeline {
+            rec.fleet.extend(
+                node.gpus
+                    .iter()
+                    .map(|_| EnergyIntegrator::new(SimTime::ZERO)),
+            );
         }
-        id
-    }
-
-    /// Sets the autoscaler's provisioning delay.
-    pub fn set_provision_delay(&mut self, d: SimDuration) {
-        self.provision_delay = d;
+        self.nodes.push(node);
+        self.reshaped |= self.recorded;
+        Ok(id)
     }
 
     /// Requests a new node; it becomes available at the returned time once
@@ -178,7 +234,11 @@ impl ClusterManager {
 
     /// Materialises any pending nodes whose provisioning completed by
     /// `now`; returns the new node ids.
-    pub fn process_provisioning(&mut self, now: SimTime) -> Vec<NodeId> {
+    ///
+    /// # Errors
+    ///
+    /// As [`add_node`](Self::add_node); a shape that fails is dropped.
+    pub fn process_provisioning(&mut self, now: SimTime) -> Result<Vec<NodeId>, SimError> {
         let (ready, still): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
             .into_iter()
             .partition(|(t, _)| *t <= now);
@@ -208,7 +268,7 @@ impl ClusterManager {
                 self.free_gpu_units().floor() as u64 + self.free_cores().floor() as u64,
             )
         })?;
-        Ok(self.allocate_on_node(now, label, target, node_id))
+        self.allocate_on_node(now, label, target, node_id)
     }
 
     /// Grants an allocation for `target` on a specific node the caller
@@ -220,12 +280,8 @@ impl ClusterManager {
         label: impl Into<Arc<str>>,
         target: HardwareTarget,
         node_id: NodeId,
-    ) -> AllocationId {
-        let node = self
-            .nodes
-            .iter_mut()
-            .find(|n| n.id == node_id)
-            .expect("policy returned an existing node");
+    ) -> Result<AllocationId, SimError> {
+        let node = node_mut(&mut self.nodes, node_id);
         debug_assert!(node_fits(node, &target));
 
         let (gpu_count, gpu_share) = match target {
@@ -243,7 +299,7 @@ impl ClusterManager {
                 break;
             }
             if d.free() + 1e-9 >= gpu_share {
-                d.reserve(gpu_share);
+                d.reserve(gpu_share)?;
                 gpu_devices.push(GpuGrant {
                     device: d.id,
                     energy: EnergyIntegrator::new(now),
@@ -256,7 +312,7 @@ impl ClusterManager {
             "placement said fit but devices disagree"
         );
         if cores > 0 {
-            node.cpu.reserve(f64::from(cores));
+            node.cpu.reserve(f64::from(cores))?;
         }
 
         let id = AllocationId::from_raw(self.next_alloc);
@@ -271,7 +327,7 @@ impl ClusterManager {
             label: label.into(),
             created: now,
         });
-        id
+        Ok(id)
     }
 
     /// Grants a paired prefill/decode allocation for a disaggregated
@@ -306,8 +362,8 @@ impl ClusterManager {
             if (ps - 1.0).abs() < 1e-9 && (ds - 1.0).abs() < 1e-9 {
                 let combined = HardwareTarget::gpus(p + d);
                 if let Some(node_id) = self.policy.choose(&self.nodes, &combined) {
-                    let first = self.allocate_on_node(now, label.clone(), prefill, node_id);
-                    let second = self.allocate_on_node(now, label, decode, node_id);
+                    let first = self.allocate_on_node(now, label.clone(), prefill, node_id)?;
+                    let second = self.allocate_on_node(now, label, decode, node_id)?;
                     return Ok(PairedAllocation {
                         prefill: first,
                         decode: second,
@@ -337,18 +393,20 @@ impl ClusterManager {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NotFound`] for unknown ids.
+    /// Returns [`SimError::NotFound`] for unknown ids and
+    /// [`SimError::InvalidState`] for a reservation the node no longer
+    /// holds.
     pub fn release(&mut self, _now: SimTime, id: AllocationId) -> Result<(), SimError> {
         let alloc = self.allocations.remove(live_index(&self.allocations, id)?);
         let node = node_mut(&mut self.nodes, alloc.node);
         if node.up {
             for g in &alloc.gpu_devices {
                 if let Some(d) = node.gpu_mut(g.device) {
-                    d.unreserve(alloc.gpu_share);
+                    d.unreserve(alloc.gpu_share)?;
                 }
             }
             if alloc.cores > 0 {
-                node.cpu.unreserve(f64::from(alloc.cores));
+                node.cpu.unreserve(f64::from(alloc.cores))?;
             }
         }
         Ok(())
@@ -415,7 +473,8 @@ impl ClusterManager {
         let Self {
             nodes,
             allocations,
-            online,
+            frontier,
+            recorded,
             ..
         } = self;
         let alloc = live_get(allocations, id)?;
@@ -424,7 +483,8 @@ impl ClusterManager {
             // The node died; its activity was zeroed at preemption.
             return Ok(());
         }
-        check_frontier(online, now)?;
+        check_frontier(*frontier, now)?;
+        *recorded = true;
         let gpu_units = alloc.gpu_share * gpu_util.clamp(0.0, 1.0);
         let mut longest = 0;
         for g in &alloc.gpu_devices {
@@ -465,7 +525,8 @@ impl ClusterManager {
         let Self {
             nodes,
             allocations,
-            online,
+            frontier,
+            recorded,
             ..
         } = self;
         let alloc = live_get(allocations, id)?;
@@ -473,7 +534,8 @@ impl ClusterManager {
         if !node.up {
             return Ok(());
         }
-        check_frontier(online, now)?;
+        check_frontier(*frontier, now)?;
+        *recorded = true;
         let mut longest = 0;
         for g in &alloc.gpu_devices {
             let d = node.gpu_mut(g.device).expect("granted device exists");
@@ -506,16 +568,17 @@ impl ClusterManager {
         if !node.up {
             return Err(SimError::InvalidState(format!("{id} is already down")));
         }
-        check_frontier(&self.online, now)?;
+        check_frontier(self.frontier, now)?;
+        self.recorded = true;
         for d in node.gpus.iter_mut() {
             d.set_activity_level(now, 0.0)?;
         }
         node.cpu.set_activity_level(now, 0.0)?;
         node.up = false;
         for d in node.gpus.iter_mut() {
-            d.unreserve(d.reserved());
+            d.unreserve(d.reserved())?;
         }
-        node.cpu.unreserve(node.cpu.reserved());
+        node.cpu.unreserve(node.cpu.reserved())?;
 
         let mut killed = Vec::new();
         self.allocations.retain(|a| {
@@ -537,9 +600,11 @@ impl ClusterManager {
     /// # Errors
     ///
     /// Returns [`SimError::NotFound`] for unknown nodes,
-    /// [`SimError::InvalidState`] for non-harvest nodes, and
-    /// [`SimError::InvalidInput`] when shrinking below the pricing tier's
-    /// guaranteed minimum.
+    /// [`SimError::InvalidState`] for non-harvest nodes or a resize to
+    /// zero cores, and [`SimError::InvalidInput`] when shrinking below
+    /// the pricing tier's guaranteed minimum. A resize after the first
+    /// activity record leaves utilization unreadable (see
+    /// [`average_util`](Self::average_util)).
     pub fn resize_harvest_cores(
         &mut self,
         now: SimTime,
@@ -565,16 +630,13 @@ impl ClusterManager {
         // reservation level over (activity restarts at zero: the evicted
         // share stops drawing dynamic power).
         let kept_reserved = reserved.min(f64::from(new_cores));
-        let mut fresh =
-            murakkab_hardware::Device::cpu_pool(node.cpu.id, &node.shape.cpu, new_cores);
+        let mut fresh = Device::cpu_pool(node.cpu.id, &node.shape.cpu, new_cores)?;
         if kept_reserved > 0.0 {
-            fresh.reserve(kept_reserved);
+            fresh.reserve(kept_reserved)?;
         }
         node.cpu = fresh;
         node.shape.vcpus = new_cores;
-        if let Some(online) = &mut self.online {
-            online.reshaped = true;
-        }
+        self.reshaped |= self.recorded;
 
         // Find allocations that no longer fit if we shrank.
         let mut squeezed = Vec::new();
@@ -648,9 +710,9 @@ impl ClusterManager {
         for cell in 0..cells {
             let take = base + usize::from(cell < extra);
             let mut cm = ClusterManager::new(self.policy);
-            cm.set_provision_delay(self.provision_delay);
+            cm.provision_delay = self.provision_delay;
             for _ in 0..take {
-                cm.add_node(shapes.next().expect("counts sum to node count"));
+                cm.add_node(shapes.next().expect("counts sum to node count"))?;
             }
             out.push(cm);
         }
@@ -697,53 +759,20 @@ impl ClusterManager {
         }
     }
 
-    /// Energy consumed over `[from, to)` by devices that were ever part of
-    /// an allocation, under the given scope. This is the Table 2 quantity:
-    /// the paper meters the GPUs the workflow engages, GPU-only by default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidState`] once utilization is settled
-    /// online: the series no longer hold the whole run.
-    pub fn energy_wh(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        scope: EnergyScope,
-    ) -> Result<f64, SimError> {
-        self.energy_wh_inner(from, to, scope, true)
-    }
-
-    /// Energy over every device, allocated or not (whole-testbed view).
-    ///
-    /// # Errors
-    ///
-    /// As [`energy_wh`](Self::energy_wh).
-    pub fn energy_wh_all(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        scope: EnergyScope,
-    ) -> Result<f64, SimError> {
-        self.energy_wh_inner(from, to, scope, false)
-    }
-
     /// GPU energy attributable to one live allocation from its creation
     /// until `to`: each granted device's energy weighted by the granted
     /// share. This is the "energy of the resources a configuration
     /// actually holds" view used for Murakkab's Table 2 rows
     /// (idle-but-held GPUs count; GPUs the workflow released or never
     /// took do not). It closes the allocation's energy integrals, which
-    /// online settlement has folded up to the frontier.
+    /// the folds have carried up to the frontier.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NotFound`] for unknown allocations and
-    /// [`SimError::InvalidState`] for a `to` before the settled frontier.
+    /// [`SimError::InvalidState`] for a `to` before the frontier.
     pub fn allocation_energy_wh(&self, id: AllocationId, to: SimTime) -> Result<f64, SimError> {
-        if let Some(online) = &self.online {
-            online.check_window_end(to)?;
-        }
+        self.check_window_end(to)?;
         let alloc = self.allocation(id)?;
         let node = &self.nodes[node_index(&self.nodes, alloc.node)];
         let mut wh = 0.0;
@@ -754,157 +783,125 @@ impl ClusterManager {
         Ok(wh)
     }
 
-    fn energy_wh_inner(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        scope: EnergyScope,
-        touched_only: bool,
-    ) -> Result<f64, SimError> {
-        if self.online.is_some() {
-            return Err(trimmed_history());
-        }
-        let mut wh = 0.0;
-        for n in &self.nodes {
-            for d in &n.gpus {
-                if !touched_only || d.touched() {
-                    wh += d.energy_wh(from, to);
-                }
-            }
-            if scope == EnergyScope::Full && (!touched_only || n.cpu.touched()) {
-                wh += n.cpu.energy_wh(from, to);
-            }
-        }
-        Ok(wh)
-    }
-
-    /// Cluster-wide utilization samples in percent of all `kind`
-    /// capacity — the CPU%/GPU% curves in Figure 3. One `(seconds,
-    /// percent)` sample per instant of `from`, `from + interval`, ...,
-    /// clamped to and including `to` (just `from` when `to <= from`);
-    /// none if the cluster has no `kind` capacity.
+    /// The mean cluster-wide utilization of `kind`, in percent of all
+    /// `kind` capacity, over the [`UTIL_SAMPLE`] grid from zero clamped
+    /// to and including `to` (zero if the cluster has no `kind`
+    /// capacity). It takes the folded sampler's last steps to `to`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidInput`] for a zero `interval` and
-    /// [`SimError::InvalidState`] once utilization is settled online.
-    pub fn aggregate_util(
-        &self,
-        kind: DeviceKind,
-        from: SimTime,
-        to: SimTime,
-        interval: SimDuration,
-    ) -> Result<Vec<(f64, f64)>, SimError> {
-        check_interval(interval)?;
-        if self.online.is_some() {
-            return Err(trimmed_history());
-        }
-        let mut samples = Vec::new();
-        UtilSampler::new(kind, from, interval).walk(&self.nodes, Walk::Through(to), |t, pct| {
-            samples.push((t.as_secs_f64(), pct));
-        });
-        Ok(samples)
-    }
-
-    /// The mean of the [`aggregate_util`](Self::aggregate_util) samples
-    /// over the same grid (zero when there are none), bit for bit,
-    /// without collecting them. Once utilization is settled online this
-    /// takes the online sampler's last steps to `to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidInput`] for a zero `interval`, and,
-    /// once utilization is settled online, [`SimError::InvalidState`] for
-    /// a grid other than the settlement grid, a `to` before the settled
-    /// frontier, or a cluster reshaped after settling began.
-    pub fn average_util(
-        &self,
-        kind: DeviceKind,
-        from: SimTime,
-        to: SimTime,
-        interval: SimDuration,
-    ) -> Result<f64, SimError> {
-        check_interval(interval)?;
-        let mut sampler = match &self.online {
-            None => UtilSampler::new(kind, from, interval),
-            Some(online) => online.sampler(kind, from, to, interval)?.clone(),
-        };
+    /// Returns [`SimError::InvalidState`] for a `to` before the frontier
+    /// or a cluster reshaped after its first activity record.
+    pub fn average_util(&self, kind: DeviceKind, to: SimTime) -> Result<f64, SimError> {
+        self.check_util_window(to)?;
+        let mut sampler = self.samplers[usize::from(kind == DeviceKind::CpuPool)].clone();
         sampler.walk(&self.nodes, Walk::Through(to), |_, _| {});
         Ok(sampler.mean())
     }
 
-    /// Turns on online settlement: from now on, whenever some device's
-    /// series reaches a few dozen change points, the cluster
-    /// [`fold`](Self::fold)s device utilization on the `interval` grid
-    /// from zero, and the energy of every live allocation, up to the
-    /// frontier (see [`advance_frontier`](Self::advance_frontier)), and
-    /// drops the change points both readers are past. Each device then
-    /// holds an O(1) tail plus the points after the frontier, however
-    /// long the run, and settlement reads the same bits as it would from
-    /// the whole series: [`allocation_energy_wh`](Self::allocation_energy_wh) closes
-    /// the folded integrals and [`average_util`](Self::average_util) on
-    /// the same grid finishes the folded sampler. Reads that need the
-    /// whole history ([`energy_wh`](Self::energy_wh),
-    /// [`aggregate_util`](Self::aggregate_util)) fail from here on.
+    /// Turns on the timeline: from now on the folds also keep every
+    /// utilization sample they take and fold one energy integral from
+    /// zero per GPU, allocated or not.
+    /// [`close_timeline`](Self::close_timeline) hands them back. Only a
+    /// closed-loop report reads them (Figure 3's curves and the
+    /// whole-fleet energy); they grow with the run's length.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidInput`] for a zero `interval` and
-    /// [`SimError::InvalidState`] if settlement is already online.
-    pub fn settle_online(&mut self, interval: SimDuration) -> Result<(), SimError> {
-        check_interval(interval)?;
-        if self.online.is_some() {
+    /// Returns [`SimError::InvalidState`] once activity was recorded:
+    /// the series no longer hold everything since zero.
+    pub fn record_timeline(&mut self) -> Result<(), SimError> {
+        if self.recorded {
             return Err(SimError::InvalidState(
-                "utilization is already settled online".into(),
+                "the timeline must be recorded from before the first activity record".into(),
             ));
         }
-        self.online = Some(Box::new(OnlineSettle {
-            frontier: SimTime::ZERO,
-            samplers: [
-                UtilSampler::new(DeviceKind::Gpu, SimTime::ZERO, interval),
-                UtilSampler::new(DeviceKind::CpuPool, SimTime::ZERO, interval),
-            ],
-            fold_at: FOLD_POINTS,
-            reshaped: false,
-        }));
+        let gpus = devices_of(&self.nodes, DeviceKind::Gpu).count();
+        self.timeline.get_or_insert_with(|| Recording {
+            curves: [Vec::new(), Vec::new()],
+            fleet: vec![EnergyIntegrator::new(SimTime::ZERO); gpus],
+        });
         Ok(())
     }
 
-    /// Moves the settled frontier to `frontier`, the caller's promise
-    /// that it records no more activity before that instant (the engine
-    /// passes its last task completion; every settle window ends at or
-    /// after it). Activity records before the frontier are refused from
-    /// then on. A no-op unless settlement is online.
-    pub fn advance_frontier(&mut self, frontier: SimTime) {
-        if let Some(online) = &mut self.online {
-            online.frontier = online.frontier.max(frontier);
+    /// Closes the timeline at `to` and hands it back, or `None` if none
+    /// is recorded. The curves end with the samples up to and including
+    /// `to`, exactly as [`average_util`](Self::average_util) takes them,
+    /// and the fleet energy covers `[0, to)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`average_util`](Self::average_util); the timeline stays
+    /// recorded then.
+    pub fn close_timeline(&mut self, to: SimTime) -> Result<Option<Timeline>, SimError> {
+        if self.timeline.is_some() {
+            self.check_util_window(to)?;
         }
+        let Some(Recording {
+            curves: [mut gpu_util, mut cpu_util],
+            fleet,
+        }) = self.timeline.take()
+        else {
+            return Ok(None);
+        };
+        for (sampler, curve) in self.samplers.iter().zip([&mut gpu_util, &mut cpu_util]) {
+            sampler
+                .clone()
+                .walk(&self.nodes, Walk::Through(to), |t, pct| {
+                    curve.push((t.as_secs_f64(), pct));
+                });
+        }
+        let mut energy_fleet_wh = 0.0;
+        for (energy, d) in fleet
+            .into_iter()
+            .zip(devices_of(&self.nodes, DeviceKind::Gpu))
+        {
+            energy_fleet_wh += energy.close(d.power_curve(), d.util_series(), to);
+        }
+        Ok(Some(Timeline {
+            gpu_util,
+            cpu_util,
+            energy_fleet_wh,
+        }))
+    }
+
+    /// Moves the frontier to `frontier`, the caller's promise that it
+    /// records no more activity before that instant (the engine passes
+    /// its last task completion; every settle window ends at or after
+    /// it). Activity records before the frontier are refused from then
+    /// on.
+    pub fn advance_frontier(&mut self, frontier: SimTime) {
+        self.frontier = self.frontier.max(frontier);
     }
 
     /// [`fold`](Self::fold)s once a record has left some device with
-    /// `longest` change points, at least the online fold threshold.
+    /// `longest` change points, at least the fold threshold.
     fn fold_if_due(&mut self, longest: usize) {
-        if self.online.as_ref().is_some_and(|o| longest >= o.fold_at) {
+        if longest >= self.fold_at {
             self.fold();
         }
     }
 
-    /// Folds every live allocation's energy and both utilization samplers
-    /// up to the frontier, then trims each device's series to what the
-    /// readers still need. Activity records call this whenever a device's
-    /// series reaches the fold threshold; a no-op unless settlement is
-    /// online, and on a cluster reshaped since it began.
+    /// Folds every live allocation's energy, both utilization samplers
+    /// and the timeline up to the frontier, then trims each device's
+    /// series to what the readers still need. Activity records call this
+    /// whenever a device's series reaches the fold threshold; a no-op on
+    /// a cluster reshaped after its first activity record.
     pub fn fold(&mut self) {
         let Self {
             nodes,
             allocations,
-            online,
+            frontier,
+            samplers,
+            fold_at,
+            reshaped,
+            timeline,
             ..
         } = self;
-        let Some(online) = online.as_deref_mut().filter(|o| !o.reshaped) else {
+        if *reshaped {
             return;
-        };
-        let frontier = online.frontier;
+        }
+        let frontier = *frontier;
         for alloc in allocations.iter_mut() {
             let node = &nodes[node_index(nodes, alloc.node)];
             for g in &mut alloc.gpu_devices {
@@ -912,16 +909,26 @@ impl ClusterManager {
                 g.energy.advance(d.power_curve(), d.util_series(), frontier);
             }
         }
-        for sampler in &mut online.samplers {
-            sampler.walk(nodes, Walk::Before(frontier), |_, _| {});
+        if let Some(rec) = timeline.as_mut() {
+            for (energy, d) in rec.fleet.iter_mut().zip(devices_of(nodes, DeviceKind::Gpu)) {
+                energy.advance(d.power_curve(), d.util_series(), frontier);
+            }
         }
-        // Both readers now stand at the same frontier. An energy integral
-        // has folded every point before it, so it reads only later points
-        // (or, if it starts at or after the frontier, the last point at or
-        // before its start); a sampler resumes at its last computed sample,
-        // before the frontier. Keeping what the sampler of the device's
-        // kind needs keeps both.
-        let [gpus, cpus] = &online.samplers;
+        for (i, sampler) in samplers.iter_mut().enumerate() {
+            let mut curve = timeline.as_mut().map(|rec| &mut rec.curves[i]);
+            sampler.walk(nodes, Walk::Before(frontier), |t, pct| {
+                if let Some(curve) = curve.as_mut() {
+                    curve.push((t.as_secs_f64(), pct));
+                }
+            });
+        }
+        // Every reader now stands at the same frontier. An energy
+        // integral has folded every point before it, so it reads only
+        // later points (or, if it starts at or after the frontier, the
+        // last point at or before its start); a sampler resumes at its
+        // last computed sample, before the frontier. Keeping what the
+        // sampler of the device's kind needs keeps them all.
+        let [gpus, cpus] = &*samplers;
         let (gpu_keep, cpu_keep) = (gpus.resume_at(), cpus.resume_at());
         let mut longest = 0;
         for node in nodes.iter_mut() {
@@ -934,12 +941,11 @@ impl ClusterManager {
         }
         // Points at or after the frontier stay; while it lags, wait for
         // half a threshold more before folding again.
-        online.fold_at = FOLD_POINTS.max(longest + FOLD_POINTS / 2);
+        *fold_at = FOLD_POINTS.max(longest + FOLD_POINTS / 2);
     }
 
-    /// The most utilization change points any one device holds: the
-    /// whole run's activity without online settlement, an O(1) tail
-    /// plus the points after the frontier with it.
+    /// The most utilization change points any one device holds: an O(1)
+    /// tail plus the points after the frontier.
     pub fn retained_points(&self) -> usize {
         self.nodes
             .iter()
@@ -967,6 +973,29 @@ impl ClusterManager {
     pub fn allocations(&self) -> impl Iterator<Item = &Allocation> {
         self.allocations.iter()
     }
+
+    /// Settle windows end at or after the frontier: everything before it
+    /// is already folded in.
+    fn check_window_end(&self, to: SimTime) -> Result<(), SimError> {
+        if to < self.frontier {
+            return Err(SimError::InvalidState(format!(
+                "settle window ends at {to:?}, before the frontier {:?}",
+                self.frontier
+            )));
+        }
+        Ok(())
+    }
+
+    /// Utilization reads also need the samplers' device set to be the
+    /// cluster's.
+    fn check_util_window(&self, to: SimTime) -> Result<(), SimError> {
+        if self.reshaped {
+            return Err(SimError::InvalidState(
+                "the cluster was reshaped after its first activity record".into(),
+            ));
+        }
+        self.check_window_end(to)
+    }
 }
 
 /// The position of node `id` in the node table. Nodes are only ever
@@ -983,93 +1012,35 @@ fn node_index(nodes: &[Node], id: NodeId) -> usize {
         .expect("allocation references an existing node")
 }
 
-fn check_interval(interval: SimDuration) -> Result<(), SimError> {
-    if interval.is_zero() {
-        return Err(SimError::InvalidInput(
-            "utilization sample interval must be non-zero".into(),
-        ));
+/// Refuses an activity record at `now` before the frontier.
+fn check_frontier(frontier: SimTime, now: SimTime) -> Result<(), SimError> {
+    if now < frontier {
+        return Err(SimError::InvalidState(format!(
+            "activity at {now:?} is before the frontier {frontier:?}"
+        )));
     }
     Ok(())
-}
-
-fn trimmed_history() -> SimError {
-    SimError::InvalidState(
-        "utilization is settled online: the device series no longer hold the whole run".into(),
-    )
-}
-
-/// Refuses an activity record at `now` before the settled frontier.
-fn check_frontier(online: &Option<Box<OnlineSettle>>, now: SimTime) -> Result<(), SimError> {
-    match online {
-        Some(online) if now < online.frontier => Err(SimError::InvalidState(format!(
-            "activity at {now:?} is before the settled frontier {:?}",
-            online.frontier
-        ))),
-        _ => Ok(()),
-    }
-}
-
-impl OnlineSettle {
-    /// The online sampler of `kind`, if `[from, to]` on `interval` is a
-    /// window it can finish.
-    fn sampler(
-        &self,
-        kind: DeviceKind,
-        from: SimTime,
-        to: SimTime,
-        interval: SimDuration,
-    ) -> Result<&UtilSampler, SimError> {
-        let sampler = &self.samplers[usize::from(kind == DeviceKind::CpuPool)];
-        if from != SimTime::ZERO || interval != sampler.interval {
-            return Err(SimError::InvalidState(format!(
-                "utilization is settled online on the {:?} grid from zero, \
-                 not on {interval:?} from {from:?}",
-                sampler.interval
-            )));
-        }
-        if self.reshaped {
-            return Err(SimError::InvalidState(
-                "the cluster was reshaped after utilization settling began".into(),
-            ));
-        }
-        self.check_window_end(to)?;
-        Ok(sampler)
-    }
-
-    /// Settle windows end at or after the frontier: everything before it
-    /// is already folded in.
-    fn check_window_end(&self, to: SimTime) -> Result<(), SimError> {
-        if to < self.frontier {
-            return Err(SimError::InvalidState(format!(
-                "settle window ends at {to:?}, before the settled frontier {:?}",
-                self.frontier
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// How far a [`UtilSampler`] walk goes.
 #[derive(Debug, Clone, Copy)]
 enum Walk {
-    /// The grid instants strictly before this one: an online fold.
+    /// The grid instants strictly before this one: a fold.
     Before(SimTime),
     /// The rest of the grid, clamped to and including this window end.
     Through(SimTime),
 }
 
-/// The utilization sampler behind [`ClusterManager::aggregate_util`],
-/// [`ClusterManager::average_util`] and online settlement: the grid
-/// `from`, `from + interval`, ... of one device kind, walked forward in
-/// one or more stretches. Each stretch reads every device series through
-/// a [`SeriesCursor`] re-entered at the last computed sample, and while
-/// no device changes before the next sample instant it emits the previous
-/// sample again (same inputs, same arithmetic, same bits). The running
-/// sum and count give the mean.
+/// The utilization sampler behind [`ClusterManager::average_util`] and
+/// the timeline's curves: the [`UTIL_SAMPLE`] grid from zero of one
+/// device kind, walked forward in one or more stretches. Each stretch
+/// reads every device series through a [`SeriesCursor`] re-entered at
+/// the last computed sample, and while no device changes before the next
+/// sample instant it emits the previous sample again (same inputs, same
+/// arithmetic, same bits). The running sum and count give the mean.
 #[derive(Debug, Clone)]
 struct UtilSampler {
     kind: DeviceKind,
-    interval: SimDuration,
     /// The next sample instant, not yet clamped to a window end; `None`
     /// once the grid is exhausted.
     next: Option<SimTime>,
@@ -1091,11 +1062,10 @@ fn devices_of(nodes: &[Node], kind: DeviceKind) -> impl Iterator<Item = &Device>
 }
 
 impl UtilSampler {
-    fn new(kind: DeviceKind, from: SimTime, interval: SimDuration) -> Self {
+    fn new(kind: DeviceKind) -> Self {
         UtilSampler {
             kind,
-            interval,
-            next: Some(from),
+            next: Some(SimTime::ZERO),
             last: None,
             // What `Iterator::sum` starts from, so the mean matches a sum
             // of the collected samples bit for bit.
@@ -1179,8 +1149,8 @@ impl UtilSampler {
             t = match end {
                 // A fold stops before the window end, so the clamp waits
                 // for the closing walk.
-                Walk::Before(_) => t + self.interval,
-                Walk::Through(to) if t < to => (t + self.interval).min(to),
+                Walk::Before(_) => t + UTIL_SAMPLE,
+                Walk::Through(to) if t < to => (t + UTIL_SAMPLE).min(to),
                 Walk::Through(_) => {
                     self.next = None;
                     return;
@@ -1279,34 +1249,26 @@ mod tests {
         assert_eq!(node.free_cores(), 32.0);
     }
 
-    #[test]
-    fn activity_drives_energy() {
-        let mut cm = ClusterManager::paper_testbed();
-        let a = cm.allocate(t(0), "w", HardwareTarget::ONE_GPU).unwrap();
-        cm.activity_start(t(0), a, 0.7).unwrap();
-        cm.activity_end(t(3600), a, 0.7).unwrap();
-        let wh = cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly).unwrap();
-        // One touched GPU at util 0.7 for an hour: 90 + 0.7*310 = 307 Wh.
-        assert!((wh - 307.0).abs() < 0.1, "wh = {wh}");
-        // Whole-fleet view adds 15 more idle GPUs.
-        let all = cm
-            .energy_wh_all(t(0), t(3600), EnergyScope::GpuOnly)
-            .unwrap();
-        assert!((all - (307.0 + 15.0 * 90.0)).abs() < 0.1, "all = {all}");
+    /// Closes `cm`'s timeline at `to`.
+    fn timeline(cm: &mut ClusterManager, to: SimTime) -> Timeline {
+        cm.close_timeline(to)
+            .expect("closes")
+            .expect("the timeline is recorded")
     }
 
     #[test]
-    fn full_scope_counts_cpu_pools() {
+    fn activity_drives_energy() {
         let mut cm = ClusterManager::paper_testbed();
-        let a = cm
-            .allocate(t(0), "clip", HardwareTarget::cpu_cores(48))
-            .unwrap();
-        cm.activity_start(t(0), a, 0.0).unwrap();
-        cm.activity_end(t(3600), a, 0.0).unwrap();
-        let gpu_only = cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly).unwrap();
-        let full = cm.energy_wh(t(0), t(3600), EnergyScope::Full).unwrap();
-        assert_eq!(gpu_only, 0.0, "no GPU touched");
-        assert!(full > 0.0);
+        cm.record_timeline().unwrap();
+        let a = cm.allocate(t(0), "w", HardwareTarget::ONE_GPU).unwrap();
+        cm.activity_start(t(0), a, 0.7).unwrap();
+        cm.activity_end(t(3600), a, 0.7).unwrap();
+        let wh = cm.allocation_energy_wh(a, t(3600)).unwrap();
+        // One allocated GPU at util 0.7 for an hour: 90 + 0.7*310 = 307 Wh.
+        assert!((wh - 307.0).abs() < 0.1, "wh = {wh}");
+        // Whole-fleet view adds 15 more idle GPUs.
+        let all = timeline(&mut cm, t(3600)).energy_fleet_wh;
+        assert!((all - (307.0 + 15.0 * 90.0)).abs() < 0.1, "all = {all}");
     }
 
     #[test]
@@ -1332,56 +1294,44 @@ mod tests {
     #[test]
     fn autoscaling_has_provisioning_delay() {
         let mut cm = ClusterManager::paper_testbed();
-        cm.set_provision_delay(SimDuration::from_secs(120));
+        cm.provision_delay = SimDuration::from_secs(120);
         let ready = cm.request_scale_out(t(0), catalog::cpu_only_f64s());
         assert_eq!(ready, t(120));
-        assert!(cm.process_provisioning(t(60)).is_empty());
+        assert!(cm.process_provisioning(t(60)).unwrap().is_empty());
         assert_eq!(cm.stats(t(60)).nodes_pending, 1);
-        let added = cm.process_provisioning(t(120));
+        let added = cm.process_provisioning(t(120)).unwrap();
         assert_eq!(added.len(), 1);
         assert_eq!(cm.stats(t(120)).nodes_up, 3);
         assert_eq!(cm.stats(t(120)).cores_total, 256.0);
     }
 
     #[test]
-    fn aggregate_util_reflects_activity() {
+    fn timeline_reflects_activity() {
         let mut cm = ClusterManager::paper_testbed();
+        cm.record_timeline().unwrap();
         let a = cm.allocate(t(0), "x", HardwareTarget::gpus(8)).unwrap();
         cm.activity_start(t(0), a, 1.0).unwrap();
-        let samples = cm
-            .aggregate_util(DeviceKind::Gpu, t(0), t(10), SimDuration::from_secs(5))
-            .unwrap();
-        // 8 of 16 GPUs fully busy: 50%.
-        assert_eq!(samples.len(), 3);
-        assert!((samples[0].1 - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_sample_interval_is_rejected() {
-        let cm = ClusterManager::paper_testbed();
-        for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
-            assert!(matches!(
-                cm.aggregate_util(kind, t(0), t(10), SimDuration::ZERO),
-                Err(SimError::InvalidInput(_))
-            ));
-            assert!(matches!(
-                cm.average_util(kind, t(0), t(10), SimDuration::ZERO),
-                Err(SimError::InvalidInput(_))
-            ));
-        }
+        let timeline = timeline(&mut cm, t(10));
+        // 8 of 16 GPUs fully busy: 50%, one sample per second.
+        assert_eq!(timeline.gpu_util.len(), 11);
+        assert!(timeline.gpu_util.iter().all(|&(_, pct)| pct == 50.0));
+        assert!(timeline.cpu_util.iter().all(|&(_, pct)| pct == 0.0));
+        assert_eq!(cm.average_util(DeviceKind::Gpu, t(10)).unwrap(), 50.0);
+        assert!(cm.close_timeline(t(10)).unwrap().is_none(), "closed once");
     }
 
     #[test]
     fn endpoint_level_updates() {
         let mut cm = ClusterManager::paper_testbed();
+        cm.record_timeline().unwrap();
         let a = cm.allocate(t(0), "ep", HardwareTarget::gpus(2)).unwrap();
         cm.set_gpu_activity_level(t(0), a, 0.5).unwrap();
-        let samples = cm
-            .aggregate_util(DeviceKind::Gpu, t(0), t(1), SimDuration::from_secs(1))
-            .unwrap();
-        // 2 GPUs at 0.5 of 16 total: 6.25%.
-        assert!((samples[0].1 - 6.25).abs() < 1e-9);
         cm.set_gpu_activity_level(t(5), a, 0.0).unwrap();
+        let samples = timeline(&mut cm, t(6)).gpu_util;
+        // 2 GPUs at 0.5 of 16 total: 6.25% until the level drops.
+        assert!((samples[0].1 - 6.25).abs() < 1e-9);
+        assert!((samples[4].1 - 6.25).abs() < 1e-9);
+        assert_eq!(samples[5].1, 0.0);
     }
 
     #[test]
@@ -1392,7 +1342,7 @@ mod tests {
             discount: 0.2,
             min_cores: 8,
         };
-        let node = cm.add_node(shape);
+        let node = cm.add_node(shape).unwrap();
         let a = cm
             .allocate(t(0), "job", HardwareTarget::cpu_cores(48))
             .unwrap();
@@ -1426,7 +1376,7 @@ mod tests {
     fn partition_balances_nodes_and_preserves_capacity() {
         let mut cm = ClusterManager::new(PlacementPolicy::Spread);
         for _ in 0..5 {
-            cm.add_node(catalog::nd96amsr_a100_v4());
+            cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         }
         let cells = cm.partition(2).unwrap();
         assert_eq!(cells.len(), 2);
@@ -1557,13 +1507,9 @@ mod tests {
     }
 
     #[test]
-    fn online_settlement_refuses_records_before_the_frontier() {
+    fn records_before_the_frontier_are_refused() {
         let mut cm = ClusterManager::paper_testbed();
-        cm.settle_online(SimDuration::from_secs(1)).unwrap();
-        assert!(matches!(
-            cm.settle_online(SimDuration::from_secs(1)),
-            Err(SimError::InvalidState(_))
-        ));
+        cm.record_timeline().unwrap();
         let a = cm.allocate(t(0), "ep", HardwareTarget::gpus(2)).unwrap();
         cm.set_gpu_activity_level(t(3), a, 0.5).unwrap();
         cm.advance_frontier(t(10));
@@ -1582,44 +1528,41 @@ mod tests {
             cm.allocation_energy_wh(a, t(9)),
             Err(SimError::InvalidState(_))
         ));
-        let second = SimDuration::from_secs(1);
-        assert!(cm
-            .average_util(DeviceKind::Gpu, t(0), t(9), second)
-            .is_err());
-        // Whole-history reads and other grids are gone for good.
-        assert!(cm.energy_wh(t(0), t(10), EnergyScope::GpuOnly).is_err());
-        assert!(cm
-            .aggregate_util(DeviceKind::Gpu, t(0), t(10), second)
-            .is_err());
-        let two = SimDuration::from_secs(2);
-        assert!(cm.average_util(DeviceKind::Gpu, t(0), t(10), two).is_err());
-        assert!(cm
-            .average_util(DeviceKind::Gpu, t(1), t(10), second)
-            .is_err());
+        assert!(cm.average_util(DeviceKind::Gpu, t(9)).is_err());
+        assert!(cm.close_timeline(t(9)).is_err());
+        // The refused close left the timeline recorded.
+        assert_eq!(timeline(&mut cm, t(10)).gpu_util.len(), 11);
+        // Recording a timeline starts before the first activity record.
+        assert!(matches!(
+            cm.record_timeline(),
+            Err(SimError::InvalidState(_))
+        ));
     }
 
     #[test]
-    fn online_settlement_trims_to_an_o1_tail_with_the_same_bits() {
+    fn folding_trims_to_an_o1_tail_with_the_same_bits() {
+        // A cluster whose frontier never moves folds nothing and keeps
+        // every point: the reference.
         let mut retained = ClusterManager::paper_testbed();
-        let mut online = retained.clone();
-        online.settle_online(SimDuration::from_secs(1)).unwrap();
+        let mut folded = retained.clone();
         let mut ids = Vec::new();
-        for cm in [&mut retained, &mut online] {
+        for cm in [&mut retained, &mut folded] {
+            cm.record_timeline().unwrap();
             ids.push(cm.allocate(t(0), "ep", HardwareTarget::gpus(8)).unwrap());
         }
         for step in 0..400u64 {
             let level = (step % 7) as f64 / 7.0;
-            for (cm, &id) in [&mut retained, &mut online].into_iter().zip(&ids) {
-                cm.set_gpu_activity_level(SimTime::from_micros(700_000 * step), id, level)
-                    .unwrap();
-                cm.advance_frontier(SimTime::from_micros(700_000 * step));
+            let now = SimTime::from_micros(700_000 * step);
+            for (cm, &id) in [&mut retained, &mut folded].into_iter().zip(&ids) {
+                cm.set_gpu_activity_level(now, id, level).unwrap();
             }
+            folded.advance_frontier(now);
         }
         assert!(retained.retained_points() >= 400);
         assert!(
-            online.retained_points() <= FOLD_POINTS,
+            folded.retained_points() <= FOLD_POINTS,
             "{} points held",
-            online.retained_points()
+            folded.retained_points()
         );
         let end = t(300);
         assert_eq!(
@@ -1627,32 +1570,98 @@ mod tests {
                 .allocation_energy_wh(ids[0], end)
                 .unwrap()
                 .to_bits(),
-            online.allocation_energy_wh(ids[1], end).unwrap().to_bits()
+            folded.allocation_energy_wh(ids[1], end).unwrap().to_bits()
         );
-        let second = SimDuration::from_secs(1);
         for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
             assert_eq!(
-                retained
-                    .average_util(kind, t(0), end, second)
-                    .unwrap()
-                    .to_bits(),
-                online
-                    .average_util(kind, t(0), end, second)
-                    .unwrap()
-                    .to_bits()
+                retained.average_util(kind, end).unwrap().to_bits(),
+                folded.average_util(kind, end).unwrap().to_bits()
             );
+        }
+        let (want, got) = (timeline(&mut retained, end), timeline(&mut folded, end));
+        assert_eq!(
+            want.energy_fleet_wh.to_bits(),
+            got.energy_fleet_wh.to_bits()
+        );
+        for (want, got) in [(want.gpu_util, got.gpu_util), (want.cpu_util, got.cpu_util)] {
+            assert_eq!(want.len(), 301);
+            let bits = |curve: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+                curve
+                    .into_iter()
+                    .map(|(s, pct)| (s.to_bits(), pct.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(want), bits(got));
         }
     }
 
     #[test]
     fn reshaping_an_online_cluster_stops_utilization_reads() {
-        let mut cm = ClusterManager::paper_testbed();
-        cm.settle_online(SimDuration::from_secs(1)).unwrap();
-        cm.add_node(catalog::cpu_only_f64s());
-        let second = SimDuration::from_secs(1);
+        // Nodes may join before the first activity record: that is how
+        // every cluster is built.
+        let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
+        cm.record_timeline().unwrap();
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
+        cm.add_node(catalog::cpu_only_f64s()).unwrap();
+        let a = cm.allocate(t(0), "x", HardwareTarget::gpus(4)).unwrap();
+        cm.activity_start(t(0), a, 1.0).unwrap();
+        assert_eq!(cm.average_util(DeviceKind::Gpu, t(10)).unwrap(), 50.0);
+        let mut joined = cm.clone();
+        let fleet = timeline(&mut cm, t(10)).energy_fleet_wh;
+        assert!(fleet > 0.0);
+        // A node joining after it leaves the samplers' device set stale.
+        joined.add_node(catalog::cpu_only_f64s()).unwrap();
+        for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
+            assert!(matches!(
+                joined.average_util(kind, t(10)),
+                Err(SimError::InvalidState(_))
+            ));
+        }
+        assert!(joined.close_timeline(t(10)).is_err());
+        // So does a harvest pool rebuilt after it, but not before.
+        let mut harvest = catalog::cpu_only_f64s();
+        harvest.pricing = murakkab_hardware::VmPricing::Harvest {
+            discount: 0.2,
+            min_cores: 8,
+        };
+        let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
+        let node = cm.add_node(harvest).unwrap();
+        cm.resize_harvest_cores(t(0), node, 32).unwrap();
+        let a = cm
+            .allocate(t(0), "x", HardwareTarget::cpu_cores(16))
+            .unwrap();
+        cm.activity_start(t(1), a, 0.0).unwrap();
+        assert_eq!(cm.average_util(DeviceKind::CpuPool, t(1)).unwrap(), 25.0);
+        cm.resize_harvest_cores(t(2), node, 64).unwrap();
         assert!(matches!(
-            cm.average_util(DeviceKind::CpuPool, t(0), t(10), second),
+            cm.average_util(DeviceKind::CpuPool, t(2)),
             Err(SimError::InvalidState(_))
         ));
+    }
+
+    #[test]
+    fn zero_core_pools_are_refused() {
+        let mut cm = ClusterManager::paper_testbed();
+        let mut empty = catalog::cpu_only_f64s();
+        empty.vcpus = 0;
+        assert!(matches!(cm.add_node(empty), Err(SimError::InvalidState(_))));
+        assert_eq!(cm.nodes().len(), 2, "the refused node was not added");
+        // Ids stay dense after a refusal.
+        assert_eq!(
+            cm.add_node(catalog::cpu_only_f64s()).unwrap(),
+            NodeId::from_raw(2)
+        );
+        assert_eq!(cm.nodes()[2].cpu.id.raw(), 18);
+        let mut harvest = catalog::cpu_only_f64s();
+        harvest.pricing = murakkab_hardware::VmPricing::Harvest {
+            discount: 0.2,
+            min_cores: 0,
+        };
+        let node = cm.add_node(harvest).unwrap();
+        assert!(matches!(
+            cm.resize_harvest_cores(t(0), node, 0),
+            Err(SimError::InvalidState(_))
+        ));
+        assert_eq!(cm.stats(t(0)).cores_total, 192.0 + 64.0 + 64.0);
     }
 }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use murakkab_hardware::{Device, DeviceId, VmShape};
-use murakkab_sim::define_id;
+use murakkab_sim::{define_id, SimError};
 
 define_id!(NodeId, "node");
 
@@ -24,7 +24,15 @@ pub struct Node {
 
 impl Node {
     /// Builds a node from a shape, drawing device ids from `next_dev`.
-    pub fn from_shape(id: NodeId, shape: VmShape, next_dev: &mut impl FnMut() -> DeviceId) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidState`] for a shape without CPU cores.
+    pub fn from_shape(
+        id: NodeId,
+        shape: VmShape,
+        next_dev: &mut impl FnMut() -> DeviceId,
+    ) -> Result<Self, SimError> {
         let gpus = shape
             .gpu
             .as_ref()
@@ -34,14 +42,14 @@ impl Node {
                     .collect()
             })
             .unwrap_or_default();
-        let cpu = Device::cpu_pool(next_dev(), &shape.cpu, shape.vcpus);
-        Node {
+        let cpu = Device::cpu_pool(next_dev(), &shape.cpu, shape.vcpus)?;
+        Ok(Node {
             id,
             shape,
             gpus,
             cpu,
             up: true,
-        }
+        })
     }
 
     /// Free whole-GPU units on this node.
@@ -88,7 +96,7 @@ mod tests {
             raw += 1;
             d
         };
-        Node::from_shape(NodeId::from_raw(0), shape, &mut next)
+        Node::from_shape(NodeId::from_raw(0), shape, &mut next).unwrap()
     }
 
     #[test]

@@ -89,9 +89,9 @@ mod tests {
             d
         };
         vec![
-            Node::from_shape(NodeId::from_raw(0), catalog::nd96amsr_a100_v4(), &mut next),
-            Node::from_shape(NodeId::from_raw(1), catalog::nd96amsr_a100_v4(), &mut next),
-            Node::from_shape(NodeId::from_raw(2), catalog::cpu_only_f64s(), &mut next),
+            Node::from_shape(NodeId::from_raw(0), catalog::nd96amsr_a100_v4(), &mut next).unwrap(),
+            Node::from_shape(NodeId::from_raw(1), catalog::nd96amsr_a100_v4(), &mut next).unwrap(),
+            Node::from_shape(NodeId::from_raw(2), catalog::cpu_only_f64s(), &mut next).unwrap(),
         ]
     }
 
@@ -119,7 +119,7 @@ mod tests {
         let mut nodes = mk_nodes();
         // Reserve 4 GPUs on node 0 to make node 1 emptier.
         for d in nodes[0].gpus.iter_mut().take(4) {
-            d.reserve(1.0);
+            d.reserve(1.0).unwrap();
         }
         let chosen = PlacementPolicy::Spread
             .choose(&nodes, &HardwareTarget::gpus(2))
@@ -144,7 +144,7 @@ mod tests {
         // Occupy 0.6 of every GPU on both GPU nodes.
         for n in nodes.iter_mut().take(2) {
             for d in n.gpus.iter_mut() {
-                d.reserve(0.6);
+                d.reserve(0.6).unwrap();
             }
         }
         // 0.5-share request cannot fit on any single device.
@@ -173,9 +173,9 @@ mod tests {
     fn hybrid_needs_both_on_one_node() {
         let mut nodes = mk_nodes();
         // Node 0: GPUs free, cores gone. Node 1: cores free, GPUs gone.
-        nodes[0].cpu.reserve(96.0);
+        nodes[0].cpu.reserve(96.0).unwrap();
         for d in nodes[1].gpus.iter_mut() {
-            d.reserve(1.0);
+            d.reserve(1.0).unwrap();
         }
         let t = HardwareTarget::Hybrid {
             gpus: 1,
@@ -184,7 +184,7 @@ mod tests {
         };
         assert!(PlacementPolicy::BestFit.choose(&nodes, &t).is_none());
         // Free node 0's cores: now it fits there.
-        nodes[0].cpu.unreserve(96.0);
+        nodes[0].cpu.unreserve(96.0).unwrap();
         assert_eq!(
             PlacementPolicy::BestFit.choose(&nodes, &t),
             Some(NodeId::from_raw(0))

@@ -1,26 +1,29 @@
-//! Differential tests of online settlement: a cluster that folds device
-//! utilization and allocation energy forward as time passes, and drops
-//! the points it is past, must settle to the same bits as a cluster that
-//! keeps every series and reads it after the fact.
+//! Differential tests of online settlement: a cluster folds allocation
+//! and fleet energy forward as time passes, and drops the points it is
+//! past, yet must settle to the same bits as the energy loop it replaced,
+//! run after the fact over a test-side copy of every device's whole
+//! series.
 
+mod common;
+
+use common::{DeviceCopy, SeriesCopy};
 use murakkab_cluster::{AllocationId, ClusterManager, NodeId, PlacementPolicy};
-use murakkab_hardware::{catalog, DeviceKind, HardwareTarget, PowerCurve};
-use murakkab_sim::{SimDuration, SimTime, TimeSeries};
+use murakkab_hardware::{catalog, DeviceKind, HardwareTarget};
+use murakkab_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-const SECOND: SimDuration = SimDuration::from_secs(1);
-
 /// The energy loop settlement ran before it was folded online, kept
-/// verbatim as an oracle for the retained cluster.
-fn oracle_energy_wh(util: &TimeSeries, curve: PowerCurve, from: SimTime, to: SimTime) -> f64 {
+/// verbatim as an oracle over the copy of a device's whole series.
+fn oracle_energy_wh(util: &DeviceCopy, from: SimTime, to: SimTime) -> f64 {
     if to <= from {
         return 0.0;
     }
+    let curve = util.power;
     let mut joules = 0.0;
     let mut cursor = from;
     let mut u = util.value_at(from);
-    let start = util.points().partition_point(|&(pt, _)| pt <= from);
-    for &(pt, v) in &util.points()[start..] {
+    let start = util.points.partition_point(|&(pt, _)| pt <= from);
+    for &(pt, v) in &util.points[start..] {
         if pt >= to {
             break;
         }
@@ -32,15 +35,28 @@ fn oracle_energy_wh(util: &TimeSeries, curve: PowerCurve, from: SimTime, to: Sim
     joules / 3600.0
 }
 
-/// The oracle's energy of a live allocation of the retained cluster.
-fn oracle_allocation_wh(cm: &ClusterManager, id: AllocationId, to: SimTime) -> f64 {
+/// The oracle's energy of a live allocation.
+fn oracle_allocation_wh(
+    cm: &ClusterManager,
+    copy: &SeriesCopy,
+    id: AllocationId,
+    to: SimTime,
+) -> f64 {
     let alloc = cm.allocation(id).expect("live");
-    let node = &cm.nodes()[alloc.node.raw() as usize];
     let mut wh = 0.0;
     for g in &alloc.gpu_devices {
-        let d = node.gpu(g.device).expect("granted");
-        wh +=
-            oracle_energy_wh(d.util_series(), d.power_curve(), alloc.created, to) * alloc.gpu_share;
+        let d = &copy.devices[g.device.raw() as usize];
+        wh += oracle_energy_wh(d, alloc.created, to) * alloc.gpu_share;
+    }
+    wh
+}
+
+/// The oracle's energy of every GPU from zero, in node then device
+/// order, as whole-fleet energy was summed before it was folded online.
+fn oracle_fleet_wh(copy: &SeriesCopy, to: SimTime) -> f64 {
+    let mut wh = 0.0;
+    for d in copy.of_kind(DeviceKind::Gpu) {
+        wh += oracle_energy_wh(d, SimTime::ZERO, to);
     }
     wh
 }
@@ -117,62 +133,73 @@ fn gap() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// The two clusters under test, driven in lockstep.
-struct Pair {
-    retained: ClusterManager,
-    online: ClusterManager,
+/// The cluster under test, recording its timeline, and a copy of every
+/// device's whole series, synced after each cluster call.
+struct Run {
+    cm: ClusterManager,
+    copy: SeriesCopy,
     /// Live tasks with their running GPU utilization, if busy.
     tasks: Vec<(AllocationId, Option<f64>)>,
     endpoints: Vec<AllocationId>,
     now: SimTime,
 }
 
-impl Pair {
+impl Run {
     fn new(gpu_nodes: usize, cpu_nodes: usize) -> Self {
-        let mut retained = ClusterManager::new(PlacementPolicy::BestFit);
+        let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
+        cm.record_timeline().expect("records from the start");
         for _ in 0..gpu_nodes {
-            retained.add_node(catalog::nd96amsr_a100_v4());
+            cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         }
         for _ in 0..cpu_nodes {
-            retained.add_node(catalog::cpu_only_f64s());
+            cm.add_node(catalog::cpu_only_f64s()).unwrap();
         }
-        let mut online = retained.clone();
-        online.settle_online(SECOND).expect("settles online");
-        Pair {
-            retained,
-            online,
+        let mut copy = SeriesCopy::default();
+        copy.sync(&cm);
+        Run {
+            cm,
+            copy,
             tasks: Vec::new(),
             endpoints: Vec::new(),
             now: SimTime::ZERO,
         }
     }
 
-    /// Runs `f` on both clusters and checks they agree on success.
-    fn both<T: PartialEq + std::fmt::Debug>(
+    /// Runs `f` on the cluster, then syncs the copy.
+    fn call<T>(
         &mut self,
-        mut f: impl FnMut(&mut ClusterManager) -> Result<T, murakkab_sim::SimError>,
-    ) -> Result<Option<T>, String> {
-        let a = f(&mut self.retained);
-        let b = f(&mut self.online);
-        prop_assert_eq!(a.is_ok(), b.is_ok(), "{:?} vs {:?}", a, b);
-        let (a, b) = (a.ok(), b.ok());
-        prop_assert_eq!(&a, &b);
-        Ok(a)
+        f: impl FnOnce(&mut ClusterManager) -> Result<T, murakkab_sim::SimError>,
+    ) -> Option<T> {
+        let out = f(&mut self.cm).ok();
+        self.copy.sync(&self.cm);
+        out
     }
 
-    /// Settles `id`'s energy up to `to` on both clusters and checks the
-    /// bits against each other and the oracle.
+    /// Settles `id`'s energy up to `to` and checks the bits against the
+    /// oracle.
     fn check_energy(&self, id: AllocationId, to: SimTime) -> Result<(), String> {
-        let want = oracle_allocation_wh(&self.retained, id, to);
-        let retained = self.retained.allocation_energy_wh(id, to).expect("live");
-        let online = self.online.allocation_energy_wh(id, to).expect("live");
+        let want = oracle_allocation_wh(&self.cm, &self.copy, id, to);
+        let got = self.cm.allocation_energy_wh(id, to).expect("live");
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs oracle", id);
+        Ok(())
+    }
+
+    /// Closes a clone's timeline at `to` and checks its fleet energy
+    /// against the oracle.
+    fn check_fleet(&self, to: SimTime) -> Result<(), String> {
+        let timeline = self
+            .cm
+            .clone()
+            .close_timeline(to)
+            .unwrap()
+            .expect("recorded");
+        let want = oracle_fleet_wh(&self.copy, to);
         prop_assert_eq!(
-            retained.to_bits(),
+            timeline.energy_fleet_wh.to_bits(),
             want.to_bits(),
-            "{} retained vs oracle",
-            id
+            "fleet to {:?}",
+            to
         );
-        prop_assert_eq!(online.to_bits(), want.to_bits(), "{} online vs oracle", id);
         Ok(())
     }
 
@@ -184,17 +211,17 @@ impl Pair {
             self.now += SimDuration::from_micros(dt_us);
         }
         let now = self.now;
-        self.tasks.retain(|(id, _)| self.retained.is_live(*id));
-        self.endpoints.retain(|id| self.retained.is_live(*id));
+        self.tasks.retain(|(id, _)| self.cm.is_live(*id));
+        self.endpoints.retain(|id| self.cm.is_live(*id));
         match op {
             Op::Task(target) => {
-                if let Some(id) = self.both(|cm| cm.allocate(now, "task", *target))? {
+                if let Some(id) = self.call(|cm| cm.allocate(now, "task", *target)) {
                     self.tasks.push((id, None));
                 }
             }
             Op::Endpoint(gpus) => {
                 if let Some(id) =
-                    self.both(|cm| cm.allocate(now, "ep", HardwareTarget::gpus(*gpus)))?
+                    self.call(|cm| cm.allocate(now, "ep", HardwareTarget::gpus(*gpus)))
                 {
                     self.endpoints.push(id);
                 }
@@ -203,65 +230,64 @@ impl Pair {
                 let n = self.tasks.len();
                 let (id, running) = self.tasks[i % n];
                 if running.is_none() {
-                    self.both(|cm| cm.activity_start(now, id, *util))?;
+                    self.call(|cm| cm.activity_start(now, id, *util));
                     self.tasks[i % n].1 = Some(*util);
                 }
             }
             Op::End(i) if !self.tasks.is_empty() => {
                 let n = self.tasks.len();
                 if let (id, Some(util)) = self.tasks[i % n] {
-                    self.both(|cm| cm.activity_end(now, id, util))?;
+                    self.call(|cm| cm.activity_end(now, id, util));
                     self.tasks[i % n].1 = None;
                 }
             }
             Op::Level(i, level) if !self.endpoints.is_empty() => {
                 let id = self.endpoints[i % self.endpoints.len()];
-                self.both(|cm| cm.set_gpu_activity_level(now, id, *level))?;
+                self.call(|cm| cm.set_gpu_activity_level(now, id, *level));
             }
             Op::Release(i) if !self.tasks.is_empty() || !self.endpoints.is_empty() => {
                 let n = self.tasks.len() + self.endpoints.len();
                 let id = if i % n < self.tasks.len() {
                     let (id, running) = self.tasks.remove(i % n);
                     if let Some(util) = running {
-                        self.both(|cm| cm.activity_end(now, id, util))?;
+                        self.call(|cm| cm.activity_end(now, id, util));
                     }
                     id
                 } else {
                     let id = self.endpoints.remove(i % n - self.tasks.len());
-                    self.both(|cm| cm.set_gpu_activity_level(now, id, 0.0))?;
+                    self.call(|cm| cm.set_gpu_activity_level(now, id, 0.0));
                     id
                 };
                 self.check_energy(id, now)?;
-                self.both(|cm| cm.release(now, id))?;
+                self.call(|cm| cm.release(now, id));
             }
             Op::Preempt(i) => {
-                let node = NodeId::from_raw((i % self.retained.nodes().len()) as u64);
+                let node = NodeId::from_raw((i % self.cm.nodes().len()) as u64);
                 // Live allocations on the node settle first, as the
                 // engine settles them.
                 let dying: Vec<AllocationId> = self
-                    .retained
+                    .cm
                     .allocations()
                     .filter(|a| a.node == node)
                     .map(|a| a.id)
                     .collect();
-                if self.retained.nodes()[node.raw() as usize].up {
+                if self.cm.nodes()[node.raw() as usize].up {
                     for id in dying {
                         self.check_energy(id, now)?;
                     }
                 }
-                self.both(|cm| cm.preempt_node(now, node))?;
+                self.call(|cm| cm.preempt_node(now, node));
             }
             Op::Restore(i) => {
-                let node = NodeId::from_raw((i % self.retained.nodes().len()) as u64);
-                self.both(|cm| cm.restore_node(now, node))?;
+                let node = NodeId::from_raw((i % self.cm.nodes().len()) as u64);
+                self.call(|cm| cm.restore_node(now, node));
             }
-            Op::Complete if frontier_moves => {
-                self.retained.advance_frontier(now);
-                self.online.advance_frontier(now);
-            }
+            Op::Complete if frontier_moves => self.cm.advance_frontier(now),
             Op::Fold => {
-                self.retained.fold();
-                self.online.fold();
+                self.call(|cm| {
+                    cm.fold();
+                    Ok(())
+                });
             }
             _ => {}
         }
@@ -274,9 +300,8 @@ proptest! {
 
     /// Energy settled at every release and preemption, energy of the
     /// allocations still held at a makespan that records outlive, and
-    /// both utilization means agree bit for bit between the online and
-    /// the retained cluster, and with the energy oracle; and the online
-    /// cluster never holds more points than the retained one.
+    /// whole-fleet energy agree bit for bit with the energy oracle over
+    /// the copy; and the cluster never holds more points than the copy.
     #[test]
     fn online_settlement_matches_the_retained_series(
         gpu_nodes in 1usize..3,
@@ -296,51 +321,47 @@ proptest! {
             0..20,
         ),
     ) {
-        let mut pair = Pair::new(gpu_nodes, cpu_nodes);
+        let mut run = Run::new(gpu_nodes, cpu_nodes);
         for (dt_us, op) in &ops {
-            pair.apply(*dt_us, op, true)?;
+            run.apply(*dt_us, op, true)?;
         }
         // The last completion: the settle windows end here. The tail's
         // records land after it and must not leak into the settlement.
-        let makespan = pair.now;
-        pair.retained.advance_frontier(makespan);
-        pair.online.advance_frontier(makespan);
+        let makespan = run.now;
+        run.cm.advance_frontier(makespan);
         for (dt_us, op) in &tail {
-            pair.apply(*dt_us, op, false)?;
+            run.apply(*dt_us, op, false)?;
         }
-        prop_assert!(pair.online.retained_points() <= pair.retained.retained_points());
-        let held: Vec<AllocationId> = pair.retained.allocations().map(|a| a.id).collect();
+        let whole = run.copy.devices.iter().map(|d| d.points.len()).max().unwrap_or(0);
+        prop_assert!(run.cm.retained_points() <= whole);
+        let held: Vec<AllocationId> = run.cm.allocations().map(|a| a.id).collect();
         for id in held {
-            pair.check_energy(id, makespan)?;
-            pair.check_energy(id, pair.now)?;
+            run.check_energy(id, makespan)?;
+            run.check_energy(id, run.now)?;
         }
-        for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
-            for to in [makespan, pair.now] {
-                let want = pair.retained.average_util(kind, SimTime::ZERO, to, SECOND).unwrap();
-                let got = pair.online.average_util(kind, SimTime::ZERO, to, SECOND).unwrap();
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} to {:?}", kind, to);
-            }
-        }
+        run.check_fleet(makespan)?;
+        run.check_fleet(run.now)?;
     }
 }
 
 #[test]
 fn a_long_endpoint_run_keeps_a_short_tail() {
-    let mut pair = Pair::new(1, 0);
-    pair.apply(0, &Op::Endpoint(8), true).unwrap();
+    let mut run = Run::new(1, 0);
+    run.apply(0, &Op::Endpoint(8), true).unwrap();
     for step in 0..2_000usize {
-        pair.apply(250_000, &Op::Level(0, (step % 5) as f64 * 0.25), true)
+        run.apply(250_000, &Op::Level(0, (step % 5) as f64 * 0.25), true)
             .unwrap();
         if step % 3 == 0 {
-            pair.apply(0, &Op::Complete, true).unwrap();
+            run.apply(0, &Op::Complete, true).unwrap();
         }
     }
-    assert!(pair.retained.retained_points() > 1_500);
+    assert!(run.copy.devices[0].points.len() > 1_500);
     assert!(
-        pair.online.retained_points() < 100,
-        "{} points held online",
-        pair.online.retained_points()
+        run.cm.retained_points() < 100,
+        "{} points held",
+        run.cm.retained_points()
     );
-    let id = pair.endpoints[0];
-    pair.check_energy(id, pair.now).unwrap();
+    let id = run.endpoints[0];
+    run.check_energy(id, run.now).unwrap();
+    run.check_fleet(run.now).unwrap();
 }

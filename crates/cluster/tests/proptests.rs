@@ -33,8 +33,8 @@ proptest! {
         ],
     ) {
         let mut cm = ClusterManager::new(policy);
-        cm.add_node(catalog::nd96amsr_a100_v4());
-        cm.add_node(catalog::nd96amsr_a100_v4());
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         let (gpus_total, cores_total) = (16.0, 192.0);
 
         let mut live: Vec<AllocationId> = Vec::new();
@@ -75,8 +75,8 @@ proptest! {
     #[test]
     fn grants_match_requests(targets in prop::collection::vec(target_strategy(), 1..30)) {
         let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-        cm.add_node(catalog::nd96amsr_a100_v4());
-        cm.add_node(catalog::nd96amsr_a100_v4());
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         for (i, target) in targets.into_iter().enumerate() {
             let now = SimTime::from_secs(i as u64);
             if let Ok(id) = cm.allocate(now, "prop", target) {
@@ -100,8 +100,8 @@ proptest! {
         victim in 0usize..2,
     ) {
         let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-        let n0 = cm.add_node(catalog::nd96amsr_a100_v4());
-        let n1 = cm.add_node(catalog::nd96amsr_a100_v4());
+        let n0 = cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
+        let n1 = cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         for (i, target) in targets.into_iter().enumerate() {
             let _ = cm.allocate(SimTime::from_secs(i as u64), "prop", target);
         }
@@ -121,16 +121,18 @@ proptest! {
         prop_assert!((s.cores_free - 192.0).abs() < 1e-9);
     }
 
-    /// Energy over any window is non-negative and monotone in the window:
-    /// widening the interval never reduces the integral.
+    /// An allocation's energy is non-negative and monotone in the window
+    /// end: settling later never reduces the integral, whether the folds
+    /// have carried it to the frontier or not.
     #[test]
     fn energy_monotone_in_window(
         util in prop::collection::vec(0.0f64..1.0, 1..10),
         a in 0u64..500,
         b in 0u64..500,
+        frontier in 0u64..100,
     ) {
         let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-        cm.add_node(catalog::nd96amsr_a100_v4());
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         let alloc = cm
             .allocate(SimTime::ZERO, "prop", HardwareTarget::ONE_GPU)
             .unwrap();
@@ -138,10 +140,11 @@ proptest! {
             cm.set_gpu_activity_level(SimTime::from_secs(i as u64 * 10), alloc, u)
                 .unwrap();
         }
-        let (lo, hi) = (a.min(b), a.max(b));
-        let scope = murakkab_hardware::EnergyScope::GpuOnly;
-        let narrow = cm.energy_wh(SimTime::from_secs(lo), SimTime::from_secs(hi), scope).unwrap();
-        let wide = cm.energy_wh(SimTime::ZERO, SimTime::from_secs(600), scope).unwrap();
+        cm.advance_frontier(SimTime::from_secs(frontier.min(10 * (util.len() as u64 - 1))));
+        cm.fold();
+        let (lo, hi) = (a.min(b).max(frontier), a.max(b).max(frontier));
+        let narrow = cm.allocation_energy_wh(alloc, SimTime::from_secs(lo)).unwrap();
+        let wide = cm.allocation_energy_wh(alloc, SimTime::from_secs(hi)).unwrap();
         prop_assert!(narrow >= 0.0);
         prop_assert!(wide + 1e-12 >= narrow);
     }
@@ -156,14 +159,14 @@ proptest! {
         ops in prop::collection::vec((0u8..4, target_strategy(), 0usize..64, 8u32..97), 1..150),
     ) {
         let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-        cm.add_node(catalog::nd96amsr_a100_v4());
-        cm.add_node(catalog::nd96amsr_a100_v4());
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
         let mut harvest = catalog::cpu_only_f64s();
         harvest.pricing = VmPricing::Harvest {
             discount: 0.2,
             min_cores: 8,
         };
-        let harvest = cm.add_node(harvest);
+        let harvest = cm.add_node(harvest).unwrap();
         let mut live: BTreeSet<AllocationId> = BTreeSet::new();
         let mut gone: Vec<AllocationId> = Vec::new();
         let mut last_issued: Option<AllocationId> = None;

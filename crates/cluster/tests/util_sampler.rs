@@ -1,44 +1,34 @@
 //! Differential tests of the cluster utilization sampler against the
-//! per-sample binary-search sampler it replaced.
+//! per-sample binary-search sampler it replaced, read over a test-side
+//! copy of every device's whole series while the cluster folds and trims
+//! its own.
 
-use murakkab_cluster::{AllocationId, ClusterManager, PlacementPolicy};
+mod common;
+
+use common::{DeviceCopy, SeriesCopy};
+use murakkab_cluster::{AllocationId, ClusterManager, NodeId, PlacementPolicy, UTIL_SAMPLE};
 use murakkab_hardware::{catalog, DeviceKind, HardwareTarget};
 use murakkab_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// The replaced sampler, kept verbatim as the oracle: one
-/// `TimeSeries::value_at` binary search per device per sample.
-fn oracle_aggregate_util(
-    cm: &ClusterManager,
-    kind: DeviceKind,
-    from: SimTime,
-    to: SimTime,
-    interval: SimDuration,
-) -> Vec<(f64, f64)> {
-    let devices: Vec<&murakkab_hardware::Device> = cm
-        .nodes()
-        .iter()
-        .flat_map(|n| match kind {
-            DeviceKind::Gpu => n.gpus.iter().collect::<Vec<_>>(),
-            DeviceKind::CpuPool => vec![&n.cpu],
-        })
-        .collect();
-    let total_cap: f64 = devices.iter().map(|d| d.capacity()).sum();
+/// The replaced sampler, kept verbatim as the oracle on the report grid
+/// (one sample per second from zero): one binary search per device per
+/// sample.
+fn oracle_aggregate_util(copy: &SeriesCopy, kind: DeviceKind, to: SimTime) -> Vec<(f64, f64)> {
+    let devices: Vec<&DeviceCopy> = copy.of_kind(kind).collect();
+    let total_cap: f64 = devices.iter().map(|d| d.capacity).sum();
     if total_cap == 0.0 {
         return Vec::new();
     }
     let mut out = Vec::new();
-    let mut t = from;
+    let mut t = SimTime::ZERO;
     loop {
-        let busy: f64 = devices
-            .iter()
-            .map(|d| d.util_series().value_at(t) * d.capacity())
-            .sum();
+        let busy: f64 = devices.iter().map(|d| d.value_at(t) * d.capacity).sum();
         out.push((t.as_secs_f64(), 100.0 * busy / total_cap));
         if t >= to {
             break;
         }
-        t = (t + interval).min(to);
+        t = (t + UTIL_SAMPLE).min(to);
     }
     out
 }
@@ -82,6 +72,14 @@ enum Op {
     End(usize),
     /// Sets a random endpoint's activity level.
     Level(usize, f64),
+    /// Spot-preempts a node.
+    Preempt(usize),
+    /// Brings a node back.
+    Restore(usize),
+    /// A task completes now: the frontier moves here.
+    Complete,
+    /// Folds at the current frontier, whatever the record count.
+    Fold,
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -92,25 +90,36 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..64, frac()).prop_map(|(i, u)| Op::Start(i, u)),
         (0usize..64).prop_map(Op::End),
         (0usize..64, frac()).prop_map(|(i, l)| Op::Level(i, l)),
+        (0usize..64, frac()).prop_map(|(i, l)| Op::Level(i, l)),
+        (0usize..4).prop_map(Op::Preempt),
+        (0usize..4).prop_map(Op::Restore),
+        Just(Op::Complete),
+        Just(Op::Fold),
     ]
 }
 
 /// Builds a cluster of `gpu_nodes` GPU nodes and `cpu_nodes` CPU-only
-/// nodes and replays `ops` on it; returns it with its last event time.
-fn build(gpu_nodes: usize, cpu_nodes: usize, ops: &[(u64, Op)]) -> (ClusterManager, SimTime) {
+/// nodes recording its timeline, replays `ops` on it and copies every
+/// series after each call; returns both.
+fn build(gpu_nodes: usize, cpu_nodes: usize, ops: &[(u64, Op)]) -> (ClusterManager, SeriesCopy) {
     let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
+    cm.record_timeline().unwrap();
     for _ in 0..gpu_nodes {
-        cm.add_node(catalog::nd96amsr_a100_v4());
+        cm.add_node(catalog::nd96amsr_a100_v4()).unwrap();
     }
     for _ in 0..cpu_nodes {
-        cm.add_node(catalog::cpu_only_f64s());
+        cm.add_node(catalog::cpu_only_f64s()).unwrap();
     }
+    let mut copy = SeriesCopy::default();
+    copy.sync(&cm);
     // Tasks with their running GPU utilization, if busy; endpoints.
     let mut tasks: Vec<(AllocationId, Option<f64>)> = Vec::new();
     let mut endpoints: Vec<AllocationId> = Vec::new();
     let mut now = SimTime::ZERO;
     for (dt_us, op) in ops {
         now += SimDuration::from_micros(*dt_us);
+        tasks.retain(|(id, _)| cm.is_live(*id));
+        endpoints.retain(|id| cm.is_live(*id));
         match op {
             Op::Task(target) => {
                 if let Ok(id) = cm.allocate(now, "task", *target) {
@@ -141,24 +150,38 @@ fn build(gpu_nodes: usize, cpu_nodes: usize, ops: &[(u64, Op)]) -> (ClusterManag
                 let id = endpoints[i % endpoints.len()];
                 cm.set_gpu_activity_level(now, id, *level).unwrap();
             }
+            Op::Preempt(i) => {
+                let node = NodeId::from_raw((i % cm.nodes().len()) as u64);
+                let _ = cm.preempt_node(now, node);
+            }
+            Op::Restore(i) => {
+                let node = NodeId::from_raw((i % cm.nodes().len()) as u64);
+                let _ = cm.restore_node(now, node);
+            }
+            Op::Complete => cm.advance_frontier(now),
+            Op::Fold => cm.fold(),
             _ => {}
         }
+        copy.sync(&cm);
     }
-    (cm, now)
+    (cm, copy)
 }
 
-/// Checks every sample and the mean of one window against the oracle,
-/// bit for bit.
+/// Checks the timeline's samples closed at `to` and the mean up to `to`
+/// against the oracle, bit for bit.
 fn check_window(
     cm: &ClusterManager,
+    copy: &SeriesCopy,
     kind: DeviceKind,
-    from: SimTime,
     to: SimTime,
-    interval: SimDuration,
 ) -> Result<(), String> {
-    let want = oracle_aggregate_util(cm, kind, from, to, interval);
-    let got = cm.aggregate_util(kind, from, to, interval).unwrap();
-    prop_assert_eq!(got.len(), want.len(), "{:?} [{:?}, {:?}]", kind, from, to);
+    let want = oracle_aggregate_util(copy, kind, to);
+    let timeline = cm.clone().close_timeline(to).unwrap().expect("recorded");
+    let got = match kind {
+        DeviceKind::Gpu => timeline.gpu_util,
+        DeviceKind::CpuPool => timeline.cpu_util,
+    };
+    prop_assert_eq!(got.len(), want.len(), "{:?} to {:?}", kind, to);
     for (g, w) in got.iter().zip(&want) {
         prop_assert_eq!(g.0.to_bits(), w.0.to_bits(), "instant {}", w.0);
         prop_assert_eq!(
@@ -170,16 +193,16 @@ fn check_window(
             w.1
         );
     }
-    let mean = cm.average_util(kind, from, to, interval).unwrap();
+    let mean = cm.average_util(kind, to).unwrap();
     prop_assert_eq!(mean.to_bits(), oracle_average(&want).to_bits(), "mean");
     Ok(())
 }
 
 proptest! {
     /// Samples and means match the binary-search oracle over random
-    /// activity, on windows that start after zero, end off the interval
-    /// grid, end before they start, or run past the last event; on idle
-    /// clusters; and for GPUs on CPU-only clusters (no capacity).
+    /// activity, preemptions, frontier moves and folds, on windows that end off
+    /// the grid, at the frontier, before the last event or past it; on
+    /// idle clusters; and for GPUs on CPU-only clusters (no capacity).
     #[test]
     fn sampler_matches_binary_search_oracle(
         gpu_nodes in 0usize..3,
@@ -189,32 +212,30 @@ proptest! {
                 prop_oneof![Just(0u64), 1u64..4_000_000, Just(1_000_000u64)],
                 op(),
             ),
-            0..80,
+            0..160,
         ),
-        windows in prop::collection::vec(
-            (0u64..120_000_000, 0u64..120_000_000, 100_000u64..3_500_000),
-            1..6,
-        ),
+        windows in prop::collection::vec(0u64..240_000_000, 1..6),
     ) {
         // At least one node, so CPU capacity exists somewhere.
         let cpu_nodes = if gpu_nodes + cpu_nodes == 0 { 1 } else { cpu_nodes };
-        let (cm, end) = build(gpu_nodes, cpu_nodes, &ops);
-        let mut windows: Vec<(SimTime, SimTime, SimDuration)> = windows
-            .into_iter()
-            .map(|(from, to, every)| {
-                (
-                    SimTime::from_micros(from),
-                    SimTime::from_micros(to),
-                    SimDuration::from_micros(every),
-                )
+        let (cm, copy) = build(gpu_nodes, cpu_nodes, &ops);
+        let end: u64 = ops.iter().map(|(dt, _)| dt).sum();
+        // Windows end at or after the frontier, the last completion; the
+        // fleet report's own window is the last event.
+        let frontier = ops
+            .iter()
+            .scan(0u64, |at, (dt, op)| {
+                *at += dt;
+                Some(matches!(op, Op::Complete).then_some(*at))
             })
-            .collect();
-        // The fleet report's own window: whole seconds up to the last
-        // event.
-        windows.push((SimTime::ZERO, end, SimDuration::from_secs(1)));
-        for (from, to, interval) in windows {
+            .flatten()
+            .last()
+            .unwrap_or(0);
+        let mut ends: Vec<u64> = windows.into_iter().map(|to| to.max(frontier)).collect();
+        ends.extend([frontier, end]);
+        for to in ends {
             for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
-                check_window(&cm, kind, from, to, interval)?;
+                check_window(&cm, &copy, kind, SimTime::from_micros(to))?;
             }
         }
     }
@@ -223,17 +244,53 @@ proptest! {
 #[test]
 fn gpu_query_on_cpu_only_cluster_has_no_samples() {
     let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-    cm.add_node(catalog::cpu_only_f64s());
-    let second = SimDuration::from_secs(1);
-    let (from, to) = (SimTime::ZERO, SimTime::from_secs(10));
-    assert!(cm
-        .aggregate_util(DeviceKind::Gpu, from, to, second)
-        .unwrap()
-        .is_empty());
-    assert_eq!(
-        cm.average_util(DeviceKind::Gpu, from, to, second).unwrap(),
-        0.0
+    cm.record_timeline().unwrap();
+    cm.add_node(catalog::cpu_only_f64s()).unwrap();
+    let to = SimTime::from_secs(10);
+    let timeline = cm.clone().close_timeline(to).unwrap().expect("recorded");
+    assert!(timeline.gpu_util.is_empty());
+    assert_eq!(timeline.energy_fleet_wh, 0.0);
+    assert_eq!(cm.average_util(DeviceKind::Gpu, to).unwrap(), 0.0);
+    let mut copy = SeriesCopy::default();
+    copy.sync(&cm);
+    check_window(&cm, &copy, DeviceKind::Gpu, to).unwrap();
+    check_window(&cm, &copy, DeviceKind::CpuPool, to).unwrap();
+}
+
+#[test]
+fn a_long_trimmed_run_matches_the_oracle() {
+    // Thousands of level changes with the frontier close behind: the
+    // cluster keeps a short tail, the copy the whole run.
+    let mut ops = vec![
+        (0, Op::Endpoint(2)),
+        (0, Op::Task(HardwareTarget::cpu_cores(8))),
+    ];
+    for step in 0..3_000usize {
+        let level = (step % 5) as f64 * 0.25;
+        ops.push((300_000, Op::Level(0, level)));
+        ops.push((
+            0,
+            if step % 2 == 0 {
+                Op::Start(0, 0.0)
+            } else {
+                Op::End(0)
+            },
+        ));
+        if step % 3 == 0 {
+            ops.push((0, Op::Complete));
+        }
+    }
+    let (cm, copy) = build(1, 1, &ops);
+    let whole = copy.devices.iter().map(|d| d.points.len()).max().unwrap();
+    assert!(
+        cm.retained_points() < 100 && whole > 2_000,
+        "{} points held, {whole} recorded",
+        cm.retained_points()
     );
-    check_window(&cm, DeviceKind::Gpu, from, to, second).unwrap();
-    check_window(&cm, DeviceKind::CpuPool, from, to, second).unwrap();
+    let end = SimTime::from_micros(300_000 * 3_000);
+    for to in [end, end + SimDuration::from_micros(1_700_000)] {
+        for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
+            check_window(&cm, &copy, kind, to).unwrap();
+        }
+    }
 }

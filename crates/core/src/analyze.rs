@@ -52,7 +52,7 @@ use crate::workloads::WorkloadCatalog;
 /// `ANZ2xx` infos). The constants exist so tests and tools can match on
 /// codes without string literals drifting.
 pub mod codes {
-    /// The cluster has no nodes.
+    /// The cluster has no nodes, or its shape has no CPU cores.
     pub const CLUSTER_EMPTY: &str = "ANZ001";
     /// The workload is empty or degenerate (no entries/jobs/tenants, a
     /// zero-weight tenant set or mix, a non-positive SLO deadline).
@@ -755,6 +755,25 @@ fn plan_job(
     }
 }
 
+/// The scenario's cluster, mapping a shape that builds none (no CPU
+/// cores) to `ANZ001`.
+fn build_or_report(
+    runtime: &Runtime,
+    out: &mut Vec<Diagnostic>,
+) -> Option<murakkab_cluster::ClusterManager> {
+    match runtime.build_cluster() {
+        Ok(cluster) => Some(cluster),
+        Err(e) => {
+            out.push(Diagnostic::error(
+                codes::CLUSTER_EMPTY,
+                "cluster.shape",
+                format!("cluster does not build: {e}"),
+            ));
+            None
+        }
+    }
+}
+
 /// Shared route selection, mapping failures to `ANZ009`/`ANZ010`.
 fn select_or_report(
     runtime: &Runtime,
@@ -828,7 +847,10 @@ fn closed_loop_deep(
         jobs.iter().map(|(job, _)| job).zip(&plans),
         scenario.run_options(),
     );
-    let Some(route_plan) = select_or_report(runtime, runtime.build_cluster(), &prep, out) else {
+    let Some(cluster) = build_or_report(runtime, out) else {
+        return;
+    };
+    let Some(route_plan) = select_or_report(runtime, cluster, &prep, out) else {
         return;
     };
     capacity_diags(
@@ -883,7 +905,10 @@ fn open_loop_deep(scenario: &Scenario, runtime: &Runtime, out: &mut Vec<Diagnost
             return;
         }
     };
-    let cells = match runtime.build_cluster().partition(spec.shards) {
+    let Some(cluster) = build_or_report(runtime, out) else {
+        return;
+    };
+    let cells = match cluster.partition(spec.shards) {
         Ok(cells) => cells,
         Err(e) => {
             out.push(Diagnostic::error(

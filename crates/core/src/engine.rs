@@ -48,8 +48,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use murakkab_agents::{AgentLibrary, AgentSpec, Backend, Capability, Work};
-use murakkab_cluster::{AllocationId, ClusterManager, EndpointView, Upcoming};
-use murakkab_hardware::{catalog, EnergyScope, GpuSku, HardwareTarget};
+use murakkab_cluster::{AllocationId, ClusterManager, EndpointView, Timeline, Upcoming};
+use murakkab_hardware::{catalog, GpuSku, HardwareTarget};
 use murakkab_llmsim::{build_backend, BackendSpec, Completion, ModelSpec, Request, ServingBackend};
 use murakkab_orchestrator::OrchestratorCost;
 use murakkab_sim::{Event, EventQueue, SimDuration, SimError, SimTime, TraceLog};
@@ -238,26 +238,15 @@ pub struct EngineOptions {
     /// to the A100 calibration (≈ sqrt of the FLOPS ratio: media tools
     /// are partly memory/IO bound, so they do not scale with raw FLOPS).
     pub gpu_speed_factor: f64,
-    /// Record a per-task span into the outcome's [`TraceLog`]. On by
-    /// default (closed-loop reporting renders the trace); the fleet
-    /// driver turns it off — serve reports never read the trace, and
-    /// skipping it removes a `String` clone per completed task from the
-    /// hot path.
-    pub record_spans: bool,
-    /// Settle device utilization and allocation energy as simulated time
-    /// passes, and drop the utilization points both readers are past
-    /// (see [`ClusterManager::settle_online`]): resident series stay
-    /// O(1) per device instead of growing with device activity.
-    /// Settlement reads the same bits either way. Off by default: the
-    /// closed-loop report draws whole-run utilization curves and
-    /// fleet-wide energy from the full series. The fleet driver turns it
-    /// on for serve cells, whose reports read only the settled means.
-    pub settle_online: bool,
+    /// Record the closed-loop timeline: a per-task span into the
+    /// outcome's [`TraceLog`], and the cluster's whole-run utilization
+    /// curves and fleet energy into [`EngineOutcome::timeline`] (see
+    /// [`ClusterManager::record_timeline`]). On by default: the
+    /// closed-loop report renders all three. The fleet driver turns it
+    /// off — serve reports read none of them, and skipping the spans
+    /// removes a `String` clone per completed task from the hot path.
+    pub timeline: bool,
 }
-
-/// The utilization sample grid of every report: one sample per
-/// simulated second from zero.
-pub const UTIL_SAMPLE: SimDuration = SimDuration::from_secs(1);
 
 impl Default for EngineOptions {
     fn default() -> Self {
@@ -267,8 +256,7 @@ impl Default for EngineOptions {
             preemptions: Vec::new(),
             gpu_sku: catalog::a100_80g(),
             gpu_speed_factor: 1.0,
-            record_spans: true,
-            settle_online: false,
+            timeline: true,
         }
     }
 }
@@ -288,12 +276,13 @@ impl EngineOptions {
 /// What a finished run hands back for reporting.
 #[derive(Debug)]
 pub struct EngineOutcome {
-    /// The cluster after the run: with every device's utilization
-    /// history, or only its settled tail under
-    /// [`EngineOptions::settle_online`].
+    /// The cluster after the run, each device holding its settled tail.
     pub cluster: ClusterManager,
     /// Per-task spans by component lane.
     pub trace: TraceLog,
+    /// Whole-run utilization curves and fleet energy up to the makespan,
+    /// under [`EngineOptions::timeline`].
+    pub timeline: Option<Timeline>,
     /// Start of execution (after orchestration).
     pub started: SimTime,
     /// Completion time of the last task.
@@ -312,20 +301,6 @@ pub struct EngineOutcome {
     pub pool_scale_ups: u64,
     /// Tool pools released on idleness (autoscale-down events).
     pub pool_scale_downs: u64,
-}
-
-impl EngineOutcome {
-    /// Whole-fleet GPU energy over the run window (the baseline's Table 2
-    /// scope: a rigid deployment strands the entire testbed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidState`] for an engine that settled
-    /// utilization online ([`EngineOptions::settle_online`]).
-    pub fn energy_fleet_wh(&self) -> Result<f64, SimError> {
-        self.cluster
-            .energy_wh_all(SimTime::ZERO, self.makespan, EnergyScope::GpuOnly)
-    }
 }
 
 /// Event payloads carry dense indices only, keeping `Event<EngineEvent>`
@@ -511,7 +486,7 @@ pub struct Engine {
 
 /// On-demand dollar rate of a hardware target under a given GPU SKU
 /// (CPU cores billed at the EPYC catalog rate).
-pub fn target_hourly_usd(target: &HardwareTarget, gpu: &murakkab_hardware::GpuSku) -> f64 {
+fn target_hourly_usd(target: &HardwareTarget, gpu: &murakkab_hardware::GpuSku) -> f64 {
     target.gpu_units() * gpu.hourly_usd
         + f64::from(target.cpu_cores_used()) * catalog::EPYC_7V12_USD_PER_CORE_HOUR
 }
@@ -533,7 +508,8 @@ impl Engine {
     ///
     /// Fails when a route's agent is unknown, a backend mismatches its
     /// route kind, or the cluster cannot host even one worker / the
-    /// endpoint group.
+    /// endpoint group, and with [`EngineOptions::timeline`] on a cluster
+    /// that already recorded activity.
     pub fn new(
         mut cluster: ClusterManager,
         library: &AgentLibrary,
@@ -687,11 +663,11 @@ impl Engine {
             });
         }
 
-        if options.settle_online {
-            cluster.settle_online(UTIL_SAMPLE)?;
+        if options.timeline {
+            cluster.record_timeline()?;
         }
         let compiled = CompiledGraph::from_graph(&graph)?;
-        let names = if options.record_spans {
+        let names = if options.timeline {
             graph.tasks().map(|n| n.name.clone()).collect()
         } else {
             Vec::new()
@@ -945,10 +921,12 @@ impl Engine {
         for alloc in held {
             self.settle_allocation(alloc, makespan)?;
         }
+        let timeline = self.cluster.close_timeline(makespan)?;
 
         Ok(EngineOutcome {
             cluster: self.cluster,
             trace: self.trace,
+            timeline,
             started: orch_end,
             makespan,
             orchestration: orch_end.saturating_duration_since(start),
@@ -1031,7 +1009,7 @@ impl Engine {
 
     /// Tasks admitted so far, retired ones included (the retained
     /// window is [`Engine::retained`]'s first count).
-    pub fn task_count(&self) -> usize {
+    fn task_count(&self) -> usize {
         self.base as usize + self.tasks.len()
     }
 
@@ -1044,11 +1022,14 @@ impl Engine {
 
     /// The most utilization change points any one device of the cluster
     /// holds ([`ClusterManager::retained_points`]): it follows device
-    /// activity since the last task completion when
-    /// [`EngineOptions::settle_online`] is on, and the whole run's
-    /// activity otherwise.
+    /// activity since the last task completion, not the run's length.
     pub fn retained_series_points(&self) -> usize {
         self.cluster.retained_points()
+    }
+
+    /// The cluster the engine runs on, read-only.
+    pub fn cluster(&self) -> &ClusterManager {
+        &self.cluster
     }
 
     /// The job index `task` was admitted under by
@@ -1344,7 +1325,7 @@ impl Engine {
     fn finish_task(&mut self, task: TaskId, now: SimTime) -> Result<(), SimError> {
         let ti = self.slot(task);
         let capability = self.tasks[ti].capability;
-        if self.options.record_spans {
+        if self.options.timeline {
             let started = self.tasks[ti].started_at.unwrap_or(now);
             let name = self.task_name(task.raw());
             self.trace
@@ -1995,13 +1976,13 @@ mod tests {
     }
 
     /// An engine serving nothing yet, like a fleet cell's.
-    fn serve_engine(record_spans: bool) -> Engine {
-        serve_engine_on(routes(), record_spans)
+    fn serve_engine(timeline: bool) -> Engine {
+        serve_engine_on(routes(), timeline)
     }
 
-    fn serve_engine_on(routes: BTreeMap<Capability, RouteSpec>, record_spans: bool) -> Engine {
+    fn serve_engine_on(routes: BTreeMap<Capability, RouteSpec>, timeline: bool) -> Engine {
         let opts = EngineOptions {
-            record_spans,
+            timeline,
             ..EngineOptions::default()
         };
         let mut engine = Engine::new(
@@ -2364,9 +2345,9 @@ mod tests {
 
     #[test]
     fn spans_can_be_disabled_without_changing_the_ledgers() {
-        let run = |record_spans: bool| {
+        let run = |timeline: bool| {
             let opts = EngineOptions {
-                record_spans,
+                timeline,
                 ..EngineOptions::default()
             };
             let engine = Engine::new(
@@ -2387,12 +2368,13 @@ mod tests {
         assert!((with.energy_allocated_wh - without.energy_allocated_wh).abs() < 1e-12);
         assert!((with.cost_usd - without.cost_usd).abs() < 1e-12);
         assert!(without.trace.makespan() == SimTime::ZERO);
+        assert!(with.timeline.is_some() && without.timeline.is_none());
     }
 
     #[test]
     fn cluster_shortage_at_construction_is_checked() {
         let mut small = ClusterManager::new(PlacementPolicy::BestFit);
-        small.add_node(catalog::cpu_only_f64s());
+        small.add_node(catalog::cpu_only_f64s()).unwrap();
         assert!(matches!(
             Engine::new(
                 small,

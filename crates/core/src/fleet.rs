@@ -52,7 +52,7 @@ use murakkab_traffic::{
 use murakkab_workflow::{Job, TaskGraph};
 
 use crate::capture::{CaptureShard, RequestOutcome, RunCapture, StealRecord};
-use crate::engine::{CompiledGraph, CompiledTask, Engine, RouteSpec, N_CAPS, UTIL_SAMPLE};
+use crate::engine::{CompiledGraph, CompiledTask, Engine, RouteSpec, N_CAPS};
 use crate::runtime::{RoutePlan, RoutePrep, Runtime};
 use crate::scenario::Scenario;
 use crate::workloads;
@@ -1153,7 +1153,7 @@ impl Runtime {
         // per-request orchestration charge (§3.3 puts it under 1% of
         // workflow time; closed-loop runs measure it).
         let setup = self.serve_setup(scenario, |prep| {
-            let clusters = self.build_cluster().partition(spec.shards)?;
+            let clusters = self.build_cluster()?.partition(spec.shards)?;
             let cells = self.build_cells(clusters, prep, &mut BTreeMap::new())?;
             let est_routes = cells[0].routes.clone();
             Ok((cells, est_routes))
@@ -1391,11 +1391,10 @@ impl Runtime {
             };
             // Serve reports never render the span trace or whole-run
             // utilization curves: skipping the spans removes a String
-            // clone per completed task from the loop, and settling
-            // utilization online keeps each device's series O(1).
+            // clone per completed task from the loop, and the curves
+            // would grow with the run.
             let mut engine_opts = self.engine_options(&prep.run_opts);
-            engine_opts.record_spans = false;
-            engine_opts.settle_online = true;
+            engine_opts.timeline = false;
             let mut engine = Engine::new(
                 cluster,
                 self.library(),
@@ -1571,8 +1570,8 @@ pub(crate) fn settle_util(finished: &mut [CellDone], makespan: SimTime) -> Resul
     for done in finished {
         let cluster = &done.outcome.cluster;
         done.util_pct = (
-            cluster.average_util(DeviceKind::Gpu, SimTime::ZERO, makespan, UTIL_SAMPLE)?,
-            cluster.average_util(DeviceKind::CpuPool, SimTime::ZERO, makespan, UTIL_SAMPLE)?,
+            cluster.average_util(DeviceKind::Gpu, makespan)?,
+            cluster.average_util(DeviceKind::CpuPool, makespan)?,
         );
     }
     Ok(())
@@ -1968,7 +1967,10 @@ mod tests {
         let session = Session::new(&scenario).expect("valid scenario");
         let rt = session.runtime();
         let prep = rt.serve_prep(&scenario).expect("prepares");
-        let clusters = rt.build_cluster().partition(1).expect("one cell");
+        let clusters = rt
+            .build_cluster()
+            .and_then(|cm| cm.partition(1))
+            .expect("one cell");
         let cells = rt
             .build_cells(clusters, &prep, &mut BTreeMap::new())
             .expect("builds");

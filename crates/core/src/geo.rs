@@ -256,7 +256,7 @@ pub(crate) fn execute_geo(
         let mut built = Vec::with_capacity(geo.regions.len());
         for region in &geo.regions {
             let clusters = runtime
-                .build_cluster_of(region.nodes)
+                .build_cluster_of(region.nodes)?
                 .partition(region.shards)?;
             let mut cells = runtime.build_cells(clusters, prep, &mut routes_by_nodes)?;
             // A spot pool smaller than one cell never materializes — the
@@ -265,7 +265,7 @@ pub(crate) fn execute_geo(
             if let Some(elastic) = &geo.elastic {
                 for s in 0..region.spot_slots() {
                     let mut spot_cells = runtime.build_cells(
-                        vec![runtime.build_cluster_of(region.cell_nodes())],
+                        vec![runtime.build_cluster_of(region.cell_nodes())?],
                         prep,
                         &mut routes_by_nodes,
                     )?;

@@ -14,13 +14,13 @@ use murakkab_agents::library::stock_library;
 use murakkab_agents::profile::Objective;
 use murakkab_agents::{AgentLibrary, Backend, Capability, ProfileStore, Profiler};
 use murakkab_cluster::ClusterManager;
-use murakkab_hardware::{DeviceKind, HardwareTarget, VmShape};
+use murakkab_hardware::{HardwareTarget, VmShape};
 use murakkab_llmsim::{plan_backend, ServingMode};
 use murakkab_orchestrator::{expand, JobInputs, LogicalPlan, Planner};
 use murakkab_sim::{SimError, SimTime};
 use murakkab_workflow::Job;
 
-use crate::engine::{Engine, EngineOptions, EngineOutcome, RouteSpec, UTIL_SAMPLE};
+use crate::engine::{Engine, EngineOptions, EngineOutcome, RouteSpec};
 use crate::report::RunReport;
 
 /// Which Speech-to-Text resource configuration to run (the Figure 3 /
@@ -171,19 +171,19 @@ impl Runtime {
         self.nodes
     }
 
-    pub(crate) fn build_cluster(&self) -> ClusterManager {
+    pub(crate) fn build_cluster(&self) -> Result<ClusterManager, SimError> {
         self.build_cluster_of(self.nodes)
     }
 
     /// A fresh cluster of `nodes` VMs of this runtime's shape — the geo
     /// layer builds one per region slice (and per spot node) instead of
     /// partitioning the single scenario cluster evenly.
-    pub(crate) fn build_cluster_of(&self, nodes: usize) -> ClusterManager {
+    pub(crate) fn build_cluster_of(&self, nodes: usize) -> Result<ClusterManager, SimError> {
         let mut cm = ClusterManager::new(murakkab_cluster::PlacementPolicy::BestFit);
         for _ in 0..nodes {
-            cm.add_node(self.shape.clone());
+            cm.add_node(self.shape.clone())?;
         }
-        cm
+        Ok(cm)
     }
 
     /// The shared closed-loop pipeline behind every entry point: plan
@@ -203,7 +203,7 @@ impl Runtime {
         opts: RunOptions,
     ) -> Result<RunReport, SimError> {
         let multi_tenant = jobs.len() > 1;
-        let cluster = self.build_cluster();
+        let cluster = self.build_cluster()?;
         let mut stats = cluster.stats(SimTime::ZERO);
 
         // Decompose and expand every job and accumulate orchestration
@@ -525,30 +525,22 @@ pub(crate) fn report_from_outcome(
     rigid: bool,
     selections: &BTreeMap<String, String>,
 ) -> Result<RunReport, SimError> {
-    let makespan = outcome.makespan;
-    let gpu_util =
-        outcome
-            .cluster
-            .aggregate_util(DeviceKind::Gpu, SimTime::ZERO, makespan, UTIL_SAMPLE)?;
-    let cpu_util = outcome.cluster.aggregate_util(
-        DeviceKind::CpuPool,
-        SimTime::ZERO,
-        makespan,
-        UTIL_SAMPLE,
-    )?;
+    let timeline = outcome
+        .timeline
+        .ok_or_else(|| SimError::InvalidState("a run report needs the engine's timeline".into()))?;
     Ok(RunReport {
         label: label.to_string(),
-        makespan_s: makespan.as_secs_f64(),
+        makespan_s: outcome.makespan.as_secs_f64(),
         orchestration_s: outcome.orchestration.as_secs_f64(),
         energy_allocated_wh: outcome.energy_allocated_wh,
-        energy_fleet_wh: outcome.energy_fleet_wh()?,
+        energy_fleet_wh: timeline.energy_fleet_wh,
         cost_usd: outcome.cost_usd,
         quality,
         tasks: outcome.tasks_completed,
         rigid_deployment: rigid,
         trace: outcome.trace,
-        gpu_util,
-        cpu_util,
+        gpu_util: timeline.gpu_util,
+        cpu_util: timeline.cpu_util,
         selections: selections.clone(),
     })
 }

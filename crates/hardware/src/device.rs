@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use murakkab_sim::{define_id, SimError, SimTime, TimeSeries, UtilizationTracker};
 
-use crate::energy::EnergyIntegrator;
 use crate::power::PowerCurve;
 use crate::sku::{CpuSku, GpuSku};
 
@@ -51,8 +50,6 @@ pub struct Device {
     power: PowerCurve,
     /// Actual busy-capacity over time (drives power and Figure 3 curves).
     activity: UtilizationTracker,
-    /// Whether any allocation ever reserved this device (energy scope).
-    touched: bool,
 }
 
 impl Device {
@@ -67,28 +64,24 @@ impl Device {
             power: sku.power_curve(),
             activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), 1.0)
                 .expect("a GPU has unit capacity"),
-            touched: false,
         }
     }
 
     /// Creates a CPU pool device from a SKU and a core count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cores` is zero.
-    pub fn cpu_pool(id: DeviceId, sku: &CpuSku, cores: u32) -> Self {
-        assert!(cores > 0, "CPU pool must have at least one core");
-        Device {
+    /// Returns [`SimError::InvalidState`] if `cores` is zero.
+    pub fn cpu_pool(id: DeviceId, sku: &CpuSku, cores: u32) -> Result<Self, SimError> {
+        Ok(Device {
             id,
             kind: DeviceKind::CpuPool,
             sku_name: sku.name.clone(),
             capacity: f64::from(cores),
             reserved: 0.0,
             power: sku.power_curve(),
-            activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), f64::from(cores))
-                .expect("the core count was checked positive"),
-            touched: false,
-        }
+            activity: UtilizationTracker::new(format!("{}/{}", sku.name, id), f64::from(cores))?,
+        })
     }
 
     /// Total capacity in scheduling units.
@@ -106,38 +99,37 @@ impl Device {
         (self.capacity - self.reserved).max(0.0)
     }
 
-    /// Whether any allocation ever touched this device.
-    pub fn touched(&self) -> bool {
-        self.touched
-    }
-
     /// Reserves `units` for an allocation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on over-commit (placement must check [`Device::free`]).
-    pub fn reserve(&mut self, units: f64) {
-        assert!(
-            self.reserved + units <= self.capacity + 1e-9,
-            "{}: reservation over-commit",
-            self.id
-        );
+    /// Returns [`SimError::InvalidState`] on over-commit (placement must
+    /// check [`Device::free`]); nothing changes.
+    pub fn reserve(&mut self, units: f64) -> Result<(), SimError> {
+        if self.reserved + units > self.capacity + 1e-9 {
+            return Err(SimError::InvalidState(format!(
+                "{}: reservation over-commit ({} + {units} > {})",
+                self.id, self.reserved, self.capacity
+            )));
+        }
         self.reserved = (self.reserved + units).min(self.capacity);
-        self.touched = true;
+        Ok(())
     }
 
     /// Returns `units` from an allocation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on underflow.
-    pub fn unreserve(&mut self, units: f64) {
-        assert!(
-            units <= self.reserved + 1e-9,
-            "{}: reservation underflow",
-            self.id
-        );
+    /// Returns [`SimError::InvalidState`] on underflow; nothing changes.
+    pub fn unreserve(&mut self, units: f64) -> Result<(), SimError> {
+        if units > self.reserved + 1e-9 {
+            return Err(SimError::InvalidState(format!(
+                "{}: reservation underflow ({units} > {})",
+                self.id, self.reserved
+            )));
+        }
         self.reserved = (self.reserved - units).max(0.0);
+        Ok(())
     }
 
     /// Marks `units` of real activity starting at `t`.
@@ -171,11 +163,6 @@ impl Device {
         self.activity.set_level(t, units)
     }
 
-    /// Current busy units.
-    pub fn busy(&self) -> f64 {
-        self.activity.busy()
-    }
-
     /// Current activity fraction.
     pub fn utilization(&self) -> f64 {
         self.activity.utilization()
@@ -196,11 +183,6 @@ impl Device {
     /// The device's power curve.
     pub fn power_curve(&self) -> PowerCurve {
         self.power
-    }
-
-    /// Energy consumed over `[from, to)` in watt-hours.
-    pub fn energy_wh(&self, from: SimTime, to: SimTime) -> f64 {
-        EnergyIntegrator::new(from).close(self.power, self.util_series(), to)
     }
 }
 
@@ -305,23 +287,26 @@ mod tests {
     use super::*;
     use crate::catalog;
 
+    /// Energy of `d` over `[from, to)`, in one close.
+    fn energy_wh(d: &Device, from: SimTime, to: SimTime) -> f64 {
+        crate::EnergyIntegrator::new(from).close(d.power_curve(), d.util_series(), to)
+    }
+
     #[test]
     fn reservation_and_activity_are_independent() {
         let sku = catalog::a100_80g();
         let mut d = Device::gpu(DeviceId::from_raw(0), &sku);
-        assert!(!d.touched());
-        d.reserve(1.0);
-        assert!(d.touched());
+        d.reserve(1.0).unwrap();
         assert_eq!(d.free(), 0.0);
         // Reserved but idle: no activity, idle power.
         assert_eq!(d.utilization(), 0.0);
-        let wh_idle = d.energy_wh(SimTime::ZERO, SimTime::from_secs(3600));
+        let wh_idle = energy_wh(&d, SimTime::ZERO, SimTime::from_secs(3600));
         assert!((wh_idle - sku.idle_w).abs() < 1e-6);
 
         d.activity_start(SimTime::ZERO, 0.7).unwrap();
         assert!((d.utilization() - 0.7).abs() < 1e-9);
         d.activity_end(SimTime::from_secs(1800), 0.7).unwrap();
-        d.unreserve(1.0);
+        d.unreserve(1.0).unwrap();
         assert_eq!(d.free(), 1.0);
     }
 
@@ -363,42 +348,46 @@ mod tests {
     #[test]
     fn cpu_pool_has_core_capacity() {
         let sku = catalog::epyc_7v12();
-        let d = Device::cpu_pool(DeviceId::from_raw(1), &sku, 96);
+        let d = Device::cpu_pool(DeviceId::from_raw(1), &sku, 96).unwrap();
         assert_eq!(d.capacity(), 96.0);
         assert_eq!(d.kind, DeviceKind::CpuPool);
     }
 
     #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_core_pool_rejected() {
-        Device::cpu_pool(DeviceId::from_raw(2), &catalog::epyc_7v12(), 0);
+    fn zero_core_pool_is_refused() {
+        assert!(matches!(
+            Device::cpu_pool(DeviceId::from_raw(2), &catalog::epyc_7v12(), 0),
+            Err(SimError::InvalidState(_))
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "over-commit")]
-    fn reservation_overcommit_panics() {
+    fn reservation_overcommit_is_refused() {
         let mut d = Device::gpu(DeviceId::from_raw(3), &catalog::a100_80g());
-        d.reserve(1.5);
+        d.reserve(0.5).unwrap();
+        assert!(matches!(d.reserve(0.75), Err(SimError::InvalidState(_))));
+        assert_eq!(d.reserved(), 0.5, "the refused reservation changed nothing");
     }
 
     #[test]
-    #[should_panic(expected = "underflow")]
-    fn unreserve_underflow_panics() {
+    fn unreserve_underflow_is_refused() {
         let mut d = Device::gpu(DeviceId::from_raw(4), &catalog::a100_80g());
-        d.unreserve(0.5);
+        d.reserve(0.25).unwrap();
+        assert!(matches!(d.unreserve(0.5), Err(SimError::InvalidState(_))));
+        assert_eq!(d.reserved(), 0.25, "the refused release changed nothing");
     }
 
     #[test]
     fn busy_energy_exceeds_idle_energy() {
         let sku = catalog::a100_80g();
         let mut idle = Device::gpu(DeviceId::from_raw(5), &sku);
-        idle.reserve(1.0);
+        idle.reserve(1.0).unwrap();
         let mut busy = Device::gpu(DeviceId::from_raw(6), &sku);
-        busy.reserve(1.0);
+        busy.reserve(1.0).unwrap();
         busy.activity_start(SimTime::ZERO, 1.0).unwrap();
         let w = SimTime::from_secs(3600);
-        assert!(busy.energy_wh(SimTime::ZERO, w) > idle.energy_wh(SimTime::ZERO, w));
-        assert!((busy.energy_wh(SimTime::ZERO, w) - sku.tdp_w).abs() < 1e-6);
+        assert!(energy_wh(&busy, SimTime::ZERO, w) > energy_wh(&idle, SimTime::ZERO, w));
+        assert!((energy_wh(&busy, SimTime::ZERO, w) - sku.tdp_w).abs() < 1e-6);
     }
 
     #[test]

@@ -10,21 +10,9 @@
 //! energy of a live allocation while it runs, or all at once at the end,
 //! with the same terms in the same order.
 
-use serde::{Deserialize, Serialize};
-
 use murakkab_sim::{SimTime, TimeSeries};
 
 use crate::power::PowerCurve;
-
-/// Which devices count toward an energy report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EnergyScope {
-    /// GPU devices only — the paper's Table 2 convention.
-    #[default]
-    GpuOnly,
-    /// GPUs plus CPU pools.
-    Full,
-}
 
 /// The energy one device draws from an instant on, folded forward over
 /// its utilization series (fraction of capacity in `[0, 1]`).

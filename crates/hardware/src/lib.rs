@@ -37,7 +37,7 @@ pub mod vm;
 
 pub use availability::{AvailabilityEvent, SpotTrace};
 pub use device::{Device, DeviceId, DeviceKind, HardwareTarget};
-pub use energy::{EnergyIntegrator, EnergyScope};
+pub use energy::EnergyIntegrator;
 pub use power::PowerCurve;
 pub use sku::{CpuSku, GpuGeneration, GpuSku};
 pub use vm::{VmPricing, VmShape};

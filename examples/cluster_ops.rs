@@ -11,17 +11,22 @@ use murakkab_agents::Capability;
 use murakkab_cluster::{
     rebalance::EndpointView, ClusterManager, PlacementPolicy, RebalanceAction, Rebalancer,
 };
-use murakkab_hardware::{catalog, EnergyScope, HardwareTarget, SpotTrace};
+use murakkab_hardware::{catalog, HardwareTarget, SpotTrace};
 use murakkab_sim::{SimDuration, SimRng, SimTime};
 
 fn main() {
     let t = SimTime::from_secs;
 
-    // A cluster of two on-demand ND96 VMs plus one spot VM.
+    // A cluster of two on-demand ND96 VMs plus one spot VM, recording
+    // its timeline (utilization curves and whole-fleet energy).
     let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-    cm.add_node(catalog::nd96amsr_a100_v4());
-    cm.add_node(catalog::nd96amsr_a100_v4());
-    let spot_node = cm.add_node(catalog::nd96amsr_a100_v4().as_spot(0.3));
+    cm.record_timeline().expect("no activity yet");
+    let shape = catalog::nd96amsr_a100_v4();
+    cm.add_node(shape.clone()).expect("the shape has cores");
+    cm.add_node(shape.clone()).expect("the shape has cores");
+    let spot_node = cm
+        .add_node(shape.as_spot(0.3))
+        .expect("the shape has cores");
     println!("cluster: {:?}\n", cm.stats(t(0)));
 
     // Deploy an LLM endpoint and a whisper worker.
@@ -82,20 +87,31 @@ fn main() {
         }
     }
 
-    // Autoscale a CPU shape to backfill, then settle the energy bill.
-    let ready = cm.request_scale_out(first_preempt, catalog::cpu_only_f64s());
-    cm.process_provisioning(ready);
-    cm.activity_end(t(3600), llm, 0.35).expect("live");
-    cm.activity_end(t(3600), whisper, 0.65).expect("live");
+    // Settle the first hour's energy bill: the allocations' own GPUs,
+    // then the timeline's whole fleet, idle GPUs included.
+    let hour = t(3600);
+    cm.activity_end(hour, llm, 0.35).expect("live");
+    cm.activity_end(hour, whisper, 0.65).expect("live");
+    let allocated = cm.allocation_energy_wh(llm, hour).expect("live")
+        + cm.allocation_energy_wh(whisper, hour).expect("live");
+    let timeline = cm
+        .close_timeline(hour)
+        .expect("the cluster kept its shape")
+        .expect("the timeline is recorded");
+    let mean_gpu =
+        timeline.gpu_util.iter().map(|&(_, pct)| pct).sum::<f64>() / timeline.gpu_util.len() as f64;
     println!(
-        "\nGPU energy over the first hour: {:.1} Wh (allocated devices), {:.1} Wh (whole fleet)",
-        cm.energy_wh(t(0), t(3600), EnergyScope::GpuOnly)
-            .expect("the series hold the whole hour"),
-        cm.energy_wh_all(t(0), t(3600), EnergyScope::GpuOnly)
-            .expect("the series hold the whole hour"),
+        "\nGPU energy over the first hour: {allocated:.1} Wh (allocated devices), {:.1} Wh (whole fleet)",
+        timeline.energy_fleet_wh,
     );
+    println!("mean GPU utilization over that hour: {mean_gpu:.1}%");
     println!(
         "fleet cost for that hour: ${:.2}",
         cm.fleet_cost_usd(SimDuration::from_secs(3600))
     );
+
+    // Autoscale a CPU shape to backfill the lost spot capacity.
+    let ready = cm.request_scale_out(first_preempt, catalog::cpu_only_f64s());
+    let added = cm.process_provisioning(ready).expect("the shape has cores");
+    println!("\nbackfilled {added:?}: {:?}", cm.stats(ready));
 }

@@ -93,7 +93,9 @@ fn spot_trace_driven_preemption_is_replayable() {
     // Drive the cluster from the trace: each preempt/restore applies
     // cleanly in order.
     let mut cm = ClusterManager::new(PlacementPolicy::BestFit);
-    let node = cm.add_node(catalog::nd96amsr_a100_v4().as_spot(0.3));
+    let node = cm
+        .add_node(catalog::nd96amsr_a100_v4().as_spot(0.3))
+        .expect("the catalog shape has CPU cores");
     for &(at, ev) in a.events() {
         match ev {
             murakkab_hardware::AvailabilityEvent::Preempt => {

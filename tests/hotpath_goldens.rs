@@ -10,6 +10,10 @@
 //! open-loop runs that break if the serve path's per-shape plan memo
 //! drops the tenant or the scene draws from its key.
 
+#[path = "../crates/cluster/tests/common/mod.rs"]
+mod common;
+
+use common::SeriesCopy;
 use murakkab::fleet::fleet_job;
 use murakkab::scenario::{Scenario, Session};
 use murakkab_bench::{shard_sweep_log, shard_sweep_scenario, FLEET_SHARD_NODES, SEED};
@@ -278,10 +282,11 @@ fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
 /// re-provision. Spot preemptions take the GPU tool pools' node mid-run
 /// and later the endpoint's node, in the middle of a prefill with decode
 /// idle: the re-placed pair restarts that prefill at the very levels the
-/// dead one last wrote, on devices that are still idle. With
-/// `settle_online` the engine folds utilization and energy as it runs and
-/// drops the series points it is past.
-fn preempted_disagg_serve(settle_online: bool) -> murakkab::engine::EngineOutcome {
+/// dead one last wrote, on devices that are still idle. The engine folds
+/// utilization and energy as it runs and drops the series points it is
+/// past; the returned copy, synced after every admission and event,
+/// keeps each device's whole series.
+fn preempted_disagg_serve() -> (murakkab::engine::EngineOutcome, SeriesCopy) {
     use murakkab::engine::{CompiledGraph, Engine, EngineOptions, RouteSpec};
     use murakkab_agents::{library::stock_library, Capability, Work};
     use murakkab_cluster::{ClusterManager, PlacementPolicy};
@@ -293,7 +298,9 @@ fn preempted_disagg_serve(settle_online: bool) -> murakkab::engine::EngineOutcom
 
     let mut cluster = ClusterManager::new(PlacementPolicy::BestFit);
     for _ in 0..4 {
-        cluster.add_node(catalog::nd96amsr_a100_v4());
+        cluster
+            .add_node(catalog::nd96amsr_a100_v4())
+            .expect("the shape has cores");
     }
     let pool = |agent: &str, workers: Vec<HardwareTarget>| RouteSpec::Pool {
         agent: agent.into(),
@@ -342,8 +349,7 @@ fn preempted_disagg_serve(settle_online: bool) -> murakkab::engine::EngineOutcom
             (SimTime::from_secs(25), 1),
             (SimTime::from_micros(74_050_000), 0),
         ],
-        record_spans: false,
-        settle_online,
+        timeline: false,
         ..EngineOptions::default()
     };
     let mut engine = Engine::new(
@@ -356,6 +362,8 @@ fn preempted_disagg_serve(settle_online: bool) -> murakkab::engine::EngineOutcom
     )
     .expect("the serve engine builds");
     engine.start(SimTime::ZERO).expect("starts");
+    let mut copy = SeriesCopy::default();
+    copy.sync(engine.cluster());
 
     // Each workflow: frames and audio of `scenes` scenes feed detection
     // and transcription, a per-scene summary, and a final summary that
@@ -412,22 +420,26 @@ fn preempted_disagg_serve(settle_online: bool) -> murakkab::engine::EngineOutcom
     for i in 0..30u32 {
         // Bursts of five, then a lull.
         at += SimDuration::from_secs(if i % 5 == 4 { 60 } else { 3 });
-        while engine.step_while(at, false).expect("steps").is_some() {}
+        while engine.peek_time().is_some_and(|t| t < at) {
+            engine.step().expect("steps");
+            copy.sync(engine.cluster());
+        }
         engine
             .admit_graph_into(at, &workflow(i), i as usize)
             .expect("admits");
+        copy.sync(engine.cluster());
     }
-    while engine
-        .step_while(SimTime::MAX, true)
-        .expect("steps")
-        .is_some()
-    {}
-    engine.finish(SimTime::ZERO).expect("settles")
+    while engine.step().expect("steps").is_some() {
+        copy.sync(engine.cluster());
+    }
+    let outcome = engine.finish(SimTime::ZERO).expect("settles");
+    copy.sync(&outcome.cluster);
+    (outcome, copy)
 }
 
 #[test]
 fn preempted_disagg_serve_matches_its_golden() {
-    let outcome = preempted_disagg_serve(false);
+    let (outcome, copy) = preempted_disagg_serve();
     assert_eq!(
         outcome.cluster.nodes().iter().filter(|n| !n.up).count(),
         2,
@@ -439,14 +451,13 @@ fn preempted_disagg_serve_matches_its_golden() {
         outcome.pool_scale_downs,
         outcome.pool_scale_ups
     );
+    // Every device's whole series, from the copy, in node then device
+    // order, each node's GPUs before its CPU pool.
     let mut words = Vec::new();
-    for node in outcome.cluster.nodes() {
-        for device in node.gpus.iter().chain(std::iter::once(&node.cpu)) {
-            let points = device.util_series().points();
-            words.push(points.len() as u64);
-            for &(t, v) in points {
-                words.extend([t.as_micros(), v.to_bits()]);
-            }
+    for device in &copy.devices {
+        words.push(device.points.len() as u64);
+        for &(t, v) in &device.points {
+            words.extend([t.as_micros(), v.to_bits()]);
         }
     }
     words.extend([
@@ -462,43 +473,60 @@ fn preempted_disagg_serve_matches_its_golden() {
     );
 }
 
-/// The same run settled online — utilization and energy folded as the
-/// engine runs, series points dropped once both readers are past them —
-/// settles to the retained run's bits: its energy and cost ledgers,
-/// makespan, completed tasks, and the GPU and CPU utilization means over
-/// the makespan. Both preemptions settle allocations mid-run, and the
-/// pools' release and re-provision cycles settle and open more.
+/// The mean of the 1 s samples of `kind` over `[0, to]`, read from the
+/// copy after the fact the way the retained run read its whole series.
+fn retained_mean_util(
+    copy: &SeriesCopy,
+    kind: murakkab_hardware::DeviceKind,
+    to: murakkab_sim::SimTime,
+) -> f64 {
+    let devices: Vec<_> = copy.of_kind(kind).collect();
+    let total_cap: f64 = devices.iter().map(|d| d.capacity).sum();
+    let mut samples = Vec::new();
+    let mut t = murakkab_sim::SimTime::ZERO;
+    loop {
+        let busy: f64 = devices.iter().map(|d| d.value_at(t) * d.capacity).sum();
+        samples.push(100.0 * busy / total_cap);
+        if t >= to {
+            break;
+        }
+        t = (t + murakkab_cluster::UTIL_SAMPLE).min(to);
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+/// The run settled online — utilization and energy folded as the engine
+/// runs, series points dropped once both readers are past them — reads
+/// the GPU and CPU utilization means over the makespan that the retained
+/// series give (the golden above pins the copy to the retained run's
+/// series and ledgers), while holding fewer points than it recorded.
+/// Both preemptions settle allocations mid-run, and the pools' release
+/// and re-provision cycles settle and open more.
 #[test]
 fn preempted_disagg_serve_settled_online_matches_the_retained_run() {
-    use murakkab::engine::UTIL_SAMPLE;
     use murakkab_hardware::DeviceKind;
-    use murakkab_sim::SimTime;
 
-    let retained = preempted_disagg_serve(false);
-    let streamed = preempted_disagg_serve(true);
-    let ledger = |o: &murakkab::engine::EngineOutcome| {
-        [
-            o.energy_allocated_wh.to_bits(),
-            o.cost_usd.to_bits(),
-            o.makespan.as_micros(),
-            o.tasks_completed as u64,
-        ]
-    };
-    assert_eq!(ledger(&streamed), ledger(&retained));
+    let (outcome, copy) = preempted_disagg_serve();
     for kind in [DeviceKind::Gpu, DeviceKind::CpuPool] {
-        let util = |o: &murakkab::engine::EngineOutcome| {
-            o.cluster
-                .average_util(kind, SimTime::ZERO, o.makespan, UTIL_SAMPLE)
-                .expect("settles")
-                .to_bits()
-        };
-        assert_eq!(util(&streamed), util(&retained), "{kind:?} utilization");
+        let settled = outcome
+            .cluster
+            .average_util(kind, outcome.makespan)
+            .expect("settles");
+        assert_eq!(
+            settled.to_bits(),
+            retained_mean_util(&copy, kind, outcome.makespan).to_bits(),
+            "{kind:?} utilization"
+        );
     }
-    let held = |o: &murakkab::engine::EngineOutcome| o.cluster.retained_points();
+    let recorded = copy
+        .devices
+        .iter()
+        .map(|d| d.points.len())
+        .max()
+        .unwrap_or(0);
     assert!(
-        held(&streamed) < held(&retained),
-        "online settlement held {} points on one device, the retained run {}",
-        held(&streamed),
-        held(&retained)
+        outcome.cluster.retained_points() < recorded,
+        "online settlement held {} points on one device of {recorded} recorded",
+        outcome.cluster.retained_points(),
     );
 }

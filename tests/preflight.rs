@@ -362,3 +362,28 @@ proptest! {
         }
     }
 }
+
+/// A VM shape without CPU cores builds no cluster: the analyzer reports
+/// ANZ001 and execution fails with a typed error, in both modes.
+#[test]
+fn coreless_shapes_are_errors_not_panics() {
+    let mut shape = murakkab_hardware::catalog::nd96amsr_a100_v4();
+    shape.vcpus = 0;
+    for scenario in [
+        Scenario::closed_loop("coreless"),
+        Scenario::open_loop(
+            "coreless",
+            ArrivalProcess::Poisson { rate_per_s: 0.1 },
+            10.0,
+        ),
+    ] {
+        let scenario = scenario.cluster(shape.clone(), 2);
+        let report = analyze(&scenario);
+        assert!(
+            report.errors().any(|d| d.code == codes::CLUSTER_EMPTY),
+            "a coreless shape must flag ANZ001, got:\n{}",
+            report.render_human()
+        );
+        assert!(scenario.run().is_err(), "a coreless shape must not run");
+    }
+}

@@ -1,4 +1,4 @@
-//! Resident serve state follows live work, not run length.
+//! Resident engine state follows live work, not run length.
 //!
 //! One open-loop serve engine takes N and then 8N requests, in bursts
 //! with lulls long enough for its tool pools to scale down and come
@@ -9,14 +9,21 @@
 //! `Engine::retained_series_points`. The first two must stay under a
 //! bound set by the in-flight cap and the deployment, and the longer run
 //! must hold no more of any of the three than the shorter one: finished
-//! tasks and released allocations are retired, and utilization settled
-//! online drops the points its readers are past, so no count can grow
-//! with the number of requests served. The counts are simulation state,
-//! not host measurements, so the gate is deterministic.
+//! tasks and released allocations are retired, and settling utilization
+//! as the run goes drops the points its readers are past, so no count
+//! can grow with the number of requests served. A closed-loop run of N
+//! and 8N workflows holds the same short device tails while its
+//! timeline, the one output kept for the whole run, grows. The counts
+//! are simulation state, not host measurements, so the gates are
+//! deterministic.
+
+#[path = "../crates/cluster/tests/common/mod.rs"]
+mod common;
 
 use std::collections::{BTreeMap, VecDeque};
 
-use murakkab::engine::{CompiledGraph, Engine, EngineOptions, RouteSpec};
+use common::SeriesCopy;
+use murakkab::engine::{CompiledGraph, Engine, EngineOptions, EngineOutcome, RouteSpec};
 use murakkab_agents::{library::stock_library, Capability, Work};
 use murakkab_cluster::{ClusterManager, PlacementPolicy};
 use murakkab_hardware::{catalog, HardwareTarget};
@@ -34,10 +41,14 @@ const N: usize = 30;
 /// deployment ever holds at once (no preemptions here).
 const DEPLOYMENT_ALLOCATIONS: usize = 2 + 2 + 1 + 1;
 
-fn engine(settle_online: bool) -> Engine {
+/// An engine on two A100 nodes running `graph` (empty for serving),
+/// started at zero.
+fn engine(graph: TaskGraph, timeline: bool) -> Engine {
     let mut cluster = ClusterManager::new(PlacementPolicy::BestFit);
     for _ in 0..2 {
-        cluster.add_node(catalog::nd96amsr_a100_v4());
+        cluster
+            .add_node(catalog::nd96amsr_a100_v4())
+            .expect("the shape has cores");
     }
     let pool = |agent: &str, workers: Vec<HardwareTarget>| RouteSpec::Pool {
         agent: agent.into(),
@@ -81,19 +92,18 @@ fn engine(settle_online: bool) -> Engine {
         ),
     ]);
     let options = EngineOptions {
-        record_spans: false,
-        settle_online,
+        timeline,
         ..EngineOptions::default()
     };
     let mut engine = Engine::new(
         cluster,
         &stock_library(),
-        TaskGraph::new(),
+        graph,
         routes,
         options,
         SimTime::ZERO,
     )
-    .expect("the serve engine builds");
+    .expect("the engine builds");
     engine.start(SimTime::ZERO).expect("starts");
     engine
 }
@@ -102,8 +112,14 @@ fn engine(settle_online: bool) -> Engine {
 /// transcription feed a scene summary; every scene summary and a web
 /// search feed the final summary.
 fn workflow(i: usize) -> CompiledGraph {
-    let i = i as u32;
     let mut g = TaskGraph::new();
+    add_workflow(&mut g, i);
+    CompiledGraph::from_graph(&g).expect("compiles")
+}
+
+/// Adds request `i`'s tasks to `g`.
+fn add_workflow(g: &mut TaskGraph, i: usize) {
+    let i = i as u32;
     let fin = g.add_task(
         "final",
         "final",
@@ -147,22 +163,27 @@ fn workflow(i: usize) -> CompiledGraph {
             g.add_edge(a, b).expect("acyclic");
         }
     }
-    CompiledGraph::from_graph(&g).expect("compiles")
 }
 
-/// What one run held at most, over every admission.
+/// What one run held at most, over every admission, and the most change
+/// points one device recorded over the run.
 #[derive(Debug)]
 struct Peak {
     tasks: usize,
     allocations: usize,
     series_points: usize,
+    recorded_points: usize,
 }
 
 /// Serves `n` requests arriving in bursts of eight, two seconds apart,
-/// each burst followed by a two-minute lull, settling utilization online
-/// or keeping every series; returns the peak retained counts.
-fn serve(n: usize, settle_online: bool) -> Peak {
-    let mut engine = engine(settle_online);
+/// each burst followed by a two-minute lull, with the timeline off as in
+/// a fleet cell; returns the peak retained counts.
+fn serve(n: usize) -> Peak {
+    let mut engine = engine(TaskGraph::new(), false);
+    // A copy of every device's series, synced after each drain, counts
+    // what the devices recorded. Points recorded and dropped within one
+    // drain are missed, so the count is a lower bound.
+    let mut copy = SeriesCopy::default();
     let graphs: Vec<CompiledGraph> = (0..n).map(workflow).collect();
     let arrivals: Vec<SimTime> = (0..n)
         .scan(SimTime::ZERO, |at, i| {
@@ -176,6 +197,7 @@ fn serve(n: usize, settle_online: bool) -> Peak {
         tasks: 0,
         allocations: 0,
         series_points: 0,
+        recorded_points: 0,
     };
     let mut now = SimTime::ZERO;
     loop {
@@ -193,7 +215,9 @@ fn serve(n: usize, settle_online: bool) -> Peak {
             peak.series_points = peak.series_points.max(engine.retained_series_points());
         }
         let bound = arrivals.get(arrived).copied().unwrap_or(SimTime::MAX);
-        match engine.step_while(bound, false).expect("steps") {
+        let stop = engine.step_while(bound, false).expect("steps");
+        copy.sync(engine.cluster());
+        match stop {
             Some(t) => {
                 now = t;
                 for &tid in engine.completions() {
@@ -220,12 +244,39 @@ fn serve(n: usize, settle_online: bool) -> Peak {
     let outcome = engine.finish(SimTime::ZERO).expect("settles");
     assert_eq!(outcome.tasks_completed, total);
     assert!(
+        outcome.timeline.is_none(),
+        "a serve cell records no timeline"
+    );
+    peak.recorded_points = copy
+        .devices
+        .iter()
+        .map(|d| d.points.len())
+        .max()
+        .unwrap_or(0);
+    assert!(
         outcome.pool_scale_downs > 0 && outcome.pool_scale_ups > 0,
         "the lulls scale pools down and back up: {} down, {} up",
         outcome.pool_scale_downs,
         outcome.pool_scale_ups
     );
     peak
+}
+
+/// Runs `n` workflows in one closed loop, timeline on, one event at a
+/// time (`Engine::run` drains the same events in batches and ends in the
+/// same state); returns the most points one device held after any
+/// event, and the outcome.
+fn closed_loop(n: usize) -> (usize, EngineOutcome) {
+    let mut graph = TaskGraph::new();
+    for i in 0..n {
+        add_workflow(&mut graph, i);
+    }
+    let mut engine = engine(graph, true);
+    let mut held = 0;
+    while engine.step().expect("steps").is_some() {
+        held = held.max(engine.retained_series_points());
+    }
+    (held, engine.finish(SimTime::ZERO).expect("settles"))
 }
 
 #[test]
@@ -235,8 +286,8 @@ fn retained_state_is_bounded_by_live_work() {
         .max()
         .expect("requests");
     let task_bound = 4 * MAX_INFLIGHT * per_request;
-    let short = serve(N, true);
-    let long = serve(8 * N, true);
+    let short = serve(N);
+    let long = serve(8 * N);
     for (n, peak) in [(N, &short), (8 * N, &long)] {
         assert!(
             peak.tasks <= task_bound,
@@ -260,15 +311,49 @@ fn retained_state_is_bounded_by_live_work() {
 
 #[test]
 fn kept_series_grow_with_the_request_count() {
-    // The gate above has teeth: without online settlement a device keeps
-    // every change point, so the longer run holds several times more.
-    let short = serve(N, false);
-    let long = serve(8 * N, false);
+    // The gate above has teeth: the devices record several times more
+    // change points in the longer run, so its flat count is the
+    // settlement dropping them.
+    let short = serve(N);
+    let long = serve(8 * N);
     assert!(
-        long.series_points > 4 * short.series_points,
-        "{} points at {N} requests, {} at {}",
-        short.series_points,
-        long.series_points,
+        long.recorded_points > 4 * short.recorded_points
+            && short.recorded_points > 2 * short.series_points,
+        "{short:?} at {N} requests, {long:?} at {}",
+        8 * N
+    );
+}
+
+#[test]
+fn closed_loop_timeline_grows_while_device_tails_stay_flat() {
+    let (short_held, short) = closed_loop(N);
+    let (long_held, long) = closed_loop(8 * N);
+    let samples = |o: &EngineOutcome| {
+        let timeline = o
+            .timeline
+            .as_ref()
+            .expect("the closed loop records its timeline");
+        assert_eq!(timeline.gpu_util.len(), timeline.cpu_util.len());
+        timeline.gpu_util.len()
+    };
+    // One sample per second up to and including the makespan.
+    for o in [&short, &long] {
+        assert_eq!(
+            samples(o),
+            o.makespan.as_micros().div_ceil(1_000_000) as usize + 1
+        );
+    }
+    assert!(
+        samples(&long) > 4 * samples(&short),
+        "the curves follow the makespan: {} samples at {N} workflows, {} at {}",
+        samples(&short),
+        samples(&long),
+        8 * N
+    );
+    assert!(
+        long_held <= short_held,
+        "device tails grew with the run: {short_held} points at {N} workflows, \
+         {long_held} at {}",
         8 * N
     );
 }
